@@ -3,7 +3,7 @@
 import argparse
 import json
 
-from cubeint.search import bfs_search, small_search_config
+from cubeint.search import NON_REDUNDANT_SMALL, SearchConfig, bfs_search
 from cubeint.shapes import classify_star
 from cubeint.theorems import verify_small_window
 
@@ -15,7 +15,7 @@ def main() -> int:
     parser.add_argument("--out")
     args = parser.parse_args()
 
-    search = bfs_search(small_search_config(args.k, max_edges=args.max_edges))
+    search = bfs_search(SearchConfig(NON_REDUNDANT_SMALL, args.k, max_edges=args.max_edges))
     print("survivors per condition count:")
     for depth, records in enumerate(search.depths, start=1):
         raw = sum(r.raw_count() for r in records)

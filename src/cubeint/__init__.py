@@ -28,7 +28,6 @@ from .codim1 import (
 from .shapes import (
     Shape,
     SignAssignment,
-    assignment_intersection,
     canonical_form,
     classify_star,
     max_intersection,
@@ -39,9 +38,6 @@ from .search import (
     SearchResult,
     bfs_search,
     expand,
-    final_shapes,
-    large_search_config,
-    small_search_config,
 )
 
 __all__ = [
@@ -53,7 +49,6 @@ __all__ = [
     "SignAssignment",
     "SearchConfig",
     "SearchResult",
-    "assignment_intersection",
     "bfs_search",
     "canonical_form",
     "central_ratio_nonincreasing",
@@ -63,19 +58,16 @@ __all__ = [
     "evaluate_pattern",
     "expand",
     "factor_pattern",
-    "final_shapes",
     "fix_coordinate_count",
     "has_redundant_condition",
     "intersection_size",
     "is_minimal",
     "large_codim1_sizes",
-    "large_search_config",
     "level_count",
     "max_intersection",
     "oracle_enumerate",
     "restrict",
     "shape_fraction",
-    "small_search_config",
     "support",
     "support_size_bound",
 ]

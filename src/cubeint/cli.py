@@ -8,17 +8,15 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .codim1 import codim1_table, large_codim1_sizes, support_size_bound
-from .cube import LinearMap, evaluate_pattern, oracle_enumerate
+from .codim1 import codim1_table, large_codim1_sizes
+from .cube import EnumerationBudgetError, LinearMap, evaluate_pattern, oracle_enumerate
 from .search import (
     EXHAUSTIVE_LARGE,
     MINIMAL_LARGE,
     NON_REDUNDANT_SMALL,
+    SearchBudgetError,
     SearchConfig,
     bfs_search,
-    exhaustive_large_config,
-    large_search_config,
-    small_search_config,
 )
 from .shapes import Shape, canonical_form, classify_star, max_intersection, shape_fraction
 from .theorems import (
@@ -33,6 +31,12 @@ from .theorems import (
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
 
+SEARCH_MODES = {
+    "large": MINIMAL_LARGE,
+    "small": NON_REDUNDANT_SMALL,
+    "exhaustive-large": EXHAUSTIVE_LARGE,
+}
+
 
 def _fraction(text: str) -> Fraction:
     try:
@@ -41,7 +45,7 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
-def _emit(payload: dict, args, fmt: str = "json") -> None:
+def _emit(payload: dict, args) -> None:
     body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(body.encode()).hexdigest()
     envelope = {
@@ -103,30 +107,12 @@ def _cmd_sizes(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    mode = {
-        "large": MINIMAL_LARGE,
-        "small": NON_REDUNDANT_SMALL,
-        "exhaustive-large": EXHAUSTIVE_LARGE,
-    }[args.mode]
-    builder = {
-        MINIMAL_LARGE: large_search_config,
-        NON_REDUNDANT_SMALL: small_search_config,
-        EXHAUSTIVE_LARGE: exhaustive_large_config,
-    }[mode]
-    config = builder(
+    config = SearchConfig(
+        SEARCH_MODES[args.mode],
         args.k,
+        threshold=args.threshold,
         max_edges=args.max_edges,
-        dedupe_isomorphic=not args.no_dedupe,
     )
-    if args.threshold is not None and args.threshold != config.threshold:
-        config = SearchConfig(
-            mode=config.mode,
-            threshold=args.threshold,
-            max_edge_size=min(support_size_bound(args.threshold), args.k),
-            max_edges=config.max_edges,
-            max_vertices=config.max_vertices,
-            dedupe_isomorphic=config.dedupe_isomorphic,
-        )
     result = bfs_search(config)
     depths = []
     for depth_index, records in enumerate(result.depths, start=1):
@@ -146,8 +132,7 @@ def _cmd_search(args) -> int:
             "threshold": str(config.threshold),
             "max_edge_size": config.max_edge_size,
             "max_edges": config.max_edges,
-            "max_vertices": config.max_vertices,
-            "dedupe_isomorphic": config.dedupe_isomorphic,
+            "max_vertices": config.k,
         },
         "depths": depths,
         "pruned": result.pruned_count,
@@ -232,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cubeint",
         description="Exact hypercube/subspace intersection-size toolkit",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomised checks")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p_sizes = sub.add_parser("sizes", help="closed-form size tables")
@@ -247,13 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_large.set_defaults(func=_cmd_sizes)
 
     p_search = sub.add_parser("search", help="breadth-first shape search")
-    p_search.add_argument(
-        "--mode", choices=("large", "small", "exhaustive-large"), required=True
-    )
+    p_search.add_argument("--mode", choices=SEARCH_MODES, required=True)
     p_search.add_argument("--k", type=int, required=True)
     p_search.add_argument("--threshold", type=_fraction, default=None)
     p_search.add_argument("--max-edges", type=int, default=None)
-    p_search.add_argument("--no-dedupe", action="store_true")
     p_search.add_argument("--out")
     p_search.set_defaults(func=_cmd_search)
 
@@ -327,7 +308,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parse_command(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
-    except (ValueError, IndexError) as exc:
+    except (
+        ValueError,
+        IndexError,
+        OSError,
+        EnumerationBudgetError,
+        SearchBudgetError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

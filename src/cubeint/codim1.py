@@ -135,4 +135,4 @@ def support_size_bound(threshold: Fraction) -> int:
         best = s
         s += 1
         if s > 4096:
-            raise RuntimeError("support size scan did not terminate")
+            raise ValueError(f"threshold {threshold} is too small to resolve")

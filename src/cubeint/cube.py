@@ -75,9 +75,18 @@ class LinearMap:
         }
 
     @staticmethod
-    def from_json_dict(data: Mapping) -> "LinearMap":
-        lm = LinearMap.from_rows(int(data["k"]), data["entries"])
-        if "m" in data and int(data["m"]) != lm.m:
+    def from_json_dict(data) -> "LinearMap":
+        if not isinstance(data, Mapping) or not {"k", "entries"} <= data.keys():
+            raise ValueError("a map is a JSON object with 'k' and 'entries'")
+        rows = data["entries"]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValueError("map 'entries' must be a list of rows")
+        try:
+            lm = LinearMap.from_rows(int(data["k"]), rows)
+            declared_m = int(data.get("m", lm.m))
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"map k, m and entries must be numbers: {exc}") from exc
+        if declared_m != lm.m:
             raise ValueError("declared m does not match entry rows")
         return lm
 
@@ -276,13 +285,6 @@ class SizeSet:
             raise ValueError("size outside 1..2^k")
         self.sizes = tuple(dedup)
 
-    def merged(self, other: "SizeSet") -> "SizeSet":
-        if (self.n, self.k) != (other.n, other.k):
-            raise ValueError("cannot merge size sets for different (n, k)")
-        prov = dict(other.provenance)
-        prov.update(self.provenance)
-        return SizeSet(self.n, self.k, self.sizes + other.sizes, prov)
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
@@ -346,7 +348,3 @@ def oracle_enumerate(
             break
     result = tuple(sorted(sizes))
     return SizeSet(k + m, k, result, {s: "oracle" for s in result})
-
-
-def clear_caches() -> None:
-    _row_mask.cache_clear()

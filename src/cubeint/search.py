@@ -46,57 +46,35 @@ class SearchBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """One search run over k coordinates.
+
+    threshold defaults to 1/2 in the large modes and 15/32 in the small one;
+    max_edges defaults to k - 1, or k in exhaustive-large mode.  The largest
+    useful edge, min(support_size_bound(threshold), k), is derived here once;
+    the vertex budget is k.
+    """
+
     mode: str
-    threshold: Fraction
-    max_edge_size: int
-    max_edges: int
-    max_vertices: int
-    dedupe_isomorphic: bool = True
+    k: int
+    threshold: Fraction | None = None
+    max_edges: int | None = None
     max_states: int = 200_000
+    max_edge_size: int = field(init=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not 0 < self.threshold < 1:
-            raise ValueError("threshold must lie strictly between 0 and 1")
-        if self.max_edge_size < 2:
+        if self.threshold is None:
+            small = self.mode == NON_REDUNDANT_SMALL
+            threshold = Fraction(15, 32) if small else Fraction(1, 2)
+            object.__setattr__(self, "threshold", threshold)
+        if self.max_edges is None:
+            exhaustive = self.mode == EXHAUSTIVE_LARGE
+            object.__setattr__(self, "max_edges", self.k if exhaustive else self.k - 1)
+        max_edge_size = min(support_size_bound(self.threshold), self.k)
+        if max_edge_size < 2:
             raise ValueError("edges have at least two vertices")
-
-
-def large_search_config(k: int, max_edges: int | None = None, **kwargs) -> SearchConfig:
-    threshold = Fraction(1, 2)
-    return SearchConfig(
-        mode=MINIMAL_LARGE,
-        threshold=threshold,
-        max_edge_size=min(support_size_bound(threshold), k),
-        max_edges=max_edges if max_edges is not None else k - 1,
-        max_vertices=k,
-        **kwargs,
-    )
-
-
-def small_search_config(k: int, max_edges: int | None = None, **kwargs) -> SearchConfig:
-    threshold = Fraction(15, 32)
-    return SearchConfig(
-        mode=NON_REDUNDANT_SMALL,
-        threshold=threshold,
-        max_edge_size=min(support_size_bound(threshold), k),
-        max_edges=max_edges if max_edges is not None else k - 1,
-        max_vertices=k,
-        **kwargs,
-    )
-
-
-def exhaustive_large_config(k: int, max_edges: int | None = None, **kwargs) -> SearchConfig:
-    threshold = Fraction(1, 2)
-    return SearchConfig(
-        mode=EXHAUSTIVE_LARGE,
-        threshold=threshold,
-        max_edge_size=min(support_size_bound(threshold), k),
-        max_edges=max_edges if max_edges is not None else k,
-        max_vertices=k,
-        **kwargs,
-    )
+        object.__setattr__(self, "max_edge_size", max_edge_size)
 
 
 @dataclass
@@ -104,17 +82,19 @@ class ShapeRecord:
     """A surviving state: canonical shape plus everything the round measured.
 
     ``keys`` distinguishes the inequivalent ways the state was produced (size
-    of the added edge plus its overlap profile with the parent's edges); with
-    isomorphism deduplication switched off these are reported as separate raw
-    survivors, which is how the historical raw counts arise.
+    of the added edge plus its overlap profile with the parent's edges); each
+    counts as one raw survivor, which is how the historical raw counts arise.
     """
 
     shape: Shape
     max_size: int
-    fraction: Fraction
     witness: SignAssignment | None
     values: tuple[int, ...]
     keys: tuple = ()
+
+    @property
+    def fraction(self) -> Fraction:
+        return Fraction(self.max_size, 1 << self.shape.vertex_count)
 
     def raw_count(self) -> int:
         return max(1, len(self.keys))
@@ -152,10 +132,6 @@ class SearchResult:
         return out
 
 
-def _values_above(shape: Shape, threshold: Fraction) -> dict[int, SignAssignment]:
-    return intersection_value_set(shape, floor=threshold)
-
-
 def expand(shape: Shape, config: SearchConfig) -> list[Shape]:
     """Canonical children of one survivor (one added condition), deduplicated."""
     children = {}
@@ -178,7 +154,7 @@ def _raw_children(shape: Shape, config: SearchConfig):
     for new_size in range(2, min(smallest, config.max_edge_size) + 1):
         for used in range(min(new_size, len(verts)) + 1):
             fresh = new_size - used
-            if shape.vertex_count + fresh > config.max_vertices:
+            if shape.vertex_count + fresh > config.k:
                 continue
             fresh_verts = tuple(range(len(verts) + 1, len(verts) + 1 + fresh))
             for chosen in combinations(verts, used):
@@ -195,9 +171,9 @@ def _raw_children(shape: Shape, config: SearchConfig):
 def bfs_search(config: SearchConfig) -> SearchResult:
     result = SearchResult(config)
     frontier: dict[tuple, ShapeRecord] = {}
-    for size in range(2, min(config.max_edge_size, config.max_vertices) + 1):
+    for size in range(2, config.max_edge_size + 1):
         shape = Shape((tuple(range(1, size + 1)),))
-        values = _values_above(shape, config.threshold)
+        values = intersection_value_set(shape, floor=config.threshold)
         if not values:
             result.pruned_count += 1
             continue
@@ -205,7 +181,6 @@ def bfs_search(config: SearchConfig) -> SearchResult:
         frontier[shape.edges] = ShapeRecord(
             shape=shape,
             max_size=best,
-            fraction=Fraction(best, 1 << size),
             witness=values[best],
             values=tuple(sorted(values)),
             keys=((size, ()),),
@@ -217,8 +192,7 @@ def bfs_search(config: SearchConfig) -> SearchResult:
         for parent in frontier.values():
             for child_edges, key in _raw_children(parent.shape, config):
                 canon = canonical_form(Shape(child_edges))
-                points = 1 << canon.vertex_count
-                values = _values_above(canon, config.threshold)
+                values = intersection_value_set(canon, floor=config.threshold)
                 if config.mode == NON_REDUNDANT_SMALL:
                     fresh = canon.vertex_count - parent.shape.vertex_count
                     bound = parent.max_size << fresh
@@ -234,7 +208,6 @@ def bfs_search(config: SearchConfig) -> SearchResult:
                     new_frontier[canon.edges] = ShapeRecord(
                         shape=canon,
                         max_size=best,
-                        fraction=Fraction(best, points),
                         witness=values[best],
                         values=tuple(sorted(values)),
                         keys=(key,),
@@ -242,7 +215,6 @@ def bfs_search(config: SearchConfig) -> SearchResult:
                 else:
                     if best > record.max_size:
                         record.max_size = best
-                        record.fraction = Fraction(best, points)
                         record.witness = values[best]
                     if key not in record.keys:
                         record.keys = record.keys + (key,)
@@ -260,14 +232,3 @@ def bfs_search(config: SearchConfig) -> SearchResult:
 
 def _sorted_records(frontier: dict) -> list[ShapeRecord]:
     return [frontier[key] for key in sorted(frontier, key=lambda e: (len(e), e))]
-
-
-def final_shapes(result: SearchResult, depth: int) -> list[tuple[Shape, int]]:
-    """Survivors at a depth; repeated per production key when deduplication is
-    off, one entry per isomorphism class otherwise."""
-    records = result.survivors(depth)
-    out: list[tuple[Shape, int]] = []
-    for rec in records:
-        copies = 1 if result.config.dedupe_isomorphic else rec.raw_count()
-        out.extend([(rec.shape, rec.max_size)] * copies)
-    return out

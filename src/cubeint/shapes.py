@@ -15,8 +15,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from typing import Iterable, Sequence
 
-from .codim1 import binomial
-from .cube import LinearMap, _row_mask, evaluate_pattern
+from .cube import LinearMap, _row_mask
 
 Edge = tuple[int, ...]
 
@@ -94,7 +93,13 @@ class Shape:
 
     @staticmethod
     def from_json_dict(data) -> "Shape":
-        return Shape.from_edges(data["edges"])
+        edges = data.get("edges") if isinstance(data, dict) else None
+        if not isinstance(edges, list) or not all(
+            isinstance(edge, list) and all(isinstance(v, int) for v in edge)
+            for edge in edges
+        ):
+            raise ValueError("a shape is a JSON object with 'edges': lists of integers")
+        return Shape.from_edges(edges)
 
 
 @dataclass(frozen=True)
@@ -194,10 +199,6 @@ def canonical_form(shape: Shape) -> Shape:
     return result
 
 
-def are_isomorphic(a: Shape, b: Shape) -> bool:
-    return canonical_form(a) == canonical_form(b)
-
-
 # ---------------------------------------------------------------------------
 # star classification
 # ---------------------------------------------------------------------------
@@ -237,39 +238,6 @@ def classify_star(shape: Shape) -> str:
 # ---------------------------------------------------------------------------
 
 
-def assignment_intersection(shape: Shape, assignment: SignAssignment) -> int:
-    """Size of the intersection for one sign assignment.
-
-    Conditions are evaluated by conditioning on the shared coordinates (those
-    in at least two edges): for each 0/1 choice there, every edge contributes
-    the number of ways to finish its private coordinates, and the total is the
-    sum over shared choices of the product of those counts.
-    """
-    if assignment.shape != shape:
-        raise ValueError("assignment does not belong to this shape")
-    shared = shape.shared_vertices()
-    shared_index = {v: i for i, v in enumerate(shared)}
-    per_edge = []
-    for edge, row in zip(shape.edges, assignment.signs):
-        shared_signs = [(shared_index[v], s) for v, s in zip(edge, row) if v in shared_index]
-        private_signs = [s for v, s in zip(edge, row) if v not in shared_index]
-        n = len(private_signs)
-        b = sum(1 for s in private_signs if s == -1)
-        per_edge.append((shared_signs, n, b))
-    total = 0
-    for choice in range(1 << len(shared)):
-        prod = 1
-        for shared_signs, n, b in per_edge:
-            p = sum(s for i, s in shared_signs if (choice >> i) & 1)
-            ways = binomial(n, b - p) + binomial(n, b + 1 - p)
-            if ways == 0:
-                prod = 0
-                break
-            prod *= ways
-        total += prod
-    return total
-
-
 def _spread(edge: Edge, signs: Sequence[int], k: int) -> tuple[int, ...]:
     coeffs = [0] * k
     for v, s in zip(edge, signs):
@@ -277,12 +245,12 @@ def _spread(edge: Edge, signs: Sequence[int], k: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def _edge_candidates(shape: Shape, index: int, reduced: bool) -> list[tuple[tuple[int, ...], int]]:
+def _edge_candidates(shape: Shape, index: int) -> list[tuple[tuple[int, ...], int]]:
     """(signs, mask) choices for one edge, sorted by sign tuple.
 
-    In reduced form only the count of -1s over the private coordinates is
-    varied (they occupy the low vertices first), which covers every achievable
-    joint value because private coordinates of one edge can be permuted freely.
+    Only the count of -1s over the private coordinates is varied (they occupy
+    the low vertices first), which covers every achievable joint value because
+    private coordinates of one edge can be permuted freely.
     """
     k = shape.vertex_count
     edge = shape.edges[index]
@@ -290,13 +258,10 @@ def _edge_candidates(shape: Shape, index: int, reduced: bool) -> list[tuple[tupl
     shared_pos = [i for i, v in enumerate(edge) if v in shared]
     private_pos = [i for i, v in enumerate(edge) if v not in shared]
     candidates = []
-    if reduced:
-        private_options = []
-        for minus in range(len(private_pos), -1, -1):
-            signs = [-1] * minus + [1] * (len(private_pos) - minus)
-            private_options.append(signs)
-    else:
-        private_options = [list(c) for c in product((-1, 1), repeat=len(private_pos))]
+    private_options = []
+    for minus in range(len(private_pos), -1, -1):
+        signs = [-1] * minus + [1] * (len(private_pos) - minus)
+        private_options.append(signs)
     for shared_signs in product((-1, 1), repeat=len(shared_pos)):
         for private_signs in private_options:
             signs = [0] * len(edge)
@@ -339,7 +304,7 @@ def intersection_value_set(
     points = 1 << k
     limit_num = floor.numerator * points
     limit_den = floor.denominator
-    cands = [_edge_candidates(shape, i, reduced=True) for i in range(shape.edge_count)]
+    cands = [_edge_candidates(shape, i) for i in range(shape.edge_count)]
     found: dict[int, tuple[tuple[int, ...], ...]] = {}
 
     def walk(idx: int, mask: int, chosen: tuple):
@@ -362,79 +327,36 @@ def intersection_value_set(
     return result
 
 
-def max_intersection(
-    shape: Shape,
-    exclude_at_or_above: int | None = None,
-    reduced: bool = True,
-) -> tuple[int, SignAssignment | None]:
+def max_intersection(shape: Shape) -> tuple[int, SignAssignment | None]:
     """Best achievable size over sign assignments, with a deterministic witness.
 
-    With exclude_at_or_above set, assignments reaching at least that size are
-    skipped (they repeat a value already achievable with fewer conditions);
-    the maximum of the remaining values is returned, or (0, None) if nothing
-    survives the skip.
+    One branch-and-bound walk in ascending candidate order, as in
+    intersection_value_set; the witness is recorded whenever the best size
+    rises, so it is the first assignment in that order reaching the maximum.
+    Returns (0, None) when every assignment gives the empty set.
     """
-    cands = [_edge_candidates(shape, i, reduced=reduced) for i in range(shape.edge_count)]
-    k = shape.vertex_count
-    points = 1 << k
+    cands = [_edge_candidates(shape, i) for i in range(shape.edge_count)]
     best = 0
+    witness: tuple | None = None
 
-    def walk_max(idx: int, mask: int):
-        nonlocal best
+    def walk(idx: int, mask: int, chosen: tuple):
+        nonlocal best, witness
         count = mask.bit_count()
         if count <= best:
             return
         if idx == len(cands):
-            if exclude_at_or_above is not None and count >= exclude_at_or_above:
-                return
-            best = count
-            return
-        for _, cand_mask in cands[idx]:
-            walk_max(idx + 1, mask & cand_mask)
-
-    walk_max(0, (1 << points) - 1)
-    if best == 0:
-        return 0, None
-
-    witness: tuple | None = None
-
-    def walk_witness(idx: int, mask: int, chosen: tuple):
-        nonlocal witness
-        if witness is not None:
-            return
-        if mask.bit_count() < best:
-            return
-        if idx == len(cands):
-            if mask.bit_count() == best:
-                witness = chosen
+            best, witness = count, chosen
             return
         for signs_t, cand_mask in cands[idx]:
-            walk_witness(idx + 1, mask & cand_mask, chosen + (signs_t,))
-            if witness is not None:
-                return
+            walk(idx + 1, mask & cand_mask, chosen + (signs_t,))
 
-    walk_witness(0, (1 << points) - 1, ())
-    assert witness is not None
+    walk(0, (1 << (1 << shape.vertex_count)) - 1, ())
+    if witness is None:
+        return 0, None
     return best, SignAssignment(shape, witness)
-
-
-def naive_max_intersection(shape: Shape) -> int:
-    """Cross-check: brute force over every sign vector via map evaluation."""
-    best = 0
-    ranges = [product((-1, 1), repeat=len(edge)) for edge in shape.edges]
-    for combo in product(*ranges):
-        assignment = SignAssignment(shape, tuple(tuple(r) for r in combo))
-        _, size = evaluate_pattern(assignment.to_map())
-        best = max(best, size)
-    return best
 
 
 def shape_fraction(shape: Shape) -> Fraction:
     """Best achievable size divided by the covered cube's size."""
     best, _ = max_intersection(shape)
     return Fraction(best, 1 << shape.vertex_count)
-
-
-def clear_caches() -> None:
-    _CANONICAL_CACHE.clear()
-    _VALUE_SET_CACHE.clear()

@@ -26,10 +26,11 @@ from .cube import (
     support,
 )
 from .search import (
+    EXHAUSTIVE_LARGE,
+    NON_REDUNDANT_SMALL,
+    SearchConfig,
     SearchResult,
     bfs_search,
-    exhaustive_large_config,
-    small_search_config,
 )
 from .shapes import Shape, canonical_form, intersection_value_set
 
@@ -209,8 +210,7 @@ def verify_large_sets(k: int, n_max: int | None = None) -> Report:
         raise ValueError("n_max beyond 2k adds nothing: the chain is stable")
     report = Report(f"large intersection sizes, k={k}")
     max_rows = n_max - k
-    config = exhaustive_large_config(k, max_edges=max_rows)
-    result = bfs_search(config)
+    result = bfs_search(SearchConfig(EXHAUSTIVE_LARGE, k, max_edges=max_rows))
 
     for extra in range(1, max_rows + 1):
         claimed = claimed_large_sizes(k, extra)
@@ -310,8 +310,7 @@ def verify_small_window(k: int = 8, max_edges: int = 10) -> Report:
     }
     report.add("claimed window values constructed", not wrong, failures=wrong)
 
-    config = small_search_config(k, max_edges=max_edges)
-    result = bfs_search(config)
+    result = bfs_search(SearchConfig(NON_REDUNDANT_SMALL, k, max_edges=max_edges))
     report.add(
         "search terminated before the condition budget",
         result.terminated_naturally,

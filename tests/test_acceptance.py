@@ -18,7 +18,7 @@ from cubeint.cube import (
     intersection_size,
     restrict,
 )
-from cubeint.search import bfs_search, large_search_config, small_search_config
+from cubeint.search import MINIMAL_LARGE, NON_REDUNDANT_SMALL, SearchConfig, bfs_search
 from cubeint.shapes import (
     STAR21,
     STAR32,
@@ -26,7 +26,6 @@ from cubeint.shapes import (
     canonical_form,
     classify_star,
     max_intersection,
-    naive_max_intersection,
 )
 from cubeint.theorems import (
     antichain_bound_check,
@@ -42,6 +41,7 @@ from cubeint.theorems import (
     verify_large_sets,
     verify_small_window,
 )
+from oracles import naive_max_intersection
 
 
 def report(number: int, passed: bool, description: str, elapsed: float) -> None:
@@ -94,7 +94,7 @@ def test_criterion_02_single_condition_large_sizes():
 
 def test_criterion_03_large_search_structure():
     start = time.time()
-    result = bfs_search(large_search_config(12, max_edges=3))
+    result = bfs_search(SearchConfig(MINIMAL_LARGE, 12, max_edges=3))
     ok = all(rec.shape.vertex_count <= 6 for rec in result.survivors(2))
     for rec in result.survivors(3):
         family = classify_star(rec.shape)
@@ -102,7 +102,7 @@ def test_criterion_03_large_search_structure():
         half = 1 << (rec.shape.vertex_count - 1)
         ok = ok and rec.max_size == half + (1 if family == STAR21 else 2)
     # survivor structure is k-independent once k >= 7
-    smaller = bfs_search(large_search_config(7, max_edges=3))
+    smaller = bfs_search(SearchConfig(MINIMAL_LARGE, 7, max_edges=3))
     ok = ok and [r.shape.edges for r in smaller.survivors(3)] == [
         r.shape.edges for r in result.survivors(3)
     ]
@@ -128,7 +128,7 @@ def test_criterion_04_large_chain(k):
 
 def test_criterion_05_small_search_and_window():
     start = time.time()
-    search = bfs_search(small_search_config(8, max_edges=4))
+    search = bfs_search(SearchConfig(NON_REDUNDANT_SMALL, 8, max_edges=4))
     families = sorted((r.shape for r in search.survivors(4)), key=lambda s: s.edges)
     ok = (
         search.raw_survivor_count(4) == 10

@@ -140,3 +140,25 @@ class TestCommands:
         assert code == 0
         data = json.loads(target.read_text())
         assert data["result"]["match"] is True
+
+
+class TestExitContract:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "--k", "8", "--m", "3"],
+            ["map", "--json", "{}"],
+            ["map", "--json", "[1]"],
+            ["map", "--json", '{"k":2,"entries":[1]}'],
+            ["shape", "--json", "{}"],
+            ["search", "--mode", "large", "--k", "6", "--threshold", "1/100"],
+            ["window", "hn", "--n", "8", "--out", "{missing_dir}/report.json"],
+        ],
+    )
+    def test_bad_input_exits_two_with_one_line(self, capsys, tmp_path, argv):
+        argv = [a.replace("{missing_dir}", str(tmp_path / "missing")) for a in argv]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err

@@ -5,38 +5,35 @@ import pytest
 from cubeint.search import (
     EXHAUSTIVE_LARGE,
     MINIMAL_LARGE,
+    NON_REDUNDANT_SMALL,
     SearchConfig,
     bfs_search,
-    exhaustive_large_config,
     expand,
-    final_shapes,
-    large_search_config,
-    small_search_config,
 )
 from cubeint.shapes import (
     STAR21,
     STAR32,
     Shape,
-    assignment_intersection,
     canonical_form,
     classify_star,
 )
 from cubeint.theorems import expected_small_families
+from oracles import assignment_intersection
 
 
 @pytest.fixture(scope="module")
 def large8():
-    return bfs_search(large_search_config(8, max_edges=3))
+    return bfs_search(SearchConfig(MINIMAL_LARGE, 8, max_edges=3))
 
 
 @pytest.fixture(scope="module")
 def small8():
-    return bfs_search(small_search_config(8, max_edges=5))
+    return bfs_search(SearchConfig(NON_REDUNDANT_SMALL, 8, max_edges=5))
 
 
 class TestExpand:
     def test_single_pair_edge_children(self):
-        config = large_search_config(6)
+        config = SearchConfig(MINIMAL_LARGE, 6)
         children = expand(Shape.from_edges([(1, 2)]), config)
         child_edge_sets = {c.edges for c in children}
         assert canonical_form(Shape.from_edges([(1, 2), (2, 3)])).edges in child_edge_sets
@@ -45,13 +42,13 @@ class TestExpand:
         assert all(c.distinct_edge_count() == c.edge_count for c in children)
 
     def test_small_mode_allows_duplicates(self):
-        config = small_search_config(8)
+        config = SearchConfig(NON_REDUNDANT_SMALL, 8)
         children = expand(Shape.from_edges([(1, 2, 3)]), config)
         dup = canonical_form(Shape.from_edges([(1, 2, 3), (1, 2, 3)]))
         assert dup.edges in {c.edges for c in children}
 
     def test_new_edges_never_grow(self):
-        config = small_search_config(8)
+        config = SearchConfig(NON_REDUNDANT_SMALL, 8)
         children = expand(Shape.from_edges([(1, 2, 3), (1, 2)]), config)
         assert all(len(c.edges[-1]) == 2 for c in children)
 
@@ -117,18 +114,10 @@ class TestSmallSearch:
         got = sorted((rec.shape for rec in small8.survivors(4)), key=lambda s: s.edges)
         assert [s.edges for s in got] == [s.edges for s in expected_small_families()]
 
-    def test_final_shapes_raw_vs_canonical(self, small8):
-        canonical = final_shapes(small8, 4)
-        assert len(canonical) == 6
-        raw_result = bfs_search(
-            small_search_config(8, max_edges=4, dedupe_isomorphic=False)
-        )
-        assert len(final_shapes(raw_result, 4)) == 10
-
 
 class TestExhaustiveSearch:
     def test_nonminimal_values_captured(self):
-        result = bfs_search(exhaustive_large_config(4, max_edges=2))
+        result = bfs_search(SearchConfig(EXHAUSTIVE_LARGE, 4, max_edges=2))
         # the nested pair keeps an above-half value that minimal mode drops
         nested = canonical_form(Shape.from_edges([(1, 2, 3), (1, 2)]))
         nested_records = [
@@ -137,7 +126,7 @@ class TestExhaustiveSearch:
         assert nested_records and 5 in nested_records[0].values
 
     def test_scaled_values_at_k4(self):
-        result = bfs_search(exhaustive_large_config(4, max_edges=2))
+        result = bfs_search(SearchConfig(EXHAUSTIVE_LARGE, 4, max_edges=2))
         sizes = {16} | result.all_values_scaled(4, max_depth=2)
         # above-half sizes with two conditions in a 4-cube
         assert sizes == {9, 10, 12, 16}
@@ -151,15 +140,15 @@ class TestPruningSoundness:
 
         pruned = Shape.from_edges([(1, 2), (3, 4), (5, 6)])
         assert shape_fraction(pruned) <= Fraction(1, 2)
-        config = exhaustive_large_config(8, max_edges=4)
+        config = SearchConfig(EXHAUSTIVE_LARGE, 8, max_edges=4)
         for child in expand(pruned, config):
             assert shape_fraction(child) <= shape_fraction(pruned)
 
 
 class TestDeterminism:
     def test_repeat_runs_identical(self):
-        a = bfs_search(small_search_config(6, max_edges=3))
-        b = bfs_search(small_search_config(6, max_edges=3))
+        a = bfs_search(SearchConfig(NON_REDUNDANT_SMALL, 6, max_edges=3))
+        b = bfs_search(SearchConfig(NON_REDUNDANT_SMALL, 6, max_edges=3))
         for da, db in zip(a.depths, b.depths):
             assert [r.shape.edges for r in da] == [r.shape.edges for r in db]
             assert [r.max_size for r in da] == [r.max_size for r in db]
@@ -167,21 +156,12 @@ class TestDeterminism:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            SearchConfig(
-                mode="bogus",
-                threshold=Fraction(1, 2),
-                max_edge_size=7,
-                max_edges=3,
-                max_vertices=8,
-            )
+            SearchConfig("bogus", 8, max_edges=3)
         with pytest.raises(ValueError):
-            SearchConfig(
-                mode=MINIMAL_LARGE,
-                threshold=Fraction(3, 2),
-                max_edge_size=7,
-                max_edges=3,
-                max_vertices=8,
-            )
+            SearchConfig(MINIMAL_LARGE, 8, threshold=Fraction(3, 2), max_edges=3)
+        # a 3/4 bar leaves only single-vertex edges, so the derived size is 1
+        with pytest.raises(ValueError):
+            SearchConfig(MINIMAL_LARGE, 8, threshold=Fraction(3, 4), max_edges=3)
 
     def test_mode_constants_distinct(self):
         assert MINIMAL_LARGE != EXHAUSTIVE_LARGE

@@ -225,9 +225,9 @@ class TestSumsOfPowers:
 
 class TestOracleCrossChecks:
     def test_oracle_matches_search_at_k4(self):
-        from cubeint.search import bfs_search, exhaustive_large_config
+        from cubeint.search import EXHAUSTIVE_LARGE, SearchConfig, bfs_search
 
-        result = bfs_search(exhaustive_large_config(4, max_edges=2))
+        result = bfs_search(SearchConfig(EXHAUSTIVE_LARGE, 4, max_edges=2))
         via_search = {16} | result.all_values_scaled(4, max_depth=2)
         via_oracle = set(
             oracle_enumerate(4, 2, (-1, 0, 1), keep_above=Fraction(1, 2)).sizes
@@ -235,9 +235,9 @@ class TestOracleCrossChecks:
         assert via_search == via_oracle
 
     def test_oracle_matches_search_at_k5(self):
-        from cubeint.search import bfs_search, exhaustive_large_config
+        from cubeint.search import EXHAUSTIVE_LARGE, SearchConfig, bfs_search
 
-        result = bfs_search(exhaustive_large_config(5, max_edges=3))
+        result = bfs_search(SearchConfig(EXHAUSTIVE_LARGE, 5, max_edges=3))
         for m in (1, 2, 3):
             via_oracle = set(
                 oracle_enumerate(5, m, (-1, 0, 1), keep_above=Fraction(1, 2)).sizes
@@ -246,19 +246,19 @@ class TestOracleCrossChecks:
             assert via_search == via_oracle
 
     def test_full_star_value_needs_four_conditions(self):
-        from cubeint.search import bfs_search, exhaustive_large_config
+        from cubeint.search import EXHAUSTIVE_LARGE, SearchConfig, bfs_search
 
-        result = bfs_search(exhaustive_large_config(5, max_edges=4))
+        result = bfs_search(SearchConfig(EXHAUSTIVE_LARGE, 5, max_edges=4))
         assert 17 not in result.all_values_scaled(5, max_depth=3)
         assert 17 in result.all_values_scaled(5, max_depth=4)
 
     def test_small_sweep_matches_oracle(self):
         # the redundancy skip never loses an achievable value: the cumulative
         # survivor sweep equals the raw enumeration wherever both fit
-        from cubeint.search import bfs_search, small_search_config
+        from cubeint.search import NON_REDUNDANT_SMALL, SearchConfig, bfs_search
 
         for k in (4, 5):
-            result = bfs_search(small_search_config(k, max_edges=3))
+            result = bfs_search(SearchConfig(NON_REDUNDANT_SMALL, k, max_edges=3))
             for m in (1, 2, 3):
                 via_oracle = set(
                     oracle_enumerate(
