@@ -26,6 +26,7 @@ from .codim1 import (
     support_size_bound,
 )
 from .shapes import (
+    CanonicalBudgetError,
     Shape,
     SignAssignment,
     canonical_form,
@@ -41,6 +42,7 @@ from .search import (
 )
 
 __all__ = [
+    "CanonicalBudgetError",
     "IntersectionPattern",
     "LinearMap",
     "SizeSet",

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 from typing import Iterable, Sequence
 
 from .cube import LinearMap, _row_mask
@@ -140,60 +140,128 @@ class SignAssignment:
 
 _CANONICAL_CACHE: dict[tuple[Edge, ...], Shape] = {}
 
+# Most leaves the individualisation tree of one canonical_form call may reach.
+# The k <= 9 searches need at most 24; a shape past this one is so symmetric
+# (the complete graph on 7 vertices has 7! leaves) that it is refused.
+CANONICAL_LEAF_BUDGET = 5_000
+
+
+class CanonicalBudgetError(ValueError):
+    """canonical_form passed CANONICAL_LEAF_BUDGET leaves on one shape."""
+
 
 def canonical_form(shape: Shape) -> Shape:
     """Canonical representative of the isomorphism class of a shape.
 
-    Vertices are characterised by their incidence vector over the distinct
-    edges; for a fixed ordering of the distinct edges, the multiset of
-    incidence vectors together with the edge multiplicities determines the
-    shape up to isomorphism.  Minimising that encoding over the orderings
-    (only permutations within equal (size, multiplicity) blocks can matter)
-    yields a canonical encoding, from which a canonically labelled shape is
-    rebuilt.
+    The shape is first reduced to the part that symmetry can act on.  A
+    private vertex (multiset degree one) only counts towards its edge, so
+    each edge becomes (its shared vertices, its private count), and equal
+    reduced edges merge into one with a multiplicity.  Shared vertices with
+    the same incident reduced edges (twins) merge into one weighted vertex.
+    Colour refinement on the vertex-edge incidence graph then splits the
+    weighted vertices by weight and by the edges around them, and
+    individualisation (McKay & Piperno's scheme) branches only on the cells
+    that stay tied.  Every leaf orders the weighted vertices; the least
+    encoding over the leaves is canonical.  The representative lists the
+    shared vertices first, in that order, then each edge's private run.
+
+    Raises CanonicalBudgetError past CANONICAL_LEAF_BUDGET leaves.
     """
     cached = _CANONICAL_CACHE.get(shape.edges)
     if cached is not None:
         return cached
 
-    counter = Counter(shape.edges)
-    distinct = list(counter.items())
-    blocks: dict[tuple[int, int], list[Edge]] = {}
-    for edge, mult in distinct:
-        blocks.setdefault((-len(edge), -mult), []).append(edge)
-    block_keys = sorted(blocks)
+    degree = Counter(v for edge in shape.edges for v in edge)
+    reduced: Counter = Counter()
+    for edge in shape.edges:
+        shared = tuple(v for v in edge if degree[v] > 1)
+        reduced[shared, len(edge) - len(shared)] += 1
+    incidence: dict[int, list[int]] = {}
+    for j, (shared, _private) in enumerate(reduced):
+        for v in shared:
+            incidence.setdefault(v, []).append(j)
+    twins = Counter(tuple(edges) for edges in incidence.values())
+    vertex_edges = list(twins)
+    weights = list(twins.values())
+    edge_members: list[list[int]] = [[] for _ in reduced]
+    for c, edges in enumerate(vertex_edges):
+        for j in edges:
+            edge_members[j].append(c)
+    edge_labels = [(private, mult) for (_shared, private), mult in reduced.items()]
+
+    def refine(colours: list[int]) -> list[int]:
+        """Split colour classes until they are equitable.  New colours are
+        ranks of (old colour, incident edge colours), so the old order is
+        kept and nothing depends on the labels."""
+        cells = len(set(colours))
+        while True:
+            edge_colours = [
+                (label, tuple(sorted([colours[c] for c in members])))
+                for label, members in zip(edge_labels, edge_members)
+            ]
+            signatures = [
+                (colour, tuple(sorted([edge_colours[j] for j in edges])))
+                for colour, edges in zip(colours, vertex_edges)
+            ]
+            rank = {sig: r for r, sig in enumerate(sorted(set(signatures)))}
+            colours = [rank[sig] for sig in signatures]
+            if len(rank) == cells:
+                return colours
+            cells = len(rank)
 
     best = None
-    block_perms = [permutations(blocks[key]) for key in block_keys]
-    for perm_combo in product(*block_perms):
-        ordered: list[Edge] = [e for group in perm_combo for e in group]
-        vectors: Counter = Counter()
-        for v in range(1, shape.vertex_count + 1):
-            vec = 0
-            for idx, edge in enumerate(ordered):
-                if v in edge:
-                    vec |= 1 << idx
-            vectors[vec] += 1
+    leaves = 0
+
+    def search(colours: list[int]) -> None:
+        nonlocal best, leaves
+        colours = refine(colours)
+        sizes = Counter(colours)
+        tied = [colour for colour, size in sizes.items() if size > 1]
+        if tied:
+            target = min(tied)
+            for chosen, colour in enumerate(colours):
+                if colour == target:
+                    # the chosen vertex goes before the rest of its cell
+                    search([
+                        2 * x + (x == target and c != chosen)
+                        for c, x in enumerate(colours)
+                    ])
+            return
+        leaves += 1
+        if leaves > CANONICAL_LEAF_BUDGET:
+            raise CanonicalBudgetError(
+                f"shape too symmetric to label: more than "
+                f"{CANONICAL_LEAF_BUDGET} refinement leaves"
+            )
+        order = sorted(range(len(colours)), key=colours.__getitem__)
         encoding = (
-            tuple((len(e), counter[e]) for e in ordered),
-            tuple(sorted(vectors.items(), reverse=True)),
+            tuple(weights[c] for c in order),
+            sorted(
+                (tuple(sorted(colours[c] for c in members)), label)
+                for label, members in zip(edge_labels, edge_members)
+            ),
         )
         if best is None or encoding < best:
             best = encoding
 
-    sizes_mults, vector_items = best
-    label = 0
-    vertex_labels: dict[int, list[int]] = {}
-    for vec, count in vector_items:
-        vertex_labels[vec] = [label + i + 1 for i in range(count)]
-        label += count
+    search(weights)
+
+    ordered_weights, ordered_edges = best
+    starts = [1]
+    for weight in ordered_weights:
+        starts.append(starts[-1] + weight)
+    fresh = starts[-1]
     result_edges: list[Edge] = []
-    for idx, (_size, mult) in enumerate(sizes_mults):
-        members = []
-        for vec, labels_list in vertex_labels.items():
-            if (vec >> idx) & 1:
-                members.extend(labels_list)
-        result_edges.extend([tuple(sorted(members))] * mult)
+    for members, (private, mult) in ordered_edges:
+        shared = tuple(
+            v for p in members for v in range(starts[p], starts[p + 1])
+        )
+        if not private:
+            result_edges.extend([shared] * mult)
+            continue
+        for _ in range(mult):
+            result_edges.append(shared + tuple(range(fresh, fresh + private)))
+            fresh += private
     result = Shape(tuple(sorted(result_edges, key=_edge_key)))
     _CANONICAL_CACHE[shape.edges] = result
     return result

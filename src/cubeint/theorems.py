@@ -383,6 +383,8 @@ def antichain_bound_check(ell: int, trials: int, seed: int) -> Report:
     """Randomised check that at most 15/16 of all subsets can hit a 4-set."""
     if not 4 <= ell <= 16:
         raise ValueError("ell must lie in 4..16")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     report = Report(f"four-target subset sums, ell={ell}")
     ratios_ok = True
     previous = None

@@ -1,9 +1,10 @@
 """Slow reference implementations that the fast shape code is checked against."""
-from itertools import product
+from collections import Counter
+from itertools import permutations, product
 
 from cubeint.codim1 import binomial
 from cubeint.cube import evaluate_pattern
-from cubeint.shapes import Shape, SignAssignment
+from cubeint.shapes import Edge, Shape, SignAssignment, _edge_key
 
 
 def assignment_intersection(shape: Shape, assignment: SignAssignment) -> int:
@@ -48,3 +49,55 @@ def naive_max_intersection(shape: Shape) -> int:
         _, size = evaluate_pattern(assignment.to_map())
         best = max(best, size)
     return best
+
+
+def brute_canonical_form(shape: Shape) -> Shape:
+    """Canonical representative by brute force over edge orderings.
+
+    Vertices are characterised by their incidence vector over the distinct
+    edges; for a fixed ordering of the distinct edges, the multiset of
+    incidence vectors together with the edge multiplicities determines the
+    shape up to isomorphism.  Minimising that encoding over the orderings
+    (only permutations within equal (size, multiplicity) blocks can matter)
+    yields a canonical encoding, from which a canonically labelled shape is
+    rebuilt.  Up to n! orderings for n equal edges, and no cache.
+    """
+    counter = Counter(shape.edges)
+    distinct = list(counter.items())
+    blocks: dict[tuple[int, int], list[Edge]] = {}
+    for edge, mult in distinct:
+        blocks.setdefault((-len(edge), -mult), []).append(edge)
+    block_keys = sorted(blocks)
+
+    best = None
+    block_perms = [permutations(blocks[key]) for key in block_keys]
+    for perm_combo in product(*block_perms):
+        ordered: list[Edge] = [e for group in perm_combo for e in group]
+        vectors: Counter = Counter()
+        for v in range(1, shape.vertex_count + 1):
+            vec = 0
+            for idx, edge in enumerate(ordered):
+                if v in edge:
+                    vec |= 1 << idx
+            vectors[vec] += 1
+        encoding = (
+            tuple((len(e), counter[e]) for e in ordered),
+            tuple(sorted(vectors.items(), reverse=True)),
+        )
+        if best is None or encoding < best:
+            best = encoding
+
+    sizes_mults, vector_items = best
+    label = 0
+    vertex_labels: dict[int, list[int]] = {}
+    for vec, count in vector_items:
+        vertex_labels[vec] = [label + i + 1 for i in range(count)]
+        label += count
+    result_edges: list[Edge] = []
+    for idx, (_size, mult) in enumerate(sizes_mults):
+        members = []
+        for vec, labels_list in vertex_labels.items():
+            if (vec >> idx) & 1:
+                members.extend(labels_list)
+        result_edges.extend([tuple(sorted(members))] * mult)
+    return Shape(tuple(sorted(result_edges, key=_edge_key)))

@@ -1,6 +1,10 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cubeint.cli import main, parse_command
 
@@ -153,6 +157,9 @@ class TestExitContract:
             ["shape", "--json", "{}"],
             ["search", "--mode", "large", "--k", "6", "--threshold", "1/100"],
             ["window", "hn", "--n", "8", "--out", "{missing_dir}/report.json"],
+            ["verify", "antichain", "--ell", "4", "--trials", "-5"],
+            ["verify", "antichain", "--ell", "4", "--trials", "0"],
+            ["shape", "--edges", ";".join(f"{a},{b}" for a in range(1, 8) for b in range(a + 1, 8))],
         ],
     )
     def test_bad_input_exits_two_with_one_line(self, capsys, tmp_path, argv):
@@ -162,3 +169,34 @@ class TestExitContract:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_ten_edge_star_exits_zero(self, capsys):
+        edges = ";".join(f"1,{v}" for v in range(2, 12))
+        code, out = run(capsys, "shape", "--edges", edges)
+        assert code == 0
+        assert json.loads(out)["result"]["classification"] == "star21"
+
+
+def run_shape_edges(text):
+    """Exit code of ``cubeint shape --edges=<text>``, argparse errors included."""
+    try:
+        return main(["shape", f"--edges={text}"])
+    except SystemExit as exc:
+        return exc.code
+
+
+_edge_text = st.lists(
+    st.lists(st.integers(-2, 7).map(str), max_size=4).map(",".join),
+    max_size=5,
+).map(";".join)
+
+
+@given(st.one_of(_edge_text, st.text(alphabet="0123,;-x ", max_size=12)))
+def test_shape_edges_fuzz_exits_zero_or_two(text):
+    # empty parts, repeated, unsorted and negative labels, one-vertex edges
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = run_shape_edges(text)
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    assert ("error: " in err.getvalue()) == (code == 2)

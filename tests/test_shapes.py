@@ -1,16 +1,20 @@
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cubeint.cube import evaluate_pattern
+from cubeint.search import MODES, SearchConfig, _raw_children, bfs_search
 from cubeint.shapes import (
+    CANONICAL_LEAF_BUDGET,
     OTHER,
     STAR21,
     STAR32,
     STAR32_CENTER_EDGES,
+    CanonicalBudgetError,
     Shape,
     SignAssignment,
     canonical_form,
@@ -19,7 +23,7 @@ from cubeint.shapes import (
     max_intersection,
     shape_fraction,
 )
-from oracles import assignment_intersection, naive_max_intersection
+from oracles import assignment_intersection, brute_canonical_form, naive_max_intersection
 
 
 def star21(edges, k=None):
@@ -183,24 +187,97 @@ class TestFractions:
         assert shape_fraction(s).denominator == 4
 
 
-def small_shapes(max_vertices=5, max_edges=3):
-    """Every shape (up to exact labelling) with few vertices and edges."""
+def small_shape_inputs(max_vertices=5, max_edges=3):
+    """Every shape with few vertices and distinct edges, in every labelling."""
     all_edges = [
         tuple(sorted(c))
         for size in (2, 3, 4, 5)
         for c in combinations(range(1, max_vertices + 1), size)
     ]
-    seen = set()
     for count in range(1, max_edges + 1):
         for combo in combinations(all_edges, count):
             covered = sorted({v for e in combo for v in e})
-            if covered != list(range(1, len(covered) + 1)):
-                continue
-            canon = canonical_form(Shape.from_edges(combo))
-            if canon.edges in seen:
-                continue
+            if covered == list(range(1, len(covered) + 1)):
+                yield Shape(tuple(sorted(combo, key=lambda e: (-len(e), e))))
+
+
+def small_shapes(max_vertices=5, max_edges=3):
+    """Every shape (up to isomorphism) with few vertices and edges."""
+    seen = set()
+    for s in small_shape_inputs(max_vertices, max_edges):
+        canon = canonical_form(s)
+        if canon.edges not in seen:
             seen.add(canon.edges)
             yield canon
+
+
+def search_inputs(max_k=6):
+    """Every shape the three search modes pass to canonical_form up to k."""
+    for mode in MODES:
+        for k in range(2, max_k + 1):
+            config = SearchConfig(mode, k)
+            result = bfs_search(config)
+            for records in result.depths:
+                for rec in records:
+                    yield rec.shape
+                    for child_edges, _key in _raw_children(rec.shape, config):
+                        yield Shape(child_edges)
+
+
+def assert_matches_brute_force(shapes):
+    """canonical_form splits shapes into the oracle's classes and keeps each
+    shape in its own class."""
+    classes = {}
+    for s in shapes:
+        brute = brute_canonical_form(s)
+        canon = canonical_form(s)
+        assert brute_canonical_form(canon) == brute
+        assert classes.setdefault(canon.edges, brute.edges) == brute.edges
+    assert len(set(classes.values())) == len(classes)
+
+
+class TestCanonicalAgainstBruteForce:
+    def test_small_shapes(self):
+        assert_matches_brute_force(small_shape_inputs(5, 3))
+
+    def test_search_inputs_to_k6(self):
+        assert_matches_brute_force(search_inputs(6))
+
+    def test_ties_refinement_cannot_split(self):
+        # every vertex of a union of cycles has degree two, so refinement
+        # leaves one cell and only the least leaf tells C3+C4 from C7
+        def cycles(*lengths):
+            edges, start = [], 1
+            for n in lengths:
+                edges += [(start + i, start + (i + 1) % n) for i in range(n)]
+                start += n
+            return edges
+
+        shapes = []
+        for lengths in [(7,), (3, 4), (4, 3), (3, 3), (6,)]:
+            edges = cycles(*lengths)
+            n = max(v for e in edges for v in e)
+            for step in (1, 2, 3, 5):
+                if gcd(step, n) == 1:
+                    perm = [(step * v) % n + 1 for v in range(n)]
+                    shapes.append(Shape.from_edges([(perm[a - 1], perm[b - 1]) for a, b in edges]))
+        assert_matches_brute_force(shapes)
+        assert len({canonical_form(s) for s in shapes}) == 4
+
+    def test_cycle_and_star_stay_cheap(self):
+        # the oracle would try 10! edge orderings on each; refinement needs a few leaves
+        cycle = Shape.from_edges([(v, v % 10 + 1) for v in range(1, 11)])
+        shuffled = Shape.from_edges([(3 * v % 11, 3 * (v % 10 + 1) % 11) for v in range(1, 11)])
+        canon = canonical_form(cycle)
+        assert canon == canonical_form(shuffled) != cycle
+        assert set(canon.degrees().values()) == {2} and canon.edge_count == 10
+        star = Shape.from_edges([(1, v) for v in range(2, 12)])
+        assert canonical_form(star) == star
+
+    def test_budget(self):
+        complete = Shape.from_edges(combinations(range(1, 8), 2))
+        with pytest.raises(CanonicalBudgetError, match=str(CANONICAL_LEAF_BUDGET)):
+            canonical_form(complete)
 
 
 class TestAgainstBruteForce:
@@ -268,3 +345,34 @@ def test_canonical_form_is_label_invariant(data):
     )
     assert canonical_form(s) == canonical_form(relabelled)
     assert max_intersection(canonical_form(s))[0] == max_intersection(s)[0]
+
+
+@st.composite
+def relabelled_pair(draw):
+    """A small shape with duplicate edges and twin vertices, and a random
+    relabelling of it."""
+    edges = draw(
+        st.lists(
+            st.lists(st.integers(1, 5), min_size=2, max_size=3, unique=True),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    edges += draw(st.lists(st.sampled_from(edges), max_size=2))
+    twin_of = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        edges = [e + [6] if twin_of in e else e for e in edges]
+    labels = sorted({v for e in edges for v in e})
+    perm = dict(zip(labels, draw(st.permutations(labels))))
+    relabelled = [[perm[v] for v in e] for e in edges]
+    return Shape.from_edges(edges), Shape.from_edges(relabelled)
+
+
+@given(relabelled_pair(), relabelled_pair())
+def test_canonical_form_matches_brute_force_on_relabellings(first, second):
+    a, a_relabelled = first
+    b, _ = second
+    assert canonical_form(a) == canonical_form(a_relabelled)
+    assert brute_canonical_form(canonical_form(a)) == brute_canonical_form(a)
+    same = canonical_form(a) == canonical_form(b)
+    assert same == (brute_canonical_form(a) == brute_canonical_form(b))

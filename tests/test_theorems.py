@@ -26,6 +26,7 @@ from cubeint.theorems import (
     small_window_values,
     sum_of_powers_members,
     verify_large_sets,
+    verify_small_window,
 )
 
 
@@ -129,6 +130,13 @@ class TestSmallWindow:
     def test_membership_values_by_formula(self):
         assert codim1_size(SignCount(4, 1, 3)) == 120
         assert codim1_size(SignCount(5, 3, 0)) == 126
+
+    def test_verify_k9(self):
+        report = verify_small_window(9)
+        details = {check.name: check.details for check in report.checks}
+        assert report.passed
+        assert details["window altogether"]["window"] == [240, 252, 256]
+        assert details["strict interior of the window"]["found"] == [252]
 
 
 class TestAntichain:
