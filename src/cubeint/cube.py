@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 # One bit per cube vertex; beyond this the masks no longer fit a sane budget.
 MAX_DIMENSION = 24
@@ -31,7 +31,10 @@ class EnumerationBudgetError(RuntimeError):
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"not a rational: {value!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -125,7 +128,7 @@ class IntersectionPattern:
 
 
 @lru_cache(maxsize=None)
-def _row_mask(k: int, coeffs: tuple[int, ...], unit: int) -> int:
+def row_mask(k: int, coeffs: tuple[int, ...], unit: int) -> int:
     """Bitmask of points whose scaled row value lies in {0, unit}."""
     values = [0]
     for c in coeffs:
@@ -137,9 +140,54 @@ def _row_mask(k: int, coeffs: tuple[int, ...], unit: int) -> int:
     return mask
 
 
+# The former name, through which certbench reads the cache statistics.
+_row_mask = row_mask
+
+
 def _scaled_row(row: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     unit = lcm(*(f.denominator for f in row)) if row else 1
     return tuple(int(f * unit) for f in row), unit
+
+
+def row_masks(k: int, entries: Iterable) -> Iterator[tuple[tuple, int]]:
+    """(row, mask) for every row in product(entries, repeat=k), in that order.
+
+    Entries are ints or Fractions; the mask has bit x set iff the row's value
+    at point x lies in {0, 1}.  Rows with equal masks are all yielded.
+    """
+    for row in product(entries, repeat=k):
+        yield row, row_mask(k, *_scaled_row(row))
+
+
+def intersection_closure(
+    start: Iterable[int],
+    generators: Iterable[int],
+    above: int,
+    max_rows: int | None = None,
+) -> set[int]:
+    """Every mask with more than `above` points that a start mask reaches by
+    intersecting with at most max_rows - 1 generators (any number if None).
+
+    Intersecting never adds points, so a mask at or below the bar is dropped
+    with all its descendants, and a generator at or below it is never used.
+    A breadth-first frontier expands each mask kept once, at the least depth
+    it is met; nothing at or below the bar is stored.
+    """
+    generators = sorted({mask for mask in generators if mask.bit_count() > above})
+    reached = {mask for mask in start if mask.bit_count() > above}
+    frontier = sorted(reached)
+    depth = 1
+    while frontier and (max_rows is None or depth < max_rows):
+        depth += 1
+        next_frontier = []
+        for mask in frontier:
+            for generator in generators:
+                child = mask & generator
+                if child not in reached and child.bit_count() > above:
+                    reached.add(child)
+                    next_frontier.append(child)
+        frontier = next_frontier
+    return reached
 
 
 def full_mask(k: int) -> int:
@@ -152,7 +200,7 @@ def evaluate_pattern(linear_map: LinearMap) -> tuple[IntersectionPattern, int]:
     mask = full_mask(k)
     for row in linear_map.entries:
         coeffs, unit = _scaled_row(row)
-        mask &= _row_mask(k, coeffs, unit)
+        mask &= row_mask(k, coeffs, unit)
         if mask == 0:
             break
     pattern = IntersectionPattern(k, mask)
@@ -194,7 +242,7 @@ def is_minimal(linear_map: LinearMap) -> bool:
         if row_supports[i] <= others:
             return False
         coeffs, unit = _scaled_row(linear_map.entries[i])
-        if _row_mask(linear_map.k, coeffs, unit) == full_mask(linear_map.k):
+        if row_mask(linear_map.k, coeffs, unit) == full_mask(linear_map.k):
             return False
     return True
 
@@ -303,11 +351,14 @@ def oracle_enumerate(
 ) -> SizeSet:
     """Exact set of achievable sizes over all m-row maps with given entries.
 
-    Enumerates distinct single-row patterns once, then closes them under
-    intersection up to m rows; the result is identical to the raw sweep over
-    all |entries|^(k*m) matrices, which is what the budget guard is stated in.
-    Only sizes strictly above keep_above * 2^k are reported.
+    The distinct single-row masks are closed under intersection up to m rows
+    (intersection_closure, with the bar keep_above * 2^k rounded down); the
+    result is identical to the raw sweep over all |entries|^(k*m) matrices,
+    which is what the budget guard is stated in.  Only sizes strictly above
+    keep_above * 2^k are reported.  m must be at least 1.
     """
+    if m < 1:
+        raise ValueError("the oracle needs at least one row (m >= 1)")
     entries = sorted(set(_as_fraction(v) for v in entry_set))
     if not entries:
         raise ValueError("entry set must be nonempty")
@@ -317,34 +368,8 @@ def oracle_enumerate(
             f"{len(entries)}^{k * m} maps exceed budget {budget}"
         )
     keep = _as_fraction(keep_above)
-    points = 1 << k
-
-    row_masks = set()
-    for row in product(entries, repeat=k):
-        coeffs, unit = _scaled_row(row)
-        row_masks.add(_row_mask(k, coeffs, unit))
-    row_masks = sorted(row_masks)
-
-    def above(count: int) -> bool:
-        return count * keep.denominator > keep.numerator * points
-
-    sizes: set[int] = set()
-    seen = set(row_masks)
-    frontier = [mask for mask in row_masks if above(mask.bit_count())]
-    sizes.update(mask.bit_count() for mask in frontier)
-    for _ in range(2, m + 1):
-        next_frontier = []
-        for mask in frontier:
-            for row in row_masks:
-                child = mask & row
-                if child in seen:
-                    continue
-                seen.add(child)
-                if above(child.bit_count()):
-                    next_frontier.append(child)
-                    sizes.add(child.bit_count())
-        frontier = next_frontier
-        if not frontier:
-            break
-    result = tuple(sorted(sizes))
+    above = (keep.numerator << k) // keep.denominator
+    masks = {mask for _row, mask in row_masks(k, entries)}
+    reached = intersection_closure(masks, masks, above, max_rows=m)
+    result = tuple(sorted({mask.bit_count() for mask in reached}))
     return SizeSet(k + m, k, result, {s: "oracle" for s in result})

@@ -71,6 +71,8 @@ class SearchConfig:
         if self.max_edges is None:
             exhaustive = self.mode == EXHAUSTIVE_LARGE
             object.__setattr__(self, "max_edges", self.k if exhaustive else self.k - 1)
+        if self.max_edges < 1:
+            raise ValueError("max_edges must be at least 1")
         max_edge_size = min(support_size_bound(self.threshold), self.k)
         if max_edge_size < 2:
             raise ValueError("edges have at least two vertices")

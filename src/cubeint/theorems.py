@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -17,12 +17,12 @@ from .codim1 import SignCount, binomial, closed_form_large_sizes
 from .cube import (
     LinearMap,
     SizeSet,
-    _row_mask,
-    _scaled_row,
     fix_coordinate_count,
     full_mask,
+    intersection_closure,
     intersection_size,
     restrict,
+    row_masks,
     support,
 )
 from .search import (
@@ -208,6 +208,8 @@ def verify_large_sets(k: int, n_max: int | None = None) -> Report:
         n_max = 2 * k
     if n_max > 2 * k:
         raise ValueError("n_max beyond 2k adds nothing: the chain is stable")
+    if n_max <= k:
+        raise ValueError(f"n_max must be at least k+1 = {k + 1}")
     report = Report(f"large intersection sizes, k={k}")
     max_rows = n_max - k
     result = bfs_search(SearchConfig(EXHAUSTIVE_LARGE, k, max_edges=max_rows))
@@ -487,9 +489,7 @@ def condition_drop_bound_sweep(max_k: int = 4, max_rows: int = 3) -> Report:
     checked = 0
     for k in range(1, max_k + 1):
         rows = {}
-        for row in product((-1, 0, 1), repeat=k):
-            coeffs, unit = _scaled_row(tuple(Fraction(v) for v in row))
-            mask = _row_mask(k, coeffs, unit)
+        for row, mask in row_masks(k, (-1, 0, 1)):
             supp = frozenset(j + 1 for j, v in enumerate(row) if v != 0)
             rows.setdefault((mask, supp), row)
         row_items = sorted(rows.items(), key=lambda kv: kv[1])
@@ -532,14 +532,17 @@ def condition_drop_bound_sweep(max_k: int = 4, max_rows: int = 3) -> Report:
 def ints_window_check(
     k: int,
     entry_set: Iterable = (-2, -1, Fraction(-1, 2), 0, Fraction(1, 2), 1, 2),
-    seed: int = 0,
-    triple_samples: int = 20_000,
 ) -> Report:
     """Maps with an entry outside {-1,0,1} never land strictly between
     15/16 * 2^(k-1) and 2^(k-1), nor above 2^(k-1) except at exactly half.
 
-    Single rows and row pairs are swept exhaustively at the pattern level;
-    triples are sampled with a fixed seed.
+    An exhaustive proof for any number of rows.  A map with a non-unit entry
+    has a bad row, and its pattern is that row's mask intersected with the
+    others'.  Intersecting never adds points, so a pattern above the bar
+    15/16 * 2^(k-1) has every partial intersection above it too, and the
+    closure of the bad masks under all row masks (intersection_closure, no
+    depth bound) reaches it.  The check passes when every mask reached has
+    exactly 2^(k-1) points.
     """
     if k > 5:
         raise ValueError("sweep intended for k <= 5")
@@ -551,43 +554,23 @@ def ints_window_check(
 
     pure_masks: set[int] = set()
     bad_masks: set[int] = set()
-    for row in product(entries, repeat=k):
-        coeffs, unit = _scaled_row(row)
-        mask = _row_mask(k, coeffs, unit)
+    for row, mask in row_masks(k, entries):
         if set(row) <= plain:
             pure_masks.add(mask)
         else:
             bad_masks.add(mask)
-    all_masks = sorted(pure_masks | bad_masks)
-    bad_sorted = sorted(bad_masks)
 
     half = 1 << (k - 1)
-    lo = Fraction(15, 16) * half
-
-    def conforms(count: int) -> bool:
-        return count <= lo or count == half
-
-    failures = []
-
-    def check(count: int, note: str):
-        if not conforms(count):
-            failures.append({"count": count, "case": note})
-
-    for mask in bad_sorted:
-        check(mask.bit_count(), "single row")
-    for bad in bad_sorted:
-        for other in all_masks:
-            check((bad & other).bit_count(), "row pair")
-    rng = random.Random(seed)
-    for _ in range(triple_samples):
-        bad = rng.choice(bad_sorted)
-        a = rng.choice(all_masks)
-        b = rng.choice(all_masks)
-        check((bad & a & b).bit_count(), "row triple")
+    reached = intersection_closure(bad_masks, pure_masks | bad_masks, (15 * half) // 16)
+    failures = [
+        {"count": mask.bit_count(), "pattern_hex": format(mask, "x")}
+        for mask in sorted(reached, key=lambda mask: (-mask.bit_count(), mask))
+        if mask.bit_count() != half
+    ]
     report.add(
         "no stray sizes from non-unit entries",
         not failures,
-        bad_rows=len(bad_sorted),
+        bad_rows=len(bad_masks),
         pure_rows=len(pure_masks),
         failures=failures[:5],
     )
@@ -646,7 +629,8 @@ def expected_h_n_window(n: int) -> tuple[int, ...]:
 
 
 def sum_of_powers_members(k: int, exponents: Iterable[int]) -> Report:
-    """Desk-scale membership check for a sum of distinct powers of two."""
+    """Desk-scale membership check for a sum of distinct powers of two: some
+    map of at most three sign rows has exactly that many points."""
     exps = sorted(set(exponents), reverse=True)
     if not exps or exps[-1] < 0:
         raise ValueError("exponents must be nonnegative")
@@ -657,33 +641,10 @@ def sum_of_powers_members(k: int, exponents: Iterable[int]) -> Report:
     target = sum(1 << e for e in exps)
     report = Report(f"membership of {target} for k={k}")
 
-    rows = sorted(
-        {
-            _row_mask(k, *_scaled_row(tuple(Fraction(v) for v in row)))
-            for row in product((-1, 0, 1), repeat=k)
-        }
-    )
-
-    witness_rows: list[int] | None = None
-
-    def search(prefix_mask: int, chosen: list[int], depth: int) -> bool:
-        nonlocal witness_rows
-        if prefix_mask.bit_count() == target:
-            witness_rows = list(chosen)
-            return True
-        if prefix_mask.bit_count() < target or depth == 3:
-            return False
-        for row in rows:
-            child = prefix_mask & row
-            if child.bit_count() < target:
-                continue
-            chosen.append(row)
-            if search(child, chosen, depth + 1):
-                return True
-            chosen.pop()
-        return False
-
-    found = search(full_mask(k), [], 0)
+    # the zero row's mask is the full cube, so no rows at all is covered too
+    rows = {mask for _row, mask in row_masks(k, (-1, 0, 1))}
+    reached = intersection_closure(rows, rows, target - 1, max_rows=3)
+    found = target in {mask.bit_count() for mask in reached}
     report.add(
         "membership located by map search" if found else "membership not located",
         found,

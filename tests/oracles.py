@@ -1,9 +1,10 @@
-"""Slow reference implementations that the fast shape code is checked against."""
+"""Slow reference implementations that the fast code is checked against."""
 from collections import Counter
+from fractions import Fraction
 from itertools import permutations, product
 
 from cubeint.codim1 import binomial
-from cubeint.cube import evaluate_pattern
+from cubeint.cube import LinearMap, evaluate_pattern
 from cubeint.shapes import Edge, Shape, SignAssignment, _edge_key
 
 
@@ -101,3 +102,24 @@ def brute_canonical_form(shape: Shape) -> Shape:
                 members.extend(labels_list)
         result_edges.extend([tuple(sorted(members))] * mult)
     return Shape(tuple(sorted(result_edges, key=_edge_key)))
+
+
+def pairwise_ints_masks(k: int, entries) -> set[int]:
+    """Patterns of one bad row, or a bad row and any other row, above the
+    integrality bar 15/16 * 2^(k-1), by a plain sweep over every pair.
+
+    A row is bad when it has an entry outside {-1, 0, 1}; each row's pattern
+    is evaluated through a one-row map.
+    """
+    plain = {Fraction(-1), Fraction(0), Fraction(1)}
+    bar = Fraction(15, 16) * (1 << (k - 1))
+    pure, bad = set(), set()
+    for row in product(entries, repeat=k):
+        pattern, _ = evaluate_pattern(LinearMap.from_rows(k, [row]))
+        (pure if set(row) <= plain else bad).add(pattern.mask)
+    found = {mask for mask in bad if mask.bit_count() > bar}
+    for mask in bad:
+        for other in pure | bad:
+            if (mask & other).bit_count() > bar:
+                found.add(mask & other)
+    return found

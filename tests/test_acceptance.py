@@ -6,17 +6,16 @@ every expected value is exact, no tolerances anywhere.
 import sys
 import time
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from cubeint.codim1 import closed_form_large_sizes, codim1_table, large_codim1_sizes
 from cubeint.cube import (
     LinearMap,
-    _row_mask,
-    _scaled_row,
     intersection_size,
     restrict,
+    row_masks,
 )
 from cubeint.search import MINIMAL_LARGE, NON_REDUNDANT_SMALL, SearchConfig, bfs_search
 from cubeint.shapes import (
@@ -192,11 +191,8 @@ def test_criterion_07_oracle_equivalence():
 
     # all sign maps with k <= 3, m <= 3: restriction monotonicity
     for k in range(1, 4):
-        rows = [
-            LinearMap.from_rows(k, [row]).entries[0]
-            for row in product((-1, 0, 1), repeat=k)
-        ]
-        masks = {row: _row_mask(k, *_scaled_row(row)) for row in rows}
+        masks = dict(row_masks(k, (-1, 0, 1)))
+        rows = list(masks)
         for m in (2, 3):
             for combo in combinations_with_replacement(rows, m):
                 current = (1 << (1 << k)) - 1
@@ -269,7 +265,7 @@ def test_criterion_10_integrality_sweep():
     start = time.time()
     ok = True
     for k in range(1, 6):
-        rep = ints_window_check(k, seed=500 + k, triple_samples=5000)
+        rep = ints_window_check(k)
         ok = ok and rep.passed
     report(
         10,

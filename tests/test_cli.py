@@ -160,6 +160,12 @@ class TestExitContract:
             ["verify", "antichain", "--ell", "4", "--trials", "-5"],
             ["verify", "antichain", "--ell", "4", "--trials", "0"],
             ["shape", "--edges", ";".join(f"{a},{b}" for a in range(1, 8) for b in range(a + 1, 8))],
+            ["map", "--json", '{"k":2,"entries":[["1/0","1"]]}'],
+            ["oracle", "--k", "2", "--m", "1", "--entries", "1/0"],
+            ["verify", "large", "--k", "6", "--n-max", "6"],
+            ["oracle", "--k", "2", "--m", "0"],
+            ["oracle", "--k", "2", "--m", "-1"],
+            ["search", "--mode", "large", "--k", "6", "--max-edges", "0"],
         ],
     )
     def test_bad_input_exits_two_with_one_line(self, capsys, tmp_path, argv):

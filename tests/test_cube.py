@@ -15,6 +15,7 @@ from cubeint.cube import (
     factor_pattern,
     fix_coordinate_count,
     has_redundant_condition,
+    intersection_closure,
     intersection_size,
     is_minimal,
     oracle_enumerate,
@@ -199,6 +200,32 @@ class TestOracle:
     def test_matches_raw_sweep(self):
         raw = sorted({intersection_size(m) for m in all_sign_maps(2, 2)})
         assert list(oracle_enumerate(2, 2, (-1, 0, 1)).sizes) == raw
+
+    def test_rejects_fewer_than_one_row(self):
+        for m in (0, -1):
+            with pytest.raises(ValueError):
+                oracle_enumerate(2, m, (-1, 0, 1))
+
+
+class TestIntersectionClosure:
+    # the three faces x_i = 0 of the 3-cube; r of them meet in 2^(3-r) points
+    FACES = [sum(1 << x for x in range(8) if not (x >> i) & 1) for i in range(3)]
+
+    def sizes(self, **kwargs):
+        reached = intersection_closure([(1 << 8) - 1], self.FACES, **kwargs)
+        return sorted(mask.bit_count() for mask in reached)
+
+    def test_depth_bound_counts_start_as_one_row(self):
+        assert self.sizes(above=0, max_rows=1) == [8]
+        assert self.sizes(above=0, max_rows=2) == [4, 4, 4, 8]
+        assert self.sizes(above=0, max_rows=3) == [2, 2, 2, 4, 4, 4, 8]
+
+    def test_unbounded_depth_reaches_every_intersection(self):
+        assert self.sizes(above=0) == [1, 2, 2, 2, 4, 4, 4, 8]
+
+    def test_bar_is_strict_and_drops_descendants(self):
+        assert self.sizes(above=2) == [4, 4, 4, 8]
+        assert self.sizes(above=8) == []
 
 
 class TestSerialization:

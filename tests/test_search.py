@@ -162,6 +162,9 @@ class TestDeterminism:
         # a 3/4 bar leaves only single-vertex edges, so the derived size is 1
         with pytest.raises(ValueError):
             SearchConfig(MINIMAL_LARGE, 8, threshold=Fraction(3, 4), max_edges=3)
+        for max_edges in (0, -1):
+            with pytest.raises(ValueError):
+                SearchConfig(NON_REDUNDANT_SMALL, 8, max_edges=max_edges)
 
     def test_mode_constants_distinct(self):
         assert MINIMAL_LARGE != EXHAUSTIVE_LARGE

@@ -6,8 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cubeint import theorems
 from cubeint.codim1 import SignCount, codim1_size
-from cubeint.cube import LinearMap, intersection_size, oracle_enumerate
+from cubeint.cube import (
+    LinearMap,
+    full_mask,
+    intersection_closure,
+    intersection_size,
+    oracle_enumerate,
+    row_masks,
+)
 from cubeint.theorems import (
     antichain_bound_check,
     antichain_expression,
@@ -28,6 +36,7 @@ from cubeint.theorems import (
     verify_large_sets,
     verify_small_window,
 )
+from oracles import pairwise_ints_masks
 
 
 def lm(k, rows):
@@ -120,6 +129,9 @@ class TestLargeChain:
             verify_large_sets(9)
         with pytest.raises(ValueError):
             verify_large_sets(6, n_max=13)
+        for n_max in (6, 5):  # no extra condition: every check would be vacuous
+            with pytest.raises(ValueError):
+                verify_large_sets(6, n_max=n_max)
 
 
 class TestSmallWindow:
@@ -189,14 +201,40 @@ class TestDropBound:
 
 
 class TestIntsWindow:
+    ENTRIES = (-2, -1, Fraction(-1, 2), 0, Fraction(1, 2), 1, 2)
+
     def test_small_dimensions(self):
         for k in (1, 2, 3):
-            report = ints_window_check(k, triple_samples=500)
+            report = ints_window_check(k)
             assert report.passed, report.to_json_dict()
 
     def test_rejects_large_k(self):
         with pytest.raises(ValueError):
             ints_window_check(6)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_two_row_closure_matches_pair_sweep(self, k):
+        pure, bad = set(), set()
+        for row, mask in row_masks(k, self.ENTRIES):
+            (pure if set(row) <= {-1, 0, 1} else bad).add(mask)
+        above = (15 << (k - 1)) // 16
+        closure = intersection_closure(bad, pure | bad, above, max_rows=2)
+        assert closure == pairwise_ints_masks(k, self.ENTRIES)
+
+    def test_planted_stray_mask_is_reported(self, monkeypatch):
+        # a "bad" row whose pattern misses one point of the 3-cube: 7 points,
+        # above the bar 15/16 * 4 and not exactly half
+        planted = ((2, 0, 0), full_mask(3) ^ 1)
+
+        def with_planted(k, entries):
+            yield from row_masks(k, entries)
+            yield planted
+
+        monkeypatch.setattr(theorems, "row_masks", with_planted)
+        report = ints_window_check(3)
+        assert not report.passed
+        failures = report.checks[0].details["failures"]
+        assert failures[0] == {"count": 7, "pattern_hex": "fe"}
 
 
 class TestHnWindow:
@@ -284,7 +322,7 @@ class TestReports:
         reports = [
             verify_large_sets(6, n_max=8),
             antichain_bound_check(5, trials=50, seed=9),
-            ints_window_check(2, triple_samples=100),
+            ints_window_check(2),
             condition_drop_bound_sweep(max_k=2, max_rows=2),
         ]
         for report in reports:
