@@ -19,6 +19,11 @@ MAX_DIMENSION = 24
 
 DEFAULT_ORACLE_BUDGET = 2 ** 36
 
+# Most steps each stage of the oracle may take, about a second or two: building
+# a row mask costs 2^k steps and the closure one per intersection.  oracle --k 5
+# --m 3 needs 4.2 million intersections; --k 6 --m 3 and --k 8 --m 2 far more.
+ORACLE_WORK_BUDGET = 5_000_000
+
 
 class PatternFactorError(ValueError):
     """The pattern does not factor over the claimed support."""
@@ -146,7 +151,7 @@ _row_mask = row_mask
 
 def _scaled_row(row: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     unit = lcm(*(f.denominator for f in row)) if row else 1
-    return tuple(int(f * unit) for f in row), unit
+    return tuple(f.numerator * (unit // f.denominator) for f in row), unit
 
 
 def row_masks(k: int, entries: Iterable) -> Iterator[tuple[tuple, int]]:
@@ -164,6 +169,7 @@ def intersection_closure(
     generators: Iterable[int],
     above: int,
     max_rows: int | None = None,
+    max_work: int | None = None,
 ) -> set[int]:
     """Every mask with more than `above` points that a start mask reaches by
     intersecting with at most max_rows - 1 generators (any number if None).
@@ -171,13 +177,22 @@ def intersection_closure(
     Intersecting never adds points, so a mask at or below the bar is dropped
     with all its descendants, and a generator at or below it is never used.
     A breadth-first frontier expands each mask kept once, at the least depth
-    it is met; nothing at or below the bar is stored.
+    it is met; nothing at or below the bar is stored.  Expanding a depth costs
+    frontier x generators intersections; EnumerationBudgetError is raised,
+    before a depth is expanded, once the total would pass max_work.
     """
     generators = sorted({mask for mask in generators if mask.bit_count() > above})
     reached = {mask for mask in start if mask.bit_count() > above}
     frontier = sorted(reached)
     depth = 1
+    work = 0
     while frontier and (max_rows is None or depth < max_rows):
+        work += len(frontier) * len(generators)
+        if max_work is not None and work > max_work:
+            raise EnumerationBudgetError(
+                f"closure of {len(generators)} masks needs more than "
+                f"{max_work} intersections"
+            )
         depth += 1
         next_frontier = []
         for mask in frontier:
@@ -354,8 +369,10 @@ def oracle_enumerate(
     The distinct single-row masks are closed under intersection up to m rows
     (intersection_closure, with the bar keep_above * 2^k rounded down); the
     result is identical to the raw sweep over all |entries|^(k*m) matrices,
-    which is what the budget guard is stated in.  Only sizes strictly above
-    keep_above * 2^k are reported.  m must be at least 1.
+    which is what `budget` is stated in.  Building the row masks and closing
+    them may each take at most ORACLE_WORK_BUDGET steps.  Every guard raises
+    EnumerationBudgetError.  Only sizes strictly above keep_above * 2^k are
+    reported.  m must be at least 1.
     """
     if m < 1:
         raise ValueError("the oracle needs at least one row (m >= 1)")
@@ -367,9 +384,16 @@ def oracle_enumerate(
         raise EnumerationBudgetError(
             f"{len(entries)}^{k * m} maps exceed budget {budget}"
         )
+    if len(entries) ** k << k > ORACLE_WORK_BUDGET:
+        raise EnumerationBudgetError(
+            f"{len(entries)}^{k} rows of 2^{k} points exceed the work budget "
+            f"{ORACLE_WORK_BUDGET}"
+        )
     keep = _as_fraction(keep_above)
     above = (keep.numerator << k) // keep.denominator
     masks = {mask for _row, mask in row_masks(k, entries)}
-    reached = intersection_closure(masks, masks, above, max_rows=m)
+    reached = intersection_closure(
+        masks, masks, above, max_rows=m, max_work=ORACLE_WORK_BUDGET
+    )
     result = tuple(sorted({mask.bit_count() for mask in reached}))
     return SizeSet(k + m, k, result, {s: "oracle" for s in result})

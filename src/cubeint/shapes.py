@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -313,35 +314,45 @@ def _spread(edge: Edge, signs: Sequence[int], k: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def _edge_candidates(shape: Shape) -> list[list[tuple[tuple[int, ...], int]]]:
-    """(signs, mask) choices for every edge, each list sorted by sign tuple.
+@lru_cache(maxsize=None)
+def _edge_choices(
+    k: int, edge: Edge, is_shared: tuple[bool, ...]
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(signs, mask) choices for one edge of a k-vertex shape, sorted by signs.
 
-    Only the count of -1s over an edge's private coordinates is varied (they
-    occupy the low vertices first), which covers every achievable joint value
-    because private coordinates of one edge can be permuted freely.  Choices
-    with equal masks keep the least sign tuple.
+    is_shared flags each vertex of the edge as shared (in another edge too).
+    Only the count of -1s over the private coordinates is varied (they occupy
+    the low vertices first), which covers every achievable joint value because
+    private coordinates of one edge can be permuted freely.  Choices with
+    equal masks keep the least sign tuple.  Cached, as row_mask is: the
+    result depends only on the arguments and is shared between shapes.
     """
+    private = is_shared.count(False)
+    candidates = []
+    for shared_signs in product((-1, 1), repeat=len(edge) - private):
+        for minus in range(private + 1):
+            fill = iter(shared_signs), iter([-1] * minus + [1] * (private - minus))
+            # from a list: a generator here raised verify small's peak RSS 0.3 MB
+            signs_t = tuple([next(fill[not flag]) for flag in is_shared])
+            candidates.append((signs_t, row_mask(k, _spread(edge, signs_t, k), 1)))
+    candidates.sort()
+    masks: set[int] = set()
+    ordered = []
+    for signs_t, mask in candidates:
+        if mask not in masks:
+            masks.add(mask)
+            ordered.append((signs_t, mask))
+    return tuple(ordered)
+
+
+def _edge_candidates(shape: Shape) -> list[tuple[tuple[tuple[int, ...], int], ...]]:
+    """The cached _edge_choices of every edge, in edge order."""
     k = shape.vertex_count
     shared = set(shape.shared_vertices())
-    per_edge = []
-    for edge in shape.edges:
-        private = sum(v not in shared for v in edge)
-        candidates = []
-        for shared_signs in product((-1, 1), repeat=len(edge) - private):
-            for minus in range(private + 1):
-                fill = iter(shared_signs), iter([-1] * minus + [1] * (private - minus))
-                # from a list: a generator here raised verify small's peak RSS 0.3 MB
-                signs_t = tuple([next(fill[v not in shared]) for v in edge])
-                candidates.append((signs_t, row_mask(k, _spread(edge, signs_t, k), 1)))
-        candidates.sort()
-        masks: set[int] = set()
-        ordered = []
-        for signs_t, mask in candidates:
-            if mask not in masks:
-                masks.add(mask)
-                ordered.append((signs_t, mask))
-        per_edge.append(ordered)
-    return per_edge
+    return [
+        _edge_choices(k, edge, tuple([v in shared for v in edge]))
+        for edge in shape.edges
+    ]
 
 
 _VALUE_SET_CACHE: dict = {}
@@ -354,32 +365,35 @@ def intersection_value_set(
 
     Witnesses are deterministic: candidates are explored in ascending sign
     order (reduced private placements, -1 before +1), so the recorded witness
-    for a value is the least one in that order.
+    for a value is the least one in that order.  A partial intersection at or
+    below the floor is never extended, and the last edge is scanned in place.
     """
     floor = Fraction(floor)
     key = (shape.edges, floor)
     cached = _VALUE_SET_CACHE.get(key)
     if cached is not None:
         return cached
-    k = shape.vertex_count
-    points = 1 << k
-    limit_num = floor.numerator * points
-    limit_den = floor.denominator
+    points = 1 << shape.vertex_count
+    # an integer size is above floor * points iff it is above this
+    bar = (floor.numerator * points) // floor.denominator
     cands = _edge_candidates(shape)
+    last = len(cands) - 1
     found: dict[int, tuple[tuple[int, ...], ...]] = {}
 
     def walk(idx: int, mask: int, chosen: tuple):
-        if mask.bit_count() * limit_den <= limit_num:
-            return
-        if idx == len(cands):
-            value = mask.bit_count()
-            if value not in found:
-                found[value] = chosen
+        if idx == last:
+            for signs_t, cand_mask in cands[idx]:
+                value = (mask & cand_mask).bit_count()
+                if value > bar and value not in found:
+                    found[value] = chosen + (signs_t,)
             return
         for signs_t, cand_mask in cands[idx]:
-            walk(idx + 1, mask & cand_mask, chosen + (signs_t,))
+            child = mask & cand_mask
+            if child.bit_count() > bar:
+                walk(idx + 1, child, chosen + (signs_t,))
 
-    walk(0, (1 << points) - 1, ())
+    if points > bar:
+        walk(0, (1 << points) - 1, ())
     result = {
         value: SignAssignment(shape, signs)
         for value, signs in sorted(found.items())

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from cubeint.codim1 import binomial
-from cubeint.cube import LinearMap, evaluate_pattern
+from cubeint.cube import LinearMap, evaluate_pattern, row_mask
 from cubeint.shapes import Edge, Shape, SignAssignment, _edge_key
 
 
@@ -123,3 +123,63 @@ def pairwise_ints_masks(k: int, entries) -> set[int]:
             if (mask & other).bit_count() > bar:
                 found.add(mask & other)
     return found
+
+
+def reference_edge_candidates(shape: Shape) -> list[list[tuple[tuple[int, ...], int]]]:
+    """(signs, mask) choices for every edge, built afresh for this shape and
+    each list sorted by sign tuple; of choices with equal masks the least
+    sign tuple is kept.  Only the count of -1s over an edge's private
+    coordinates varies, on the low private vertices first."""
+    k = shape.vertex_count
+    shared = set(shape.shared_vertices())
+    per_edge = []
+    for edge in shape.edges:
+        private = sum(v not in shared for v in edge)
+        candidates = []
+        for shared_signs in product((-1, 1), repeat=len(edge) - private):
+            for minus in range(private + 1):
+                fill = iter(shared_signs), iter([-1] * minus + [1] * (private - minus))
+                signs_t = tuple([next(fill[v not in shared]) for v in edge])
+                coeffs = [0] * k
+                for v, s in zip(edge, signs_t):
+                    coeffs[v - 1] = s
+                candidates.append((signs_t, row_mask(k, tuple(coeffs), 1)))
+        candidates.sort()
+        masks: set[int] = set()
+        ordered = []
+        for signs_t, mask in candidates:
+            if mask not in masks:
+                masks.add(mask)
+                ordered.append((signs_t, mask))
+        per_edge.append(ordered)
+    return per_edge
+
+
+def reference_value_set(shape: Shape, floor=0) -> dict[int, SignAssignment]:
+    """Every size above floor * 2^k with its first witness in ascending
+    candidate order, by a plain recursive walk that tests the floor on entry
+    to every call and records a value at the first leaf reaching it.  No
+    cache."""
+    floor = Fraction(floor)
+    points = 1 << shape.vertex_count
+    limit_num = floor.numerator * points
+    limit_den = floor.denominator
+    cands = reference_edge_candidates(shape)
+    found: dict[int, tuple[tuple[int, ...], ...]] = {}
+
+    def walk(idx: int, mask: int, chosen: tuple):
+        if mask.bit_count() * limit_den <= limit_num:
+            return
+        if idx == len(cands):
+            value = mask.bit_count()
+            if value not in found:
+                found[value] = chosen
+            return
+        for signs_t, cand_mask in cands[idx]:
+            walk(idx + 1, mask & cand_mask, chosen + (signs_t,))
+
+    walk(0, (1 << points) - 1, ())
+    return {
+        value: SignAssignment(shape, signs)
+        for value, signs in sorted(found.items())
+    }

@@ -166,6 +166,8 @@ class TestExitContract:
             ["oracle", "--k", "2", "--m", "0"],
             ["oracle", "--k", "2", "--m", "-1"],
             ["search", "--mode", "large", "--k", "6", "--max-edges", "0"],
+            ["oracle", "--k", "6", "--m", "3"],
+            ["oracle", "--k", "8", "--m", "1", "--entries=-1,0,1,2"],
         ],
     )
     def test_bad_input_exits_two_with_one_line(self, capsys, tmp_path, argv):
@@ -206,3 +208,73 @@ def test_shape_edges_fuzz_exits_zero_or_two(text):
     assert code in (0, 2)
     assert "Traceback" not in err.getvalue()
     assert ("error: " in err.getvalue()) == (code == 2)
+
+
+def run_quietly(argv):
+    """Exit code and stderr of ``cubeint <argv>``, argparse errors included."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def assert_exit_contract(code, err):
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    error_lines = [line for line in err.splitlines() if "error: " in line]
+    assert len(error_lines) == (1 if code == 2 else 0)
+
+
+_odd_rationals = st.sampled_from(
+    ["-1", "0", "1", "2", "-2", "1/2", "-1/2", "3/4", "1/0", "0.5", "1e2", "-0", "x", "", " 1"]
+)
+
+
+@given(
+    st.integers(-1, 9),
+    st.integers(-1, 3),
+    st.one_of(
+        st.none(),
+        st.lists(_odd_rationals, max_size=5).map(",".join),
+        st.text(alphabet="-012/,.x ", max_size=8),
+    ),
+    st.one_of(st.none(), _odd_rationals),
+)
+def test_oracle_fuzz_exits_zero_or_two(k, m, entries, keep_above):
+    argv = ["oracle", "--k", str(k), "--m", str(m)]
+    if entries is not None:
+        argv.append(f"--entries={entries}")
+    if keep_above is not None:
+        argv.append(f"--keep-above={keep_above}")
+    assert_exit_contract(*run_quietly(argv))
+
+
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 6),
+    st.floats(-2, 6),
+    st.sampled_from(["1", "-1/2", "1/0", "x", "", "2.5", "3"]),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["k", "m", "entries", "x"]), inner, max_size=4),
+    max_leaves=12,
+)
+# objects shaped like a map, with wrong counts, lengths and entries
+_near_maps = st.fixed_dictionaries(
+    {
+        "k": st.one_of(st.integers(-1, 5), _json_scalars),
+        "entries": st.one_of(st.lists(st.lists(_json_scalars, max_size=4), max_size=3), _json_values),
+    },
+    optional={"m": st.one_of(st.integers(-1, 4), _json_scalars)},
+)
+
+
+@given(st.one_of(_near_maps.map(json.dumps), _json_values.map(json.dumps), st.text(max_size=10)))
+def test_map_json_fuzz_exits_zero_or_two(text):
+    assert_exit_contract(*run_quietly(["map", "--json", text]))

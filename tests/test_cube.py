@@ -10,6 +10,7 @@ from cubeint.cube import (
     EnumerationBudgetError,
     IntersectionPattern,
     LinearMap,
+    ORACLE_WORK_BUDGET,
     PatternFactorError,
     evaluate_pattern,
     factor_pattern,
@@ -20,7 +21,9 @@ from cubeint.cube import (
     is_minimal,
     oracle_enumerate,
     restrict,
+    row_masks,
     support,
+    _scaled_row,
 )
 
 
@@ -206,6 +209,20 @@ class TestOracle:
             with pytest.raises(ValueError):
                 oracle_enumerate(2, m, (-1, 0, 1))
 
+    def test_closure_work_guard(self):
+        # 723 distinct masks at k=6: the third row alone would cost ~1.4e8
+        # intersections, while the raw count 3^18 passes the matrix guard
+        assert 3 ** 18 < 2 ** 36
+        with pytest.raises(EnumerationBudgetError, match=str(ORACLE_WORK_BUDGET)):
+            oracle_enumerate(6, 3, (-1, 0, 1))
+        assert oracle_enumerate(5, 3, (-1, 0, 1)).sizes[-1] == 32
+
+    def test_row_work_guard(self):
+        # 4^8 rows of 256 points each: 16.8 million steps before any closure
+        with pytest.raises(EnumerationBudgetError, match=str(ORACLE_WORK_BUDGET)):
+            oracle_enumerate(8, 1, (-1, 0, 1, 2))
+        assert oracle_enumerate(8, 1, (-1, 0, 1), keep_above=Fraction(1, 2)).sizes[-1] == 256
+
 
 class TestIntersectionClosure:
     # the three faces x_i = 0 of the 3-cube; r of them meet in 2^(3-r) points
@@ -226,6 +243,28 @@ class TestIntersectionClosure:
     def test_bar_is_strict_and_drops_descendants(self):
         assert self.sizes(above=2) == [4, 4, 4, 8]
         assert self.sizes(above=8) == []
+
+    def test_work_budget_counts_frontier_times_generators(self):
+        # expanding the full cube, the faces, their pairs and the corner
+        # costs 1 x 3, 3 x 3, 3 x 3 and 1 x 3 intersections
+        assert self.sizes(above=0, max_work=24) == [1, 2, 2, 2, 4, 4, 4, 8]
+        with pytest.raises(EnumerationBudgetError):
+            self.sizes(above=0, max_work=23)
+        assert self.sizes(above=0, max_rows=2, max_work=3) == [4, 4, 4, 8]
+        with pytest.raises(EnumerationBudgetError):
+            self.sizes(above=0, max_rows=3, max_work=11)
+
+
+INTEGRALITY_ENTRIES = (-2, -1, Fraction(-1, 2), 0, Fraction(1, 2), 1, 2)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_scaled_row_matches_fraction_products(k):
+    entries = sorted({Fraction(v) for v in INTEGRALITY_ENTRIES})
+    for row, _mask in row_masks(k, entries):
+        coeffs, unit = _scaled_row(row)
+        assert coeffs == tuple(int(f * unit) for f in row)
+        assert all(type(c) is int for c in coeffs)
 
 
 class TestSerialization:

@@ -17,13 +17,21 @@ from cubeint.shapes import (
     CanonicalBudgetError,
     Shape,
     SignAssignment,
+    _edge_candidates,
+    _edge_choices,
     canonical_form,
     classify_star,
     intersection_value_set,
     max_intersection,
     shape_fraction,
 )
-from oracles import assignment_intersection, brute_canonical_form, naive_max_intersection
+from oracles import (
+    assignment_intersection,
+    brute_canonical_form,
+    naive_max_intersection,
+    reference_edge_candidates,
+    reference_value_set,
+)
 
 
 def star21(edges, k=None):
@@ -280,6 +288,47 @@ class TestCanonicalAgainstBruteForce:
             canonical_form(complete)
 
 
+FLOORS = (Fraction(0), Fraction(15, 32), Fraction(1, 2))
+
+
+def assert_value_sets_match_reference(shapes, floors=FLOORS):
+    """The cached per-edge choices equal a fresh per-shape build, and
+    intersection_value_set gives the reference walk's values and witnesses
+    at every floor, each witness scoring its value."""
+    for s in shapes:
+        assert [list(c) for c in _edge_candidates(s)] == reference_edge_candidates(s)
+        for floor in floors:
+            fast = intersection_value_set(s, floor)
+            assert list(fast.items()) == list(reference_value_set(s, floor).items())
+            for value, witness in fast.items():
+                assert assignment_intersection(s, witness) == value
+
+
+class TestValueSetAgainstReference:
+    def test_small_shape_inputs(self):
+        assert_value_sets_match_reference(small_shape_inputs(5, 3))
+
+    def test_search_inputs_to_k6(self):
+        # the searches' own floors: at floor 0 the unpruned reference walk
+        # takes seconds on one five-edge shape
+        distinct = {s.edges: s for s in search_inputs(6)}
+        assert_value_sets_match_reference(distinct.values(), FLOORS[1:])
+
+    def test_edge_choices_equal_a_fresh_build(self):
+        for s in small_shapes(5, 3):
+            shared = set(s.shared_vertices())
+            for edge in s.edges:
+                key = (s.vertex_count, edge, tuple(v in shared for v in edge))
+                assert _edge_choices(*key) == _edge_choices.__wrapped__(*key)
+
+    def test_extreme_floors(self):
+        s = shape((1, 2, 3), (1, 2, 4))
+        assert intersection_value_set(s, 1) == reference_value_set(s, 1) == {}
+        assert sorted(intersection_value_set(s, Fraction(-1, 3))) == sorted(
+            reference_value_set(s, Fraction(-1, 3))
+        )
+
+
 class TestAgainstBruteForce:
     def test_reduced_max_equals_naive(self):
         for s in small_shapes(max_vertices=4, max_edges=2):
@@ -376,3 +425,13 @@ def test_canonical_form_matches_brute_force_on_relabellings(first, second):
     assert brute_canonical_form(canonical_form(a)) == brute_canonical_form(a)
     same = canonical_form(a) == canonical_form(b)
     assert same == (brute_canonical_form(a) == brute_canonical_form(b))
+
+
+@given(relabelled_pair())
+def test_value_set_matches_reference_on_relabellings(pair):
+    a, a_relabelled = pair
+    assert_value_sets_match_reference([a, a_relabelled])
+    for floor in FLOORS:
+        assert list(intersection_value_set(a, floor)) == list(
+            intersection_value_set(a_relabelled, floor)
+        )
