@@ -38,7 +38,6 @@ from .search import (
     SearchConfig,
     SearchResult,
     bfs_search,
-    expand,
 )
 
 __all__ = [
@@ -58,7 +57,6 @@ __all__ = [
     "codim1_size",
     "codim1_table",
     "evaluate_pattern",
-    "expand",
     "factor_pattern",
     "fix_coordinate_count",
     "has_redundant_condition",

@@ -18,7 +18,7 @@ from .search import (
     SearchConfig,
     bfs_search,
 )
-from .shapes import Shape, canonical_form, classify_star, max_intersection, shape_fraction
+from .shapes import Shape, canonical_form, classify_star, max_intersection
 from .theorems import (
     antichain_bound_check,
     expected_h_n_window,
@@ -148,7 +148,7 @@ def _cmd_verify(args) -> int:
     elif args.what == "small":
         report = verify_small_window(args.k)
     elif args.what == "antichain":
-        report = antichain_bound_check(args.ell, args.trials, args.seed)
+        report = antichain_bound_check(args.ell)
     else:
         report = ints_window_check(args.k)
     _emit(report.to_json_dict(), args)
@@ -193,7 +193,7 @@ def _cmd_shape(args) -> int:
         "canonical": canon.to_json_dict(),
         "classification": classify_star(canon),
         "max": best,
-        "fraction": str(shape_fraction(canon)),
+        "fraction": str(Fraction(best, 1 << canon.vertex_count)),
         "witness": [list(row) for row in witness.signs] if witness else None,
     }
     _emit(payload, args)
@@ -251,8 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     v_small.set_defaults(func=_cmd_verify)
     v_anti = verify_sub.add_parser("antichain")
     v_anti.add_argument("--ell", type=int, required=True)
-    v_anti.add_argument("--trials", type=int, default=1000)
-    v_anti.add_argument("--seed", type=int, default=0)
     v_anti.add_argument("--out")
     v_anti.set_defaults(func=_cmd_verify)
     v_ints = verify_sub.add_parser("ints")

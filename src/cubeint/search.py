@@ -134,17 +134,8 @@ class SearchResult:
         return out
 
 
-def expand(shape: Shape, config: SearchConfig) -> list[Shape]:
-    """Canonical children of one survivor (one added condition), deduplicated."""
-    children = {}
-    for child_edges, _key in _raw_children(shape, config):
-        canon = canonical_form(Shape(child_edges))
-        children[canon.edges] = canon
-    return [children[key] for key in sorted(children)]
-
-
 def _raw_children(shape: Shape, config: SearchConfig):
-    """All admissible one-edge extensions, as (edges, key) pairs.
+    """All admissible one-edge extensions, as (child shape, key) pairs.
 
     The new edge is a subset of the current vertices plus a run of fresh ones;
     its size may not exceed the smallest existing edge, which realises the
@@ -161,13 +152,11 @@ def _raw_children(shape: Shape, config: SearchConfig):
             fresh_verts = tuple(range(len(verts) + 1, len(verts) + 1 + fresh))
             for chosen in combinations(verts, used):
                 new_edge = tuple(sorted(chosen + fresh_verts))
-                child_edges = tuple(
-                    sorted(shape.edges + (new_edge,), key=lambda e: (-len(e), e))
-                )
-                if config.mode == MINIMAL_LARGE and not Shape(child_edges).is_minimal():
+                child = shape.with_edge(new_edge)
+                if config.mode == MINIMAL_LARGE and not child.is_minimal():
                     continue
                 vec = tuple(len(set(chosen) & set(e)) for e in shape.edges)
-                yield child_edges, (new_size, vec)
+                yield child, (new_size, vec)
 
 
 def bfs_search(config: SearchConfig) -> SearchResult:
@@ -192,8 +181,8 @@ def bfs_search(config: SearchConfig) -> SearchResult:
     for _depth in range(2, config.max_edges + 1):
         new_frontier: dict[tuple, ShapeRecord] = {}
         for parent in frontier.values():
-            for child_edges, key in _raw_children(parent.shape, config):
-                canon = canonical_form(Shape(child_edges))
+            for child, key in _raw_children(parent.shape, config):
+                canon = canonical_form(child)
                 values = intersection_value_set(canon, floor=config.threshold)
                 if config.mode == NON_REDUNDANT_SMALL:
                     fresh = canon.vertex_count - parent.shape.vertex_count

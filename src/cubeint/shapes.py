@@ -84,6 +84,10 @@ class Shape:
         deg = self.degrees()
         return tuple(sorted(v for v, d in deg.items() if d >= 2))
 
+    def with_edge(self, edge: Edge) -> "Shape":
+        """This shape with one more edge, kept in (size desc, lex) order."""
+        return Shape(tuple(sorted(self.edges + (edge,), key=_edge_key)))
+
     def is_minimal(self) -> bool:
         """Every edge keeps a private vertex (multiset degree one)."""
         deg = self.degrees()

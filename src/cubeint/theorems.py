@@ -6,11 +6,9 @@ direct cube enumeration rather than trusted from a formula.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from typing import Iterable, Sequence
 
 from .codim1 import SignCount, binomial, closed_form_large_sizes
@@ -381,26 +379,43 @@ def count_subset_sums_in(values: Sequence[Fraction], targets: Iterable[Fraction]
     return sum(1 for s in sums if s in target_set)
 
 
-def antichain_bound_check(ell: int, trials: int, seed: int) -> Report:
-    """Randomised check that at most 15/16 of all subsets can hit a 4-set."""
+def symmetric_chain_partition(ell: int) -> list[list[int]]:
+    """The subsets of {1..ell}, as bitmasks, split into symmetric chains
+    (de Bruijn, Tengbergen & Kruyswijk, 1951)."""
+    chains = [[0]]
+    for i in range(ell):
+        bit = 1 << i
+        grown = []
+        for chain in chains:
+            grown.append(chain + [chain[-1] | bit])
+            if len(chain) > 1:
+                grown.append([s | bit for s in chain[:-1]])
+        chains = grown
+    return chains
+
+
+def antichain_bound_check(ell: int) -> Report:
+    """Proof that for ell nonzero reals and 4 targets, at most
+    antichain_expression(ell) <= 15/16 * 2^ell subsets sum to a target
+    (Erdős, "On a lemma of Littlewood and Offord", 1945).
+
+    Negating a_i maps each subset T to T xor {i} and shifts every sum by
+    -a_i, so positive values suffice.  Their sums strictly rise along a chain
+    of one-element extensions, so a chain C meets 4 targets at most
+    min(len(C), 4) times.  The check confirms that the chains cover every
+    subset once, in one-element steps, and that the min(len(C), 4) sum to
+    antichain_expression(ell), whose ratio to 2^ell falls from 15/16.
+    """
     if not 4 <= ell <= 16:
         raise ValueError("ell must lie in 4..16")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     report = Report(f"four-target subset sums, ell={ell}")
-    ratios_ok = True
-    previous = None
-    for n in range(4, max(ell, 16) + 1):
-        ratio = Fraction(antichain_expression(n), 1 << n)
-        if previous is not None and ratio > previous:
-            ratios_ok = False
-        previous = ratio
+    ratios = [Fraction(antichain_expression(n), 1 << n) for n in range(4, 17)]
     report.add(
         "four middle binomials never grow as a fraction",
-        ratios_ok and Fraction(antichain_expression(4), 16) == Fraction(15, 16),
+        ratios[0] == Fraction(15, 16)
+        and all(b <= a for a, b in zip(ratios, ratios[1:])),
     )
 
-    bound = Fraction(15, 16) * (1 << ell)
     extremal = count_subset_sums_in(
         [Fraction(1)] * 4, [Fraction(i) for i in range(4)]
     )
@@ -410,41 +425,22 @@ def antichain_bound_check(ell: int, trials: int, seed: int) -> Report:
         count=extremal,
     )
 
-    rng = random.Random(seed)
-    worst = 0
-    violations = []
-    nonzero = [n for n in range(-8, 9) if n != 0]
-    for _ in range(trials):
-        values = [Fraction(rng.choice(nonzero), rng.randint(1, 4)) for _ in range(ell)]
-        # scale everything to integers once; fractional targets that cannot
-        # be expressed over the common denominator are unreachable anyway
-        scale = lcm(*(v.denominator for v in values))
-        int_values = [int(v * scale) for v in values]
-        sums = [0]
-        for a in int_values:
-            sums.extend([s + a for s in sums])
-        pool = sorted(set(sums))
-        int_targets = set()
-        while len(int_targets) < 4:
-            if rng.random() < 0.75:
-                int_targets.add(rng.choice(pool))
-            else:
-                candidate = Fraction(rng.randint(-20, 20), rng.randint(1, 4)) * scale
-                if candidate.denominator == 1:
-                    int_targets.add(int(candidate))
-        targets = {Fraction(t, scale) for t in int_targets}
-        count = sum(1 for s in sums if s in int_targets)
-        worst = max(worst, count)
-        if count > bound:
-            violations.append({"values": [str(v) for v in values],
-                               "targets": sorted(str(t) for t in targets),
-                               "count": count})
+    chains = symmetric_chain_partition(ell)
+    covered = sorted(s for chain in chains for s in chain) == list(range(1 << ell))
+    single_steps = all(
+        (a & ~b) == 0 and (a ^ b).bit_count() == 1
+        for chain in chains
+        for a, b in zip(chain, chain[1:])
+    )
+    hits = sum(min(len(chain), 4) for chain in chains)
     report.add(
-        f"{trials} random instances stay at or below 15/16",
-        not violations,
-        worst=worst,
-        bound=str(bound),
-        violations=violations[:3],
+        "symmetric chains bound the subsets on four targets",
+        covered and single_steps and hits == antichain_expression(ell),
+        chains=len(chains),
+        covers_each_subset_once=covered,
+        single_steps=single_steps,
+        hits=hits,
+        expression=antichain_expression(ell),
     )
     return report
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cubeint import cli, shapes
 from cubeint.cli import main, parse_command
 
 
@@ -39,6 +40,12 @@ class TestParsing:
     def test_unknown_verb_rejected(self):
         with pytest.raises(SystemExit) as err:
             parse_command(["frobnicate"])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("option", [["--trials", "5"], ["--seed", "1"]])
+    def test_verify_antichain_takes_no_sampling_options(self, option):
+        with pytest.raises(SystemExit) as err:
+            parse_command(["verify", "antichain", "--ell", "8", *option])
         assert err.value.code == 2
 
 
@@ -96,6 +103,19 @@ class TestCommands:
         assert data["result"]["classification"] == "star32"
         assert data["result"]["fraction"] == "5/8"
 
+    def test_shape_walks_once(self, capsys, monkeypatch):
+        calls = []
+        walk = shapes.max_intersection
+
+        def counted(shape):
+            calls.append(shape)
+            return walk(shape)
+
+        monkeypatch.setattr(cli, "max_intersection", counted)
+        monkeypatch.setattr(shapes, "max_intersection", counted)
+        code, _ = run(capsys, "shape", "--edges", "1,2,3;2,3,4")
+        assert code == 0 and len(calls) == 1
+
     def test_map_evaluation(self, capsys):
         code, out = run(
             capsys, "map", "--json", '{"k":2,"m":1,"entries":[["1","-1"]]}'
@@ -105,9 +125,7 @@ class TestCommands:
         assert data["result"]["size"] == 3
 
     def test_verify_antichain_exit_zero(self, capsys):
-        code, out = run(
-            capsys, "verify", "antichain", "--ell", "4", "--trials", "20", "--seed", "5"
-        )
+        code, out = run(capsys, "verify", "antichain", "--ell", "4")
         assert code == 0
         assert json.loads(out)["result"]["passed"] is True
 
@@ -157,8 +175,8 @@ class TestExitContract:
             ["shape", "--json", "{}"],
             ["search", "--mode", "large", "--k", "6", "--threshold", "1/100"],
             ["window", "hn", "--n", "8", "--out", "{missing_dir}/report.json"],
-            ["verify", "antichain", "--ell", "4", "--trials", "-5"],
-            ["verify", "antichain", "--ell", "4", "--trials", "0"],
+            ["verify", "antichain", "--ell", "3"],
+            ["verify", "antichain", "--ell", "17"],
             ["shape", "--edges", ";".join(f"{a},{b}" for a in range(1, 8) for b in range(a + 1, 8))],
             ["map", "--json", '{"k":2,"entries":[["1/0","1"]]}'],
             ["oracle", "--k", "2", "--m", "1", "--entries", "1/0"],

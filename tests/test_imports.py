@@ -1,4 +1,5 @@
-"""Package modules reach each other only through public names."""
+"""Package modules reach each other only through public names, and no
+certificate draws random numbers."""
 import ast
 from pathlib import Path
 
@@ -19,6 +20,22 @@ def private_imports(source: str) -> list[str]:
     return found
 
 
+def imports_of(source: str, name: str) -> list[str]:
+    """Absolute imports of the top-level module `name`, as text."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [
+                f"{node.lineno}: import {alias.name}"
+                for alias in node.names
+                if alias.name.split(".")[0] == name
+            ]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if (node.module or "").split(".")[0] == name:
+                found.append(f"{node.lineno}: from {node.module} import ...")
+    return found
+
+
 def test_detector_sees_private_names():
     assert private_imports("from .cube import LinearMap, _private\n") == [
         "1: from .cube import _private"
@@ -31,5 +48,19 @@ def test_no_private_imports_across_modules():
         path.name: found
         for path in sorted(PACKAGE.glob("*.py"))
         if (found := private_imports(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}
+
+
+def test_detector_sees_random():
+    source = "import random\nfrom random import choice\nimport randomness\nfrom .random import x\n"
+    assert imports_of(source, "random") == ["1: import random", "2: from random import ..."]
+
+
+def test_certificates_draw_no_random_numbers():
+    offenders = {
+        path.name: found
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (found := imports_of(path.read_text(encoding="utf-8"), "random"))
     }
     assert offenders == {}

@@ -7,8 +7,8 @@ from cubeint.search import (
     MINIMAL_LARGE,
     NON_REDUNDANT_SMALL,
     SearchConfig,
+    _raw_children,
     bfs_search,
-    expand,
 )
 from cubeint.shapes import (
     STAR21,
@@ -19,6 +19,11 @@ from cubeint.shapes import (
 )
 from cubeint.theorems import expected_small_families
 from oracles import assignment_intersection
+
+
+def canonical_children(shape, config):
+    """Canonical children of one survivor (one added condition), deduplicated."""
+    return {canonical_form(c) for c, _ in _raw_children(shape, config)}
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +39,7 @@ def small8():
 class TestExpand:
     def test_single_pair_edge_children(self):
         config = SearchConfig(MINIMAL_LARGE, 6)
-        children = expand(Shape.from_edges([(1, 2)]), config)
+        children = canonical_children(Shape.from_edges([(1, 2)]), config)
         child_edge_sets = {c.edges for c in children}
         assert canonical_form(Shape.from_edges([(1, 2), (2, 3)])).edges in child_edge_sets
         assert canonical_form(Shape.from_edges([(1, 2), (3, 4)])).edges in child_edge_sets
@@ -43,13 +48,13 @@ class TestExpand:
 
     def test_small_mode_allows_duplicates(self):
         config = SearchConfig(NON_REDUNDANT_SMALL, 8)
-        children = expand(Shape.from_edges([(1, 2, 3)]), config)
+        children = canonical_children(Shape.from_edges([(1, 2, 3)]), config)
         dup = canonical_form(Shape.from_edges([(1, 2, 3), (1, 2, 3)]))
         assert dup.edges in {c.edges for c in children}
 
     def test_new_edges_never_grow(self):
         config = SearchConfig(NON_REDUNDANT_SMALL, 8)
-        children = expand(Shape.from_edges([(1, 2, 3), (1, 2)]), config)
+        children = canonical_children(Shape.from_edges([(1, 2, 3), (1, 2)]), config)
         assert all(len(c.edges[-1]) == 2 for c in children)
 
 
@@ -141,7 +146,7 @@ class TestPruningSoundness:
         pruned = Shape.from_edges([(1, 2), (3, 4), (5, 6)])
         assert shape_fraction(pruned) <= Fraction(1, 2)
         config = SearchConfig(EXHAUSTIVE_LARGE, 8, max_edges=4)
-        for child in expand(pruned, config):
+        for child in canonical_children(pruned, config):
             assert shape_fraction(child) <= shape_fraction(pruned)
 
 

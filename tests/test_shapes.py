@@ -228,8 +228,8 @@ def search_inputs(max_k=6):
             for records in result.depths:
                 for rec in records:
                     yield rec.shape
-                    for child_edges, _key in _raw_children(rec.shape, config):
-                        yield Shape(child_edges)
+                    for child, _key in _raw_children(rec.shape, config):
+                        yield child
 
 
 def assert_matches_brute_force(shapes):

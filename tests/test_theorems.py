@@ -1,6 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given
@@ -151,6 +152,31 @@ class TestSmallWindow:
         assert details["strict interior of the window"]["found"] == [252]
 
 
+# Broken chain partitions for the antichain proof: two_element_step breaks
+# only the one-element steps, a_subset_twice only the cover, split_the_longest
+# only the bound, and drop_a_chain both the cover and the bound.
+def drop_a_chain(chains):
+    return chains[1:]
+
+
+def two_element_step(chains):
+    longest = max(chains, key=len)
+    longest[1], longest[2] = longest[2], longest[1]
+    return chains
+
+
+def a_subset_twice(chains):
+    first, second = [chain for chain in chains if len(chain) == 1][:2]
+    second[0] = first[0]
+    return chains
+
+
+def split_the_longest(chains):
+    longest = max(chains, key=len)
+    chains.remove(longest)
+    return chains + [longest[:2], longest[2:]]
+
+
 class TestAntichain:
     def test_extremal_instance(self):
         count = count_subset_sums_in(
@@ -170,12 +196,38 @@ class TestAntichain:
         assert Fraction(30) <= Fraction(15, 16) * 32
 
     def test_report_passes(self):
-        report = antichain_bound_check(6, trials=300, seed=11)
+        report = antichain_bound_check(6)
         assert report.passed
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            antichain_bound_check(3, 1, 0)
+        for ell in (3, 17):
+            with pytest.raises(ValueError):
+                antichain_bound_check(ell)
+
+    @pytest.mark.parametrize("ell", [4, 5, 6])
+    def test_small_alphabet_never_beats_the_bound(self, ell):
+        # the 4 best targets of an instance take its 4 largest subset-sum counts
+        alphabet = [Fraction(n, 2) for n in (1, 2, 3, 4, 6)]
+        best = {}
+        for values in combinations_with_replacement(alphabet, ell):
+            sums = [Fraction(0)]
+            for a in values:
+                sums.extend([s + a for s in sums])
+            best[values] = sum(c for _, c in Counter(sums).most_common(4))
+        assert max(best.values()) <= antichain_expression(ell)
+        assert best[(Fraction(1),) * ell] == antichain_expression(ell)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [drop_a_chain, two_element_step, a_subset_twice, split_the_longest],
+        ids=lambda mutate: mutate.__name__,
+    )
+    def test_mutated_partition_fails(self, monkeypatch, mutate):
+        build = theorems.symmetric_chain_partition
+        monkeypatch.setattr(
+            theorems, "symmetric_chain_partition", lambda ell: mutate(build(ell))
+        )
+        assert not antichain_bound_check(6).passed
 
 
 class TestDropBound:
@@ -321,7 +373,7 @@ class TestReports:
 
         reports = [
             verify_large_sets(6, n_max=8),
-            antichain_bound_check(5, trials=50, seed=9),
+            antichain_bound_check(5),
             ints_window_check(2),
             condition_drop_bound_sweep(max_k=2, max_rows=2),
         ]
