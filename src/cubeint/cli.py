@@ -212,8 +212,15 @@ def _cmd_map(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error: ...`` line; subparsers inherit it."""
+
+    def error(self, message):
+        self.exit(USAGE_ERROR, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cubeint",
         description="Exact hypercube/subspace intersection-size toolkit",
     )

@@ -379,8 +379,10 @@ def oracle_enumerate(
     entries = sorted(set(_as_fraction(v) for v in entry_set))
     if not entries:
         raise ValueError("entry set must be nonempty")
-    raw_count = len(entries) ** (k * m)
-    if raw_count > budget:
+    # two or more entries give at least 2^(k*m) maps, past the budget once k*m
+    # reaches its bit length: the exact power may have millions of digits
+    too_many = len(entries) > 1 and k * m >= budget.bit_length()
+    if too_many or len(entries) ** (k * m) > budget:
         raise EnumerationBudgetError(
             f"{len(entries)}^{k * m} maps exceed budget {budget}"
         )

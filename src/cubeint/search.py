@@ -27,12 +27,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .codim1 import support_size_bound
-from .shapes import (
-    Shape,
-    SignAssignment,
-    canonical_form,
-    intersection_value_set,
-)
+from .shapes import Shape, canonical_form, intersection_value_set
 
 MINIMAL_LARGE = "minimal-large"
 NON_REDUNDANT_SMALL = "non-redundant-small"
@@ -83,6 +78,8 @@ class SearchConfig:
 class ShapeRecord:
     """A surviving state: canonical shape plus everything the round measured.
 
+    ``values`` are its sizes above the threshold, ascending, and ``max_size``
+    the best admissible one; max_intersection(shape) gives a witness.
     ``keys`` distinguishes the inequivalent ways the state was produced (size
     of the added edge plus its overlap profile with the parent's edges); each
     counts as one raw survivor, which is how the historical raw counts arise.
@@ -90,7 +87,6 @@ class ShapeRecord:
 
     shape: Shape
     max_size: int
-    witness: SignAssignment | None
     values: tuple[int, ...]
     keys: tuple = ()
 
@@ -168,12 +164,10 @@ def bfs_search(config: SearchConfig) -> SearchResult:
         if not values:
             result.pruned_count += 1
             continue
-        best = max(values)
         frontier[shape.edges] = ShapeRecord(
             shape=shape,
-            max_size=best,
-            witness=values[best],
-            values=tuple(sorted(values)),
+            max_size=max(values),
+            values=values,
             keys=((size, ()),),
         )
     result.depths.append(_sorted_records(frontier))
@@ -189,7 +183,7 @@ def bfs_search(config: SearchConfig) -> SearchResult:
                     bound = parent.max_size << fresh
                     admissible = [v for v in values if v < bound]
                 else:
-                    admissible = list(values)
+                    admissible = values
                 if not admissible:
                     result.pruned_count += 1
                     continue
@@ -199,14 +193,11 @@ def bfs_search(config: SearchConfig) -> SearchResult:
                     new_frontier[canon.edges] = ShapeRecord(
                         shape=canon,
                         max_size=best,
-                        witness=values[best],
-                        values=tuple(sorted(values)),
+                        values=values,
                         keys=(key,),
                     )
                 else:
-                    if best > record.max_size:
-                        record.max_size = best
-                        record.witness = values[best]
+                    record.max_size = max(record.max_size, best)
                     if key not in record.keys:
                         record.keys = record.keys + (key,)
                 if len(new_frontier) > config.max_states:

@@ -27,31 +27,24 @@ def _edge_key(edge: Edge):
 
 @dataclass(frozen=True)
 class Shape:
-    """Multiset of condition supports over vertices 1..vertex_count."""
+    """Multiset of condition supports over vertices 1..vertex_count.
+
+    Shape(edges) trusts its caller to pass the module's normal form, with
+    edges of two or more vertices; input goes through from_edges (or
+    from_json_dict), the one place it is validated.
+    """
 
     edges: tuple[Edge, ...]
 
-    def __post_init__(self):
-        if not self.edges:
-            raise ValueError("a shape needs at least one edge")
-        for edge in self.edges:
-            if len(edge) < 2:
-                raise ValueError("edges of size < 2 are excluded from shapes")
-            if list(edge) != sorted(set(edge)):
-                raise ValueError("edge vertices must be sorted and distinct")
-        covered = set()
-        for edge in self.edges:
-            covered.update(edge)
-        k = max(covered)
-        if covered != set(range(1, k + 1)):
-            raise ValueError("vertices must be exactly 1..k with no gaps")
-        if list(self.edges) != sorted(self.edges, key=_edge_key):
-            raise ValueError("edges must be sorted by (size desc, lex)")
-
     @staticmethod
     def from_edges(edges: Iterable[Iterable[int]]) -> "Shape":
-        """Build a shape from arbitrary labels, compressing them to 1..k."""
+        """Build a shape from arbitrary labels, compressing them to 1..k;
+        no edges, or an edge of < 2 distinct vertices, is a ValueError."""
         raw = [tuple(sorted(set(e))) for e in edges]
+        if not raw:
+            raise ValueError("a shape needs at least one edge")
+        if any(len(edge) < 2 for edge in raw):
+            raise ValueError("edges of size < 2 are excluded from shapes")
         raw.sort(key=_edge_key)
         labels: dict[int, int] = {}
         for edge in raw:
@@ -85,7 +78,8 @@ class Shape:
         return tuple(sorted(v for v, d in deg.items() if d >= 2))
 
     def with_edge(self, edge: Edge) -> "Shape":
-        """This shape with one more edge, kept in (size desc, lex) order."""
+        """This shape with one more edge, kept in (size desc, lex) order; the
+        edge is sorted, of size >= 2, over old vertices and the next fresh ones."""
         return Shape(tuple(sorted(self.edges + (edge,), key=_edge_key)))
 
     def is_minimal(self) -> bool:
@@ -359,18 +353,17 @@ def _edge_candidates(shape: Shape) -> list[tuple[tuple[tuple[int, ...], int], ..
     ]
 
 
-_VALUE_SET_CACHE: dict = {}
+_VALUE_SET_CACHE: dict[tuple, tuple[int, ...]] = {}
 
 
 def intersection_value_set(
     shape: Shape, floor: Fraction | int = 0
-) -> dict[int, SignAssignment]:
-    """All achievable sizes above floor * 2^k, each with its first witness.
+) -> tuple[int, ...]:
+    """All achievable sizes above floor * 2^k, in ascending order.
 
-    Witnesses are deterministic: candidates are explored in ascending sign
-    order (reduced private placements, -1 before +1), so the recorded witness
-    for a value is the least one in that order.  A partial intersection at or
-    below the floor is never extended, and the last edge is scanned in place.
+    Only the sizes are kept; max_intersection gives a witness for the best
+    one.  A partial intersection at or below the floor is never extended, and
+    the last edge is scanned in place.
     """
     floor = Fraction(floor)
     key = (shape.edges, floor)
@@ -382,26 +375,23 @@ def intersection_value_set(
     bar = (floor.numerator * points) // floor.denominator
     cands = _edge_candidates(shape)
     last = len(cands) - 1
-    found: dict[int, tuple[tuple[int, ...], ...]] = {}
+    found: set[int] = set()
 
-    def walk(idx: int, mask: int, chosen: tuple):
+    def walk(idx: int, mask: int):
         if idx == last:
-            for signs_t, cand_mask in cands[idx]:
+            for _signs, cand_mask in cands[idx]:
                 value = (mask & cand_mask).bit_count()
-                if value > bar and value not in found:
-                    found[value] = chosen + (signs_t,)
+                if value > bar:
+                    found.add(value)
             return
-        for signs_t, cand_mask in cands[idx]:
+        for _signs, cand_mask in cands[idx]:
             child = mask & cand_mask
             if child.bit_count() > bar:
-                walk(idx + 1, child, chosen + (signs_t,))
+                walk(idx + 1, child)
 
     if points > bar:
-        walk(0, (1 << points) - 1, ())
-    result = {
-        value: SignAssignment(shape, signs)
-        for value, signs in sorted(found.items())
-    }
+        walk(0, (1 << points) - 1)
+    result = tuple(sorted(found))
     _VALUE_SET_CACHE[key] = result
     return result
 
@@ -409,10 +399,11 @@ def intersection_value_set(
 def max_intersection(shape: Shape) -> tuple[int, SignAssignment | None]:
     """Best achievable size over sign assignments, with a deterministic witness.
 
-    One branch-and-bound walk in ascending candidate order, as in
-    intersection_value_set; the witness is recorded whenever the best size
-    rises, so it is the first assignment in that order reaching the maximum.
-    Returns (0, None) when every assignment gives the empty set.
+    One branch-and-bound walk over the cached edge choices in ascending sign
+    order (reduced private placements, -1 before +1); the witness is recorded
+    whenever the best size rises, so it is the first assignment in that order
+    reaching the maximum.  Returns (0, None) when every assignment gives the
+    empty set.
     """
     cands = _edge_candidates(shape)
     best = 0

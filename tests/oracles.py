@@ -8,6 +8,27 @@ from cubeint.cube import LinearMap, evaluate_pattern, row_mask
 from cubeint.shapes import Edge, Shape, SignAssignment, _edge_key
 
 
+def assert_normal_shape(shape: Shape) -> None:
+    """The normal form Shape trusts its caller for, checked in full: at least
+    one edge, each of two or more sorted distinct vertices, the vertices
+    exactly 1..k, the edges sorted by (size desc, lex)."""
+    if not shape.edges:
+        raise AssertionError("a shape needs at least one edge")
+    for edge in shape.edges:
+        if len(edge) < 2:
+            raise AssertionError("edges of size < 2 are excluded from shapes")
+        if list(edge) != sorted(set(edge)):
+            raise AssertionError("edge vertices must be sorted and distinct")
+    covered = set()
+    for edge in shape.edges:
+        covered.update(edge)
+    k = max(covered)
+    if covered != set(range(1, k + 1)):
+        raise AssertionError("vertices must be exactly 1..k with no gaps")
+    if list(shape.edges) != sorted(shape.edges, key=_edge_key):
+        raise AssertionError("edges must be sorted by (size desc, lex)")
+
+
 def assignment_intersection(shape: Shape, assignment: SignAssignment) -> int:
     """Size of the intersection for one sign assignment.
 

@@ -42,6 +42,26 @@ class TestParsing:
             parse_command(["frobnicate"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "antichain", "--ell", "8", "--trials", "5"],
+            ["verify", "large", "--k", "9"],
+            ["frobnicate"],
+            [],
+            ["verify"],
+            ["search", "--mode", "small", "--k", "8", "--threshold", "x"],
+            ["window", "hn", "--n", "3"],
+            ["shape"],
+        ],
+    )
+    def test_usage_error_is_one_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            parse_command(argv)
+        stderr = capsys.readouterr().err
+        assert err.value.code == 2
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
     @pytest.mark.parametrize("option", [["--trials", "5"], ["--seed", "1"]])
     def test_verify_antichain_takes_no_sampling_options(self, option):
         with pytest.raises(SystemExit) as err:
@@ -186,6 +206,8 @@ class TestExitContract:
             ["search", "--mode", "large", "--k", "6", "--max-edges", "0"],
             ["oracle", "--k", "6", "--m", "3"],
             ["oracle", "--k", "8", "--m", "1", "--entries=-1,0,1,2"],
+            ["oracle", "--k", "8", "--m", "100000000"],
+            ["shape", "--edges", "1;2,3"],
         ],
     )
     def test_bad_input_exits_two_with_one_line(self, capsys, tmp_path, argv):

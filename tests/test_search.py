@@ -16,6 +16,7 @@ from cubeint.shapes import (
     Shape,
     canonical_form,
     classify_star,
+    max_intersection,
 )
 from cubeint.theorems import expected_small_families
 from oracles import assignment_intersection
@@ -93,9 +94,8 @@ class TestLargeSearch:
     def test_witnesses_reproduce_maxima(self, large8):
         for depth in (1, 2, 3):
             for rec in large8.survivors(depth):
-                assert (
-                    assignment_intersection(rec.shape, rec.witness) == rec.max_size
-                )
+                witness = max_intersection(rec.shape)[1]
+                assert assignment_intersection(rec.shape, witness) == rec.max_size
 
     def test_fractions_beat_threshold(self, large8):
         for depth in (1, 2, 3):
@@ -157,7 +157,7 @@ class TestDeterminism:
         for da, db in zip(a.depths, b.depths):
             assert [r.shape.edges for r in da] == [r.shape.edges for r in db]
             assert [r.max_size for r in da] == [r.max_size for r in db]
-            assert [r.witness.signs for r in da] == [r.witness.signs for r in db]
+            assert [r.values for r in da] == [r.values for r in db]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -26,6 +26,7 @@ from cubeint.shapes import (
     shape_fraction,
 )
 from oracles import (
+    assert_normal_shape,
     assignment_intersection,
     brute_canonical_form,
     naive_max_intersection,
@@ -49,8 +50,18 @@ class TestShapeBasics:
         assert s.edges == ((1, 2, 3), (2, 3))  # sizes descending, labels packed
 
     def test_rejects_singletons(self):
-        with pytest.raises(ValueError):
-            Shape(((1,),))
+        for edges in ([(1,)], [(1, 1)], [(1, 2), (3,)]):
+            with pytest.raises(ValueError, match="edges of size < 2 are excluded"):
+                Shape.from_edges(edges)
+        with pytest.raises(ValueError, match="a shape needs at least one edge"):
+            Shape.from_edges([])
+
+    def test_search_keeps_shapes_normal(self):
+        # Shape(edges) does not check its input, so every shape the search
+        # builds itself must already be in normal form
+        for s in search_inputs(6):
+            assert_normal_shape(s)
+            assert_normal_shape(canonical_form(s))
 
     def test_duplicate_edges_allowed(self):
         s = Shape.from_edges([(1, 2), (1, 2)])
@@ -169,10 +180,7 @@ class TestValueSets:
         assert sorted(values) == [1, 3]
 
     def test_values_match_assignments(self):
-        s = shape((1, 2, 3), (1, 2, 4))
-        values = intersection_value_set(s)
-        for value, witness in values.items():
-            assert assignment_intersection(s, witness) == value
+        assert_value_sets_match_reference([shape((1, 2, 3), (1, 2, 4))], [0])
 
     def test_floor_prunes(self):
         s = shape((1, 2, 3), (1, 2, 4))
@@ -293,14 +301,14 @@ FLOORS = (Fraction(0), Fraction(15, 32), Fraction(1, 2))
 
 def assert_value_sets_match_reference(shapes, floors=FLOORS):
     """The cached per-edge choices equal a fresh per-shape build, and
-    intersection_value_set gives the reference walk's values and witnesses
-    at every floor, each witness scoring its value."""
+    intersection_value_set gives the reference walk's values at every floor,
+    each value proven achievable by a reference witness that scores it."""
     for s in shapes:
         assert [list(c) for c in _edge_candidates(s)] == reference_edge_candidates(s)
         for floor in floors:
-            fast = intersection_value_set(s, floor)
-            assert list(fast.items()) == list(reference_value_set(s, floor).items())
-            for value, witness in fast.items():
+            reference = reference_value_set(s, floor)
+            assert intersection_value_set(s, floor) == tuple(reference)
+            for value, witness in reference.items():
                 assert assignment_intersection(s, witness) == value
 
 
@@ -323,7 +331,7 @@ class TestValueSetAgainstReference:
 
     def test_extreme_floors(self):
         s = shape((1, 2, 3), (1, 2, 4))
-        assert intersection_value_set(s, 1) == reference_value_set(s, 1) == {}
+        assert intersection_value_set(s, 1) == tuple(reference_value_set(s, 1)) == ()
         assert sorted(intersection_value_set(s, Fraction(-1, 3))) == sorted(
             reference_value_set(s, Fraction(-1, 3))
         )
@@ -421,6 +429,8 @@ def relabelled_pair(draw):
 def test_canonical_form_matches_brute_force_on_relabellings(first, second):
     a, a_relabelled = first
     b, _ = second
+    for s in (a, a_relabelled, b, canonical_form(a), canonical_form(b)):
+        assert_normal_shape(s)
     assert canonical_form(a) == canonical_form(a_relabelled)
     assert brute_canonical_form(canonical_form(a)) == brute_canonical_form(a)
     same = canonical_form(a) == canonical_form(b)
@@ -430,6 +440,8 @@ def test_canonical_form_matches_brute_force_on_relabellings(first, second):
 @given(relabelled_pair())
 def test_value_set_matches_reference_on_relabellings(pair):
     a, a_relabelled = pair
+    assert_normal_shape(a)
+    assert_normal_shape(a_relabelled)
     assert_value_sets_match_reference([a, a_relabelled])
     for floor in FLOORS:
         assert list(intersection_value_set(a, floor)) == list(
