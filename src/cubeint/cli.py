@@ -59,18 +59,9 @@ def _emit(payload: dict, args) -> None:
         "content_hash": digest,
         "result": payload,
     }
-    text = json.dumps(_stringify(envelope), sort_keys=True, indent=2) + "\n"
+    # the config's Fractions are the only values json cannot write itself
+    text = json.dumps(envelope, sort_keys=True, indent=2, default=str) + "\n"
     _write(text, args)
-
-
-def _stringify(value):
-    if isinstance(value, dict):
-        return {str(k): _stringify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_stringify(v) for v in value]
-    if isinstance(value, Fraction):
-        return str(value)
-    return value
 
 
 def _write(text: str, args) -> None:
@@ -177,7 +168,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_shape(args) -> int:
-    if args.json:
+    if args.json is not None:
         shape = Shape.from_json_dict(json.loads(args.json))
     else:
         edges = [
@@ -248,12 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     verify_sub = p_verify.add_subparsers(dest="what", required=True)
     v_large = verify_sub.add_parser("large")
-    v_large.add_argument("--k", type=int, required=True, choices=(6, 7, 8))
+    v_large.add_argument("--k", type=int, required=True)
     v_large.add_argument("--n-max", type=int, default=None)
     v_large.add_argument("--out")
     v_large.set_defaults(func=_cmd_verify)
     v_small = verify_sub.add_parser("small")
-    v_small.add_argument("--k", type=int, default=8, choices=(8, 9))
+    v_small.add_argument("--k", type=int, default=8)
     v_small.add_argument("--out")
     v_small.set_defaults(func=_cmd_verify)
     v_anti = verify_sub.add_parser("antichain")
@@ -261,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     v_anti.add_argument("--out")
     v_anti.set_defaults(func=_cmd_verify)
     v_ints = verify_sub.add_parser("ints")
-    v_ints.add_argument("--k", type=int, required=True, choices=(1, 2, 3, 4, 5))
+    v_ints.add_argument("--k", type=int, required=True)
     v_ints.add_argument("--seed", type=int, default=0)
     v_ints.add_argument("--out")
     v_ints.set_defaults(func=_cmd_verify)
@@ -282,8 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.set_defaults(func=_cmd_oracle)
 
     p_shape = sub.add_parser("shape", help="inspect one shape")
-    p_shape.add_argument("--edges", help='edges as "1,2;1,3"')
-    p_shape.add_argument("--json", help="shape as JSON")
+    shape_input = p_shape.add_mutually_exclusive_group(required=True)
+    shape_input.add_argument("--edges", help='edges as "1,2;1,3"')
+    shape_input.add_argument("--json", help="shape as JSON")
     p_shape.add_argument("--out")
     p_shape.set_defaults(func=_cmd_shape)
 
@@ -295,22 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_command(argv: list[str]) -> argparse.Namespace:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.verb == "window" and args.n < 8:
-        parser.error("window formula needs n >= 8")
-    if args.verb == "shape" and not (args.edges or args.json):
-        parser.error("shape needs --edges or --json")
-    if args.verb == "search" and not 2 <= args.k <= 24:
-        parser.error("search dimension k must lie in 2..24")
-    if args.verb == "oracle" and not 1 <= args.k <= 8:
-        parser.error("oracle dimension k must lie in 1..8")
-    return args
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = parse_command(sys.argv[1:] if argv is None else argv)
+    args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except (

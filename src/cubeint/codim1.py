@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .cube import SizeSet
+from .cube import MAX_DIMENSION, SizeSet
 
 
 def binomial(n: int, r: int) -> int:
@@ -80,8 +80,8 @@ def large_codim1_sizes(k: int) -> SizeSet:
     Valid for k >= 6 only; below that the enumerated set genuinely differs
     from the closed form and callers should enumerate directly.
     """
-    if k < 6:
-        raise ValueError("closed form only valid for k >= 6")
+    if not 6 <= k <= MAX_DIMENSION:
+        raise ValueError(f"closed form checked for k in 6..{MAX_DIMENSION}")
     half = 1 << (k - 1)
     found = set()
     for plus in range(k + 1):

@@ -372,8 +372,10 @@ def oracle_enumerate(
     which is what `budget` is stated in.  Building the row masks and closing
     them may each take at most ORACLE_WORK_BUDGET steps.  Every guard raises
     EnumerationBudgetError.  Only sizes strictly above keep_above * 2^k are
-    reported.  m must be at least 1.
+    reported.  k must lie in 1..MAX_DIMENSION and m be at least 1.
     """
+    if not 1 <= k <= MAX_DIMENSION:
+        raise ValueError(f"oracle dimension k={k} outside 1..{MAX_DIMENSION}")
     if m < 1:
         raise ValueError("the oracle needs at least one row (m >= 1)")
     entries = sorted(set(_as_fraction(v) for v in entry_set))

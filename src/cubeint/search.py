@@ -27,6 +27,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .codim1 import support_size_bound
+from .cube import MAX_DIMENSION
 from .shapes import Shape, canonical_form, intersection_value_set
 
 MINIMAL_LARGE = "minimal-large"
@@ -34,9 +35,13 @@ NON_REDUNDANT_SMALL = "non-redundant-small"
 EXHAUSTIVE_LARGE = "exhaustive-large"
 MODES = (MINIMAL_LARGE, NON_REDUNDANT_SMALL, EXHAUSTIVE_LARGE)
 
+# Most canonical states one depth may hold; the k <= 12 certificates need at
+# most 421.
+MAX_FRONTIER_STATES = 200_000
+
 
 class SearchBudgetError(RuntimeError):
-    """The frontier outgrew the configured safety budget."""
+    """One depth held more than MAX_FRONTIER_STATES canonical states."""
 
 
 @dataclass(frozen=True)
@@ -44,28 +49,30 @@ class SearchConfig:
     """One search run over k coordinates.
 
     threshold defaults to 1/2 in the large modes and 15/32 in the small one;
-    max_edges defaults to k - 1, or k in exhaustive-large mode.  The largest
-    useful edge, min(support_size_bound(threshold), k), is derived here once;
-    the vertex budget is k.
+    max_edges defaults to k - 1 in minimal-large mode, k in exhaustive-large
+    mode and k + 1 in the small one, the first depth its search must find
+    empty.  The largest useful edge, min(support_size_bound(threshold), k), is
+    derived here once; the vertex budget is k, at most MAX_DIMENSION.
     """
 
     mode: str
     k: int
     threshold: Fraction | None = None
     max_edges: int | None = None
-    max_states: int = 200_000
     max_edge_size: int = field(init=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.k > MAX_DIMENSION:
+            raise ValueError(f"search dimension k={self.k} exceeds {MAX_DIMENSION}")
         if self.threshold is None:
             small = self.mode == NON_REDUNDANT_SMALL
             threshold = Fraction(15, 32) if small else Fraction(1, 2)
             object.__setattr__(self, "threshold", threshold)
         if self.max_edges is None:
-            exhaustive = self.mode == EXHAUSTIVE_LARGE
-            object.__setattr__(self, "max_edges", self.k if exhaustive else self.k - 1)
+            extra = {MINIMAL_LARGE: -1, EXHAUSTIVE_LARGE: 0, NON_REDUNDANT_SMALL: 1}
+            object.__setattr__(self, "max_edges", self.k + extra[self.mode])
         if self.max_edges < 1:
             raise ValueError("max_edges must be at least 1")
         max_edge_size = min(support_size_bound(self.threshold), self.k)
@@ -200,9 +207,9 @@ def bfs_search(config: SearchConfig) -> SearchResult:
                     record.max_size = max(record.max_size, best)
                     if key not in record.keys:
                         record.keys = record.keys + (key,)
-                if len(new_frontier) > config.max_states:
+                if len(new_frontier) > MAX_FRONTIER_STATES:
                     raise SearchBudgetError(
-                        f"frontier exceeded {config.max_states} states"
+                        f"frontier exceeded {MAX_FRONTIER_STATES} states"
                     )
         if not new_frontier:
             result.terminated_naturally = True

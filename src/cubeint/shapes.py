@@ -94,7 +94,8 @@ class Shape:
     def from_json_dict(data) -> "Shape":
         edges = data.get("edges") if isinstance(data, dict) else None
         if not isinstance(edges, list) or not all(
-            isinstance(edge, list) and all(isinstance(v, int) for v in edge)
+            isinstance(edge, list)
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in edge)
             for edge in edges
         ):
             raise ValueError("a shape is a JSON object with 'edges': lists of integers")
@@ -137,11 +138,9 @@ class SignAssignment:
 # canonical labelling
 # ---------------------------------------------------------------------------
 
-_CANONICAL_CACHE: dict[tuple[Edge, ...], Shape] = {}
-
 # Most leaves the individualisation tree of one canonical_form call may reach.
-# The k <= 9 searches need at most 24; a shape past this one is so symmetric
-# (the complete graph on 7 vertices has 7! leaves) that it is refused.
+# The k <= 12 certificates need at most 720; a shape past this one is so
+# symmetric (the complete graph on 7 vertices has 7! leaves) that it is refused.
 CANONICAL_LEAF_BUDGET = 5_000
 
 
@@ -149,6 +148,7 @@ class CanonicalBudgetError(ValueError):
     """canonical_form passed CANONICAL_LEAF_BUDGET leaves on one shape."""
 
 
+@lru_cache(maxsize=None)
 def canonical_form(shape: Shape) -> Shape:
     """Canonical representative of the isomorphism class of a shape.
 
@@ -164,12 +164,9 @@ def canonical_form(shape: Shape) -> Shape:
     encoding over the leaves is canonical.  The representative lists the
     shared vertices first, in that order, then each edge's private run.
 
-    Raises CanonicalBudgetError past CANONICAL_LEAF_BUDGET leaves.
+    Raises CanonicalBudgetError past CANONICAL_LEAF_BUDGET leaves.  Cached,
+    like _edge_choices: the result depends only on the shape.
     """
-    cached = _CANONICAL_CACHE.get(shape.edges)
-    if cached is not None:
-        return cached
-
     degree = Counter(v for edge in shape.edges for v in edge)
     reduced: Counter = Counter()
     for edge in shape.edges:
@@ -261,9 +258,7 @@ def canonical_form(shape: Shape) -> Shape:
         for _ in range(mult):
             result_edges.append(shared + tuple(range(fresh, fresh + private)))
             fresh += private
-    result = Shape(tuple(sorted(result_edges, key=_edge_key)))
-    _CANONICAL_CACHE[shape.edges] = result
-    return result
+    return Shape(tuple(sorted(result_edges, key=_edge_key)))
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +348,7 @@ def _edge_candidates(shape: Shape) -> list[tuple[tuple[tuple[int, ...], int], ..
     ]
 
 
-_VALUE_SET_CACHE: dict[tuple, tuple[int, ...]] = {}
-
-
+@lru_cache(maxsize=None)
 def intersection_value_set(
     shape: Shape, floor: Fraction | int = 0
 ) -> tuple[int, ...]:
@@ -363,13 +356,9 @@ def intersection_value_set(
 
     Only the sizes are kept; max_intersection gives a witness for the best
     one.  A partial intersection at or below the floor is never extended, and
-    the last edge is scanned in place.
+    the last edge is scanned in place.  Cached on (shape, floor).
     """
     floor = Fraction(floor)
-    key = (shape.edges, floor)
-    cached = _VALUE_SET_CACHE.get(key)
-    if cached is not None:
-        return cached
     points = 1 << shape.vertex_count
     # an integer size is above floor * points iff it is above this
     bar = (floor.numerator * points) // floor.denominator
@@ -391,9 +380,7 @@ def intersection_value_set(
 
     if points > bar:
         walk(0, (1 << points) - 1)
-    result = tuple(sorted(found))
-    _VALUE_SET_CACHE[key] = result
-    return result
+    return tuple(sorted(found))
 
 
 def max_intersection(shape: Shape) -> tuple[int, SignAssignment | None]:

@@ -13,6 +13,7 @@ from typing import Iterable, Sequence
 
 from .codim1 import SignCount, binomial, closed_form_large_sizes
 from .cube import (
+    MAX_DIMENSION,
     LinearMap,
     SizeSet,
     fix_coordinate_count,
@@ -31,6 +32,11 @@ from .search import (
     bfs_search,
 )
 from .shapes import Shape, canonical_form, intersection_value_set
+
+# Largest k that verify_large_sets and verify_small_window accept: the slower
+# of the two, verify_large_sets(12), takes about 15 s in a fresh process on a
+# 2-vCPU host, and each step of k multiplies that by 1.5 to 1.7.
+MAX_CERTIFIED_K = 12
 
 
 @dataclass
@@ -200,8 +206,8 @@ def verify_large_sets(k: int, n_max: int | None = None) -> Report:
     above-threshold value lists are complete for every map with the given
     number of conditions.
     """
-    if not 6 <= k <= 8:
-        raise ValueError("desk-scale verification covers k = 6, 7, 8")
+    if not 6 <= k <= MAX_CERTIFIED_K:
+        raise ValueError(f"the large chain is certified for k in 6..{MAX_CERTIFIED_K}")
     if n_max is None:
         n_max = 2 * k
     if n_max > 2 * k:
@@ -286,15 +292,15 @@ def expected_small_families() -> list[Shape]:
     return sorted((canonical_form(s) for s in families), key=lambda s: s.edges)
 
 
-def verify_small_window(k: int = 8, max_edges: int = 10) -> Report:
+def verify_small_window(k: int = 8) -> Report:
     """The achievable sizes in [15/16 * 2^(k-1), 2^(k-1)] are exactly three.
 
     Membership: single-condition constructions.  Exclusion: the small-mode
     search, run to natural termination; every value of every survivor is
     swept, so any size strictly inside the window would show up.
     """
-    if k < 8:
-        raise ValueError("the window statement needs k >= 8")
+    if not 8 <= k <= MAX_CERTIFIED_K:
+        raise ValueError(f"the small window is certified for k in 8..{MAX_CERTIFIED_K}")
     report = Report(f"small window, k={k}")
     bottom, middle, half = small_window_values(k)
 
@@ -310,7 +316,7 @@ def verify_small_window(k: int = 8, max_edges: int = 10) -> Report:
     }
     report.add("claimed window values constructed", not wrong, failures=wrong)
 
-    result = bfs_search(SearchConfig(NON_REDUNDANT_SMALL, k, max_edges=max_edges))
+    result = bfs_search(SearchConfig(NON_REDUNDANT_SMALL, k))
     report.add(
         "search terminated before the condition budget",
         result.terminated_naturally,
@@ -540,8 +546,8 @@ def ints_window_check(
     depth bound) reaches it.  The check passes when every mask reached has
     exactly 2^(k-1) points.
     """
-    if k > 5:
-        raise ValueError("sweep intended for k <= 5")
+    if not 1 <= k <= 5:
+        raise ValueError("the integrality sweep covers k in 1..5")
     report = Report(f"entry integrality window, k={k}")
     entries = sorted(set(Fraction(v) for v in entry_set))
     plain = {Fraction(-1), Fraction(0), Fraction(1)}
@@ -581,8 +587,8 @@ def ints_window_check(
 def h_n_window(n: int) -> tuple[SizeSet, dict[int, LinearMap]]:
     """Sizes achievable in a fixed n-cube within the top quarter, with
     witnesses; only subspace dimensions n, n-1, n-2 can reach that high."""
-    if n < 8:
-        raise ValueError("window formula stated for n >= 8")
+    if not 8 <= n <= MAX_DIMENSION:
+        raise ValueError(f"window formula stated for n in 8..{MAX_DIMENSION}")
     quarter = 1 << (n - 2)
     witnesses: dict[int, LinearMap] = {}
     witnesses[1 << n] = LinearMap(n, ())

@@ -1,13 +1,14 @@
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubeint import cli, shapes
-from cubeint.cli import main, parse_command
+from cubeint.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -18,46 +19,45 @@ def run(capsys, *argv):
 
 class TestParsing:
     def test_sizes_codim1(self):
-        args = parse_command(["sizes", "codim1"])
+        args = build_parser().parse_args(["sizes", "codim1"])
         assert args.verb == "sizes" and args.table == "codim1"
 
     def test_search_small(self):
-        args = parse_command(
+        args = build_parser().parse_args(
             ["search", "--mode", "small", "--k", "8", "--threshold", "15/32"]
         )
         assert args.mode == "small" and str(args.threshold) == "15/32"
 
-    def test_verify_large_k9_rejected(self):
-        with pytest.raises(SystemExit) as err:
-            parse_command(["verify", "large", "--k", "9"])
-        assert err.value.code == 2
+    def test_verify_large_k13_rejected(self, capsys):
+        assert main(["verify", "large", "--k", "13"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_bad_rational_rejected(self):
         with pytest.raises(SystemExit) as err:
-            parse_command(["search", "--mode", "small", "--k", "8", "--threshold", "x"])
+            build_parser().parse_args(
+                ["search", "--mode", "small", "--k", "8", "--threshold", "x"]
+            )
         assert err.value.code == 2
 
     def test_unknown_verb_rejected(self):
         with pytest.raises(SystemExit) as err:
-            parse_command(["frobnicate"])
+            build_parser().parse_args(["frobnicate"])
         assert err.value.code == 2
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["verify", "antichain", "--ell", "8", "--trials", "5"],
-            ["verify", "large", "--k", "9"],
             ["frobnicate"],
             [],
             ["verify"],
             ["search", "--mode", "small", "--k", "8", "--threshold", "x"],
-            ["window", "hn", "--n", "3"],
             ["shape"],
         ],
     )
     def test_usage_error_is_one_line(self, capsys, argv):
         with pytest.raises(SystemExit) as err:
-            parse_command(argv)
+            build_parser().parse_args(argv)
         stderr = capsys.readouterr().err
         assert err.value.code == 2
         assert stderr.startswith("error: ") and stderr.count("\n") == 1
@@ -65,7 +65,7 @@ class TestParsing:
     @pytest.mark.parametrize("option", [["--trials", "5"], ["--seed", "1"]])
     def test_verify_antichain_takes_no_sampling_options(self, option):
         with pytest.raises(SystemExit) as err:
-            parse_command(["verify", "antichain", "--ell", "8", *option])
+            build_parser().parse_args(["verify", "antichain", "--ell", "8", *option])
         assert err.value.code == 2
 
 
@@ -160,10 +160,9 @@ class TestCommands:
         assert config["threshold"] == "7/16"
         assert config["max_edge_size"] == 6  # support bound capped by k
 
-    def test_search_k_range_guard(self):
-        with pytest.raises(SystemExit) as err:
-            parse_command(["search", "--mode", "large", "--k", "30"])
-        assert err.value.code == 2
+    def test_search_k_range_guard(self, capsys):
+        assert main(["search", "--mode", "large", "--k", "30"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_search_output_schema(self, capsys):
         code, out = run(
@@ -214,6 +213,32 @@ class TestExitContract:
         argv = [a.replace("{missing_dir}", str(tmp_path / "missing")) for a in argv]
         code = main(argv)
         err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    # limits that live in the library, and flags that exclude each other; the
+    # first two ran out of memory or time before anything rejected them
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["window", "hn", "--n", "1000000000000"],
+            ["sizes", "large", "--k", "2000"],
+            ["window", "hn", "--n", "3"],
+            ["verify", "large", "--k", "13"],
+            ["verify", "small", "--k", "13"],
+            ["verify", "small", "--k", "7"],
+            ["verify", "ints", "--k", "0"],
+            ["search", "--mode", "large", "--k", "30"],
+            ["oracle", "--k", "0", "--m", "1"],
+            ["shape", "--json", '{"edges":[[true,2]]}'],
+            ["shape", "--edges", "1,2", "--json", '{"edges":[[1,2]]}'],
+        ],
+    )
+    def test_refusal_is_one_line_and_prompt(self, argv):
+        start = time.perf_counter()
+        code, err = run_quietly(argv)
+        assert time.perf_counter() - start < 1
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
@@ -318,3 +343,32 @@ _near_maps = st.fixed_dictionaries(
 @given(st.one_of(_near_maps.map(json.dumps), _json_values.map(json.dumps), st.text(max_size=10)))
 def test_map_json_fuzz_exits_zero_or_two(text):
     assert_exit_contract(*run_quietly(["map", "--json", text]))
+
+
+_dimensions = st.one_of(st.integers(1, 8), st.sampled_from([-3, 0, 1, 25, 10**9]))
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from(["large", "small", "exhaustive-large", "bogus"]),
+    _dimensions,
+    st.one_of(st.none(), st.integers(-1, 3)),
+    st.one_of(st.none(), st.sampled_from(["1/2", "15/32", "3/4", "0", "1", "x", "1/0"])),
+)
+def test_search_fuzz_exits_zero_or_two(mode, k, max_edges, threshold):
+    argv = ["search", "--mode", mode, "--k", str(k)]
+    # the default depth grows with k: only a k that is refused may leave it unset
+    if max_edges is not None or 2 <= k <= 8:
+        argv.append(f"--max-edges={3 if max_edges is None else max_edges}")
+    if threshold is not None:
+        argv.append(f"--threshold={threshold}")
+    assert_exit_contract(*run_quietly(argv))
+
+
+@given(
+    st.one_of(st.integers(4, 12), st.sampled_from([-3, 0, 1, 25, 10**9])),
+    st.sampled_from(["large", "codim1"]),
+)
+def test_sizes_fuzz_exits_zero_or_two(k, table):
+    argv = ["sizes", table] + (["--k", str(k)] if table == "large" else [])
+    assert_exit_contract(*run_quietly(argv))

@@ -96,6 +96,11 @@ class TestLargeSizes:
         with pytest.raises(ValueError):
             large_codim1_sizes(5)
 
+    def test_rejects_k_past_max_dimension(self):
+        for k in (25, 2000):
+            with pytest.raises(ValueError):
+                large_codim1_sizes(k)
+
     def test_no_heavy_rows_above_half(self):
         # with eight or more nonzero entries a single row stays at half or below
         for k in range(8, 13):

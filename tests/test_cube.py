@@ -209,6 +209,18 @@ class TestOracle:
             with pytest.raises(ValueError):
                 oracle_enumerate(2, m, (-1, 0, 1))
 
+    def test_rejects_k_outside_dimension_range(self):
+        for k in (0, -1, 25, 10**9):
+            with pytest.raises(ValueError, match="outside 1..24"):
+                oracle_enumerate(k, 1, (0, 1))
+
+    def test_two_entries_run_past_k8(self):
+        # 2^9 rows of 2^9 points fit the row budget that refuses 3^9 rows
+        above_half = oracle_enumerate(9, 1, (0, 1), keep_above=Fraction(1, 2))
+        assert above_half.sizes == (384, 512)
+        with pytest.raises(EnumerationBudgetError):
+            oracle_enumerate(9, 1, (-1, 0, 1))
+
     def test_closure_work_guard(self):
         # 723 distinct masks at k=6: the third row alone would cost ~1.4e8
         # intersections, while the raw count 3^18 passes the matrix guard

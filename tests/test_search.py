@@ -171,5 +171,19 @@ class TestDeterminism:
             with pytest.raises(ValueError):
                 SearchConfig(NON_REDUNDANT_SMALL, 8, max_edges=max_edges)
 
+    def test_rejects_k_past_max_dimension(self):
+        for k in (25, 10**9):
+            with pytest.raises(ValueError, match="exceeds 24"):
+                SearchConfig(MINIMAL_LARGE, k)
+
+    def test_default_depths(self):
+        assert SearchConfig(MINIMAL_LARGE, 8).max_edges == 7
+        assert SearchConfig(EXHAUSTIVE_LARGE, 8).max_edges == 8
+        assert SearchConfig(NON_REDUNDANT_SMALL, 8).max_edges == 9
+
+    def test_small_search_ends_on_its_own_at_default_depth(self):
+        result = bfs_search(SearchConfig(NON_REDUNDANT_SMALL, 8))
+        assert result.terminated_naturally and len(result.depths) == 8
+
     def test_mode_constants_distinct(self):
         assert MINIMAL_LARGE != EXHAUSTIVE_LARGE

@@ -127,7 +127,7 @@ class TestLargeChain:
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            verify_large_sets(9)
+            verify_large_sets(13)
         with pytest.raises(ValueError):
             verify_large_sets(6, n_max=13)
         for n_max in (6, 5):  # no extra condition: every check would be vacuous
@@ -150,6 +150,19 @@ class TestSmallWindow:
         assert report.passed
         assert details["window altogether"]["window"] == [240, 252, 256]
         assert details["strict interior of the window"]["found"] == [252]
+
+    def test_verify_k10(self):
+        # the search's default depth, k + 1, lets it end on its own past k = 9
+        report = verify_small_window(10)
+        details = {check.name: check.details for check in report.checks}
+        assert report.passed, report.to_json_dict()
+        assert details["search terminated before the condition budget"]["depths"] == 10
+        assert details["window altogether"]["window"] == [480, 504, 512]
+
+    @pytest.mark.parametrize("k", [7, 13])
+    def test_rejects_out_of_range(self, k):
+        with pytest.raises(ValueError):
+            verify_small_window(k)
 
 
 # Broken chain partitions for the antichain proof: two_element_step breaks
@@ -264,6 +277,11 @@ class TestIntsWindow:
         with pytest.raises(ValueError):
             ints_window_check(6)
 
+    def test_rejects_k_below_one(self):
+        for k in (0, -1):
+            with pytest.raises(ValueError):
+                ints_window_check(k)
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_two_row_closure_matches_pair_sweep(self, k):
         pure, bad = set(), set()
@@ -308,6 +326,11 @@ class TestHnWindow:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             h_n_window(7)
+
+    def test_rejects_n_past_max_dimension(self):
+        for n in (25, 10**12):
+            with pytest.raises(ValueError):
+                h_n_window(n)
 
 
 class TestSumsOfPowers:
