@@ -48,10 +48,12 @@ class TestParsing:
         "argv",
         [
             ["verify", "antichain", "--ell", "8", "--trials", "5"],
+            ["verify", "large", "--k", "nine"],
             ["frobnicate"],
             [],
             ["verify"],
             ["search", "--mode", "small", "--k", "8", "--threshold", "x"],
+            ["window", "hn", "--n", "three"],
             ["shape"],
         ],
     )
