@@ -86,11 +86,7 @@ def _emit_tsv(rows, header: str, args, meta: dict) -> None:
 
 def _cmd_sizes(args) -> int:
     if args.table == "codim1":
-        rows = codim1_table()
-        if args.format == "tsv":
-            _emit_tsv(rows, "a\tb\tt", args, {"table": "codim1"})
-        else:
-            _emit({"table": [list(r) for r in rows]}, args)
+        _emit_tsv(codim1_table(), "a\tb\tt", args, {"table": "codim1"})
         return 0
     sizes = large_codim1_sizes(args.k)
     _emit(sizes.to_json_dict(), args)
@@ -135,7 +131,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.what == "large":
-        report = verify_large_sets(args.k, args.n_max)
+        report = verify_large_sets(args.k)
     elif args.what == "small":
         report = verify_small_window(args.k)
     elif args.what == "antichain":
@@ -220,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sizes = sub.add_parser("sizes", help="closed-form size tables")
     sizes_sub = p_sizes.add_subparsers(dest="table", required=True)
     p_codim1 = sizes_sub.add_parser("codim1", help="single-condition (a,b,t) table")
-    p_codim1.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p_codim1.add_argument("--out")
     p_codim1.set_defaults(func=_cmd_sizes)
     p_large = sizes_sub.add_parser("large", help="above-half single-condition sizes")
@@ -240,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify_sub = p_verify.add_subparsers(dest="what", required=True)
     v_large = verify_sub.add_parser("large")
     v_large.add_argument("--k", type=int, required=True)
-    v_large.add_argument("--n-max", type=int, default=None)
     v_large.add_argument("--out")
     v_large.set_defaults(func=_cmd_verify)
     v_small = verify_sub.add_parser("small")

@@ -17,8 +17,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 # One bit per cube vertex; beyond this the masks no longer fit a sane budget.
 MAX_DIMENSION = 24
 
-DEFAULT_ORACLE_BUDGET = 2 ** 36
-
 # Most steps each stage of the oracle may take, about a second or two: building
 # a row mask costs 2^k steps and the closure one per intersection.  oracle --k 5
 # --m 3 needs 4.2 million intersections; --k 6 --m 3 and --k 8 --m 2 far more.
@@ -68,12 +66,6 @@ class LinearMap:
     def from_rows(k: int, rows: Iterable[Iterable]) -> "LinearMap":
         entries = tuple(tuple(_as_fraction(v) for v in row) for row in rows)
         return LinearMap(k, entries)
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        """Row by 1-based index."""
-        if not 1 <= i <= self.m:
-            raise IndexError(f"row index {i} outside 1..{self.m}")
-        return self.entries[i - 1]
 
     def to_json_dict(self) -> dict:
         return {
@@ -133,16 +125,22 @@ class IntersectionPattern:
 
 
 @lru_cache(maxsize=None)
-def row_mask(k: int, coeffs: tuple[int, ...], unit: int) -> int:
-    """Bitmask of points whose scaled row value lies in {0, unit}."""
-    values = [0]
+def row_mask(coeffs: tuple[int, ...], unit: int) -> int:
+    """Bitmask of points whose scaled row value lies in {0, unit}.
+
+    Built by level sets: each value maps to the mask of the points taking it.
+    Coefficient i adds c to the points with bit i set, which are the points
+    seen so far shifted up by 2^i, so each coefficient doubles the width.
+    """
+    levels = {0: 1}
+    width = 1
     for c in coeffs:
-        values.extend([v + c for v in values])
-    mask = 0
-    for idx, v in enumerate(values):
-        if v == 0 or v == unit:
-            mask |= 1 << idx
-    return mask
+        grown = dict(levels)
+        for value, mask in levels.items():
+            grown[value + c] = grown.get(value + c, 0) | mask << width
+        levels = grown
+        width <<= 1
+    return levels.get(0, 0) | levels.get(unit, 0)
 
 
 # The former name, through which certbench reads the cache statistics.
@@ -161,7 +159,7 @@ def row_masks(k: int, entries: Iterable) -> Iterator[tuple[tuple, int]]:
     at point x lies in {0, 1}.  Rows with equal masks are all yielded.
     """
     for row in product(entries, repeat=k):
-        yield row, row_mask(k, *_scaled_row(row))
+        yield row, row_mask(*_scaled_row(row))
 
 
 def intersection_closure(
@@ -215,7 +213,7 @@ def evaluate_pattern(linear_map: LinearMap) -> tuple[IntersectionPattern, int]:
     mask = full_mask(k)
     for row in linear_map.entries:
         coeffs, unit = _scaled_row(row)
-        mask &= row_mask(k, coeffs, unit)
+        mask &= row_mask(coeffs, unit)
         if mask == 0:
             break
     pattern = IntersectionPattern(k, mask)
@@ -257,7 +255,7 @@ def is_minimal(linear_map: LinearMap) -> bool:
         if row_supports[i] <= others:
             return False
         coeffs, unit = _scaled_row(linear_map.entries[i])
-        if row_mask(linear_map.k, coeffs, unit) == full_mask(linear_map.k):
+        if row_mask(coeffs, unit) == full_mask(linear_map.k):
             return False
     return True
 
@@ -362,17 +360,16 @@ def oracle_enumerate(
     m: int,
     entry_set: Iterable,
     keep_above: Fraction | int = 0,
-    budget: int = DEFAULT_ORACLE_BUDGET,
 ) -> SizeSet:
     """Exact set of achievable sizes over all m-row maps with given entries.
 
     The distinct single-row masks are closed under intersection up to m rows
     (intersection_closure, with the bar keep_above * 2^k rounded down); the
-    result is identical to the raw sweep over all |entries|^(k*m) matrices,
-    which is what `budget` is stated in.  Building the row masks and closing
-    them may each take at most ORACLE_WORK_BUDGET steps.  Every guard raises
-    EnumerationBudgetError.  Only sizes strictly above keep_above * 2^k are
-    reported.  k must lie in 1..MAX_DIMENSION and m be at least 1.
+    result is identical to the raw sweep over all |entries|^(k*m) matrices.
+    Building the row masks and closing them may each take at most
+    ORACLE_WORK_BUDGET steps; either guard raises EnumerationBudgetError.
+    Only sizes strictly above keep_above * 2^k are reported.  k must lie in
+    1..MAX_DIMENSION and m be at least 1.
     """
     if not 1 <= k <= MAX_DIMENSION:
         raise ValueError(f"oracle dimension k={k} outside 1..{MAX_DIMENSION}")
@@ -381,13 +378,6 @@ def oracle_enumerate(
     entries = sorted(set(_as_fraction(v) for v in entry_set))
     if not entries:
         raise ValueError("entry set must be nonempty")
-    # two or more entries give at least 2^(k*m) maps, past the budget once k*m
-    # reaches its bit length: the exact power may have millions of digits
-    too_many = len(entries) > 1 and k * m >= budget.bit_length()
-    if too_many or len(entries) ** (k * m) > budget:
-        raise EnumerationBudgetError(
-            f"{len(entries)}^{k * m} maps exceed budget {budget}"
-        )
     if len(entries) ** k << k > ORACLE_WORK_BUDGET:
         raise EnumerationBudgetError(
             f"{len(entries)}^{k} rows of 2^{k} points exceed the work budget "

@@ -327,7 +327,7 @@ def _edge_choices(
             fill = iter(shared_signs), iter([-1] * minus + [1] * (private - minus))
             # from a list: a generator here raised verify small's peak RSS 0.3 MB
             signs_t = tuple([next(fill[not flag]) for flag in is_shared])
-            candidates.append((signs_t, row_mask(k, _spread(edge, signs_t, k), 1)))
+            candidates.append((signs_t, row_mask(_spread(edge, signs_t, k), 1)))
     candidates.sort()
     masks: set[int] = set()
     ordered = []
@@ -355,32 +355,23 @@ def intersection_value_set(
     """All achievable sizes above floor * 2^k, in ascending order.
 
     Only the sizes are kept; max_intersection gives a witness for the best
-    one.  A partial intersection at or below the floor is never extended, and
-    the last edge is scanned in place.  Cached on (shape, floor).
+    one.  The partial intersections are closed one edge at a time as a set,
+    so equal ones are extended once, and one at or below the floor is never
+    extended.  Cached on (shape, floor).
     """
     floor = Fraction(floor)
     points = 1 << shape.vertex_count
     # an integer size is above floor * points iff it is above this
     bar = (floor.numerator * points) // floor.denominator
-    cands = _edge_candidates(shape)
-    last = len(cands) - 1
-    found: set[int] = set()
-
-    def walk(idx: int, mask: int):
-        if idx == last:
-            for _signs, cand_mask in cands[idx]:
-                value = (mask & cand_mask).bit_count()
-                if value > bar:
-                    found.add(value)
-            return
-        for _signs, cand_mask in cands[idx]:
-            child = mask & cand_mask
-            if child.bit_count() > bar:
-                walk(idx + 1, child)
-
-    if points > bar:
-        walk(0, (1 << points) - 1)
-    return tuple(sorted(found))
+    masks = {(1 << points) - 1}
+    for choices in _edge_candidates(shape):
+        masks = {
+            child
+            for mask in masks
+            for _signs, cand_mask in choices
+            if (child := mask & cand_mask).bit_count() > bar
+        }
+    return tuple(sorted({mask.bit_count() for mask in masks}))
 
 
 def max_intersection(shape: Shape) -> tuple[int, SignAssignment | None]:

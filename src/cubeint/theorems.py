@@ -198,8 +198,8 @@ def computed_large_sizes(result: SearchResult, k: int, extra_rows: int) -> set[i
     return sizes
 
 
-def verify_large_sets(k: int, n_max: int | None = None) -> Report:
-    """Exact computation of the above-half size sets for n = k+1 .. n_max.
+def verify_large_sets(k: int) -> Report:
+    """Exact computation of the above-half size sets for n = k+1 .. 2k.
 
     Membership is witnessed by explicit maps (each re-verified by enumeration);
     exclusion comes from the exhaustive large-mode shape search, whose
@@ -208,17 +208,10 @@ def verify_large_sets(k: int, n_max: int | None = None) -> Report:
     """
     if not 6 <= k <= MAX_CERTIFIED_K:
         raise ValueError(f"the large chain is certified for k in 6..{MAX_CERTIFIED_K}")
-    if n_max is None:
-        n_max = 2 * k
-    if n_max > 2 * k:
-        raise ValueError("n_max beyond 2k adds nothing: the chain is stable")
-    if n_max <= k:
-        raise ValueError(f"n_max must be at least k+1 = {k + 1}")
     report = Report(f"large intersection sizes, k={k}")
-    max_rows = n_max - k
-    result = bfs_search(SearchConfig(EXHAUSTIVE_LARGE, k, max_edges=max_rows))
+    result = bfs_search(SearchConfig(EXHAUSTIVE_LARGE, k))
 
-    for extra in range(1, max_rows + 1):
+    for extra in range(1, k + 1):
         claimed = claimed_large_sizes(k, extra)
         computed = computed_large_sizes(result, k, extra)
         report.add(
@@ -243,13 +236,11 @@ def verify_large_sets(k: int, n_max: int | None = None) -> Report:
             not bad,
             failures=bad,
         )
-    if max_rows >= 3:
-        report.add(
-            "sizes stall between two and three extra conditions",
-            claimed_large_sizes(k, 2) == claimed_large_sizes(k, 3)
-            and computed_large_sizes(result, k, 2)
-            == computed_large_sizes(result, k, 3),
-        )
+    report.add(
+        "sizes stall between two and three extra conditions",
+        claimed_large_sizes(k, 2) == claimed_large_sizes(k, 3)
+        and computed_large_sizes(result, k, 2) == computed_large_sizes(result, k, 3),
+    )
     return report
 
 
@@ -531,12 +522,14 @@ def condition_drop_bound_sweep(max_k: int = 4, max_rows: int = 3) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def ints_window_check(
-    k: int,
-    entry_set: Iterable = (-2, -1, Fraction(-1, 2), 0, Fraction(1, 2), 1, 2),
-) -> Report:
-    """Maps with an entry outside {-1,0,1} never land strictly between
-    15/16 * 2^(k-1) and 2^(k-1), nor above 2^(k-1) except at exactly half.
+# The entries ints_window_check sweeps: the units and the nearest non-units.
+INTEGRALITY_ENTRIES = tuple(map(Fraction, ("-2", "-1", "-1/2", "0", "1/2", "1", "2")))
+
+
+def ints_window_check(k: int) -> Report:
+    """Maps over INTEGRALITY_ENTRIES with an entry outside {-1,0,1} never land
+    strictly between 15/16 * 2^(k-1) and 2^(k-1), nor above 2^(k-1) except at
+    exactly half.
 
     An exhaustive proof for any number of rows.  A map with a non-unit entry
     has a bad row, and its pattern is that row's mask intersected with the
@@ -549,15 +542,10 @@ def ints_window_check(
     if not 1 <= k <= 5:
         raise ValueError("the integrality sweep covers k in 1..5")
     report = Report(f"entry integrality window, k={k}")
-    entries = sorted(set(Fraction(v) for v in entry_set))
-    plain = {Fraction(-1), Fraction(0), Fraction(1)}
-    if not (set(plain) <= set(entries)):
-        raise ValueError("entry set must contain -1, 0, 1")
-
     pure_masks: set[int] = set()
     bad_masks: set[int] = set()
-    for row, mask in row_masks(k, entries):
-        if set(row) <= plain:
+    for row, mask in row_masks(k, INTEGRALITY_ENTRIES):
+        if set(row) <= {-1, 0, 1}:
             pure_masks.add(mask)
         else:
             bad_masks.add(mask)

@@ -8,6 +8,17 @@ from cubeint.cube import LinearMap, evaluate_pattern, row_mask
 from cubeint.shapes import Edge, Shape, SignAssignment, _edge_key
 
 
+def reference_row_mask(coeffs: tuple[int, ...], unit: int) -> int:
+    """cube.row_mask point by point: bit x is set iff the coefficients at the
+    set bits of x sum to 0 or to unit."""
+    mask = 0
+    for x in range(1 << len(coeffs)):
+        value = sum(c for i, c in enumerate(coeffs) if x >> i & 1)
+        if value in (0, unit):
+            mask |= 1 << x
+    return mask
+
+
 def assert_normal_shape(shape: Shape) -> None:
     """The normal form Shape trusts its caller for, checked in full: at least
     one edge, each of two or more sorted distinct vertices, the vertices
@@ -164,7 +175,7 @@ def reference_edge_candidates(shape: Shape) -> list[list[tuple[tuple[int, ...], 
                 coeffs = [0] * k
                 for v, s in zip(edge, signs_t):
                     coeffs[v - 1] = s
-                candidates.append((signs_t, row_mask(k, tuple(coeffs), 1)))
+                candidates.append((signs_t, row_mask(tuple(coeffs), 1)))
         candidates.sort()
         masks: set[int] = set()
         ordered = []

@@ -55,6 +55,8 @@ class TestParsing:
             ["search", "--mode", "small", "--k", "8", "--threshold", "x"],
             ["window", "hn", "--n", "three"],
             ["shape"],
+            ["verify", "large", "--k", "6", "--n-max", "6"],
+            ["sizes", "codim1", "--format", "json"],
         ],
     )
     def test_usage_error_is_one_line(self, capsys, argv):
@@ -177,6 +179,13 @@ class TestCommands:
         entry = depths[0]["shapes"][0]
         assert set(entry) >= {"shape", "max", "fraction"}
 
+    def test_window_at_max_dimension_is_prompt(self, capsys):
+        start = time.perf_counter()
+        code, out = run(capsys, "window", "hn", "--n", "24")
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        assert json.loads(out)["result"]["match"] is True
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code = main(["window", "hn", "--n", "10", "--out", str(target)])
@@ -201,7 +210,6 @@ class TestExitContract:
             ["shape", "--edges", ";".join(f"{a},{b}" for a in range(1, 8) for b in range(a + 1, 8))],
             ["map", "--json", '{"k":2,"entries":[["1/0","1"]]}'],
             ["oracle", "--k", "2", "--m", "1", "--entries", "1/0"],
-            ["verify", "large", "--k", "6", "--n-max", "6"],
             ["oracle", "--k", "2", "--m", "0"],
             ["oracle", "--k", "2", "--m", "-1"],
             ["search", "--mode", "large", "--k", "6", "--max-edges", "0"],

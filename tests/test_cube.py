@@ -1,4 +1,6 @@
 import json
+import random
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -21,10 +23,13 @@ from cubeint.cube import (
     is_minimal,
     oracle_enumerate,
     restrict,
+    row_mask,
     row_masks,
     support,
     _scaled_row,
 )
+
+from oracles import reference_row_mask
 
 
 def lm(k, rows):
@@ -196,10 +201,6 @@ class TestOracle:
     def test_zero_entries_only(self):
         assert oracle_enumerate(3, 2, (0,)).sizes == (8,)
 
-    def test_budget_guard(self):
-        with pytest.raises(EnumerationBudgetError):
-            oracle_enumerate(4, 3, (-1, 0, 1), budget=10)
-
     def test_matches_raw_sweep(self):
         raw = sorted({intersection_size(m) for m in all_sign_maps(2, 2)})
         assert list(oracle_enumerate(2, 2, (-1, 0, 1)).sizes) == raw
@@ -223,11 +224,17 @@ class TestOracle:
 
     def test_closure_work_guard(self):
         # 723 distinct masks at k=6: the third row alone would cost ~1.4e8
-        # intersections, while the raw count 3^18 passes the matrix guard
-        assert 3 ** 18 < 2 ** 36
+        # intersections
         with pytest.raises(EnumerationBudgetError, match=str(ORACLE_WORK_BUDGET)):
             oracle_enumerate(6, 3, (-1, 0, 1))
         assert oracle_enumerate(5, 3, (-1, 0, 1)).sizes[-1] == 32
+
+    def test_closure_saturates_before_a_huge_depth(self):
+        # no mask is met first past depth 3 at k=3, so a million rows add nothing
+        start = time.perf_counter()
+        deep = oracle_enumerate(3, 10**6, (-1, 0, 1))
+        assert time.perf_counter() - start < 1
+        assert deep.sizes == oracle_enumerate(3, 3, (-1, 0, 1)).sizes
 
     def test_row_work_guard(self):
         # 4^8 rows of 256 points each: 16.8 million steps before any closure
@@ -277,6 +284,19 @@ def test_scaled_row_matches_fraction_products(k):
         coeffs, unit = _scaled_row(row)
         assert coeffs == tuple(int(f * unit) for f in row)
         assert all(type(c) is int for c in coeffs)
+
+
+def test_row_mask_matches_point_by_point_reference():
+    entries = sorted({Fraction(v) for v in INTEGRALITY_ENTRIES})
+    for k in (1, 2, 3):
+        for row in product(entries, repeat=k):
+            coeffs, unit = _scaled_row(row)
+            assert row_mask(coeffs, unit) == reference_row_mask(coeffs, unit)
+    rng = random.Random(12)
+    for k in (10, 11, 12):
+        for _ in range(10):
+            coeffs = tuple(rng.choice((-1, 0, 1)) for _ in range(k))
+            assert row_mask(coeffs, 1) == reference_row_mask(coeffs, 1)
 
 
 class TestSerialization:

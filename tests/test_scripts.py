@@ -27,8 +27,10 @@ def run_script(name, *args):
         ("run_large_chain.py", ["--k", "6"], "[ok ] k=6: H+(7,6) matches"),
         ("run_small_window.py", ["--k", "8"], "[ok ] strict interior of the window"),
         ("emit_tables.py", [], "a\tb\tt"),
+        ("emit_tables.py", ["--n", "24"], "top-quarter window, n=24: "
+         "[4194304, 4587520, 5242880, 6291456, 8388608, 16777216]"),
     ],
-    ids=["run_large_chain", "run_small_window", "emit_tables"],
+    ids=["run_large_chain", "run_small_window", "emit_tables", "emit_tables_n24"],
 )
 def test_script_runs(name, args, line):
     result = run_script(name, *args)

@@ -128,11 +128,6 @@ class TestLargeChain:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             verify_large_sets(13)
-        with pytest.raises(ValueError):
-            verify_large_sets(6, n_max=13)
-        for n_max in (6, 5):  # no extra condition: every check would be vacuous
-            with pytest.raises(ValueError):
-                verify_large_sets(6, n_max=n_max)
 
 
 class TestSmallWindow:
@@ -395,7 +390,7 @@ class TestReports:
         import json
 
         reports = [
-            verify_large_sets(6, n_max=8),
+            verify_large_sets(6),
             antichain_bound_check(5),
             ints_window_check(2),
             condition_drop_bound_sweep(max_k=2, max_rows=2),
