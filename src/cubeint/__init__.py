@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .cube import (
-    IntersectionPattern,
     LinearMap,
     SizeSet,
     evaluate_pattern,
@@ -28,7 +27,6 @@ from .codim1 import (
 from .shapes import (
     CanonicalBudgetError,
     Shape,
-    SignAssignment,
     canonical_form,
     classify_star,
     max_intersection,
@@ -42,12 +40,10 @@ from .search import (
 
 __all__ = [
     "CanonicalBudgetError",
-    "IntersectionPattern",
     "LinearMap",
     "SizeSet",
     "SignCount",
     "Shape",
-    "SignAssignment",
     "SearchConfig",
     "SearchResult",
     "bfs_search",

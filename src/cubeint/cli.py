@@ -181,7 +181,7 @@ def _cmd_shape(args) -> int:
         "classification": classify_star(canon),
         "max": best,
         "fraction": str(Fraction(best, 1 << canon.vertex_count)),
-        "witness": [list(row) for row in witness.signs] if witness else None,
+        "witness": [list(row) for row in witness] if witness else None,
     }
     _emit(payload, args)
     return 0
@@ -189,11 +189,11 @@ def _cmd_shape(args) -> int:
 
 def _cmd_map(args) -> int:
     linear_map = LinearMap.from_json_dict(json.loads(args.json))
-    pattern, size = evaluate_pattern(linear_map)
+    mask = evaluate_pattern(linear_map)
     payload = {
         "map": linear_map.to_json_dict(),
-        "size": size,
-        "pattern_hex": pattern.to_hex(),
+        "size": mask.bit_count(),
+        "pattern_hex": format(mask, "x"),
     }
     _emit(payload, args)
     return 0

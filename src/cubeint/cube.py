@@ -18,8 +18,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 MAX_DIMENSION = 24
 
 # Most steps each stage of the oracle may take, about a second or two: building
-# a row mask costs 2^k steps and the closure one per intersection.  oracle --k 5
-# --m 3 needs 4.2 million intersections; --k 6 --m 3 and --k 8 --m 2 far more.
+# a row mask costs 2^k steps, and an intersection of two 2^k-bit masks in the
+# closure max(1, 2^k // 256).  oracle --k 5 --m 3 needs 4.2 million
+# intersections at one step each; --k 6 --m 3 and --k 8 --m 2 far more.
 ORACLE_WORK_BUDGET = 5_000_000
 
 
@@ -89,39 +90,6 @@ class LinearMap:
         if declared_m != lm.m:
             raise ValueError("declared m does not match entry rows")
         return lm
-
-
-@dataclass(frozen=True)
-class IntersectionPattern:
-    """Subset of {0,1}^k as a bitmask (bit x set iff point x is a member)."""
-
-    k: int
-    mask: int
-
-    def __post_init__(self):
-        if self.mask >> (1 << self.k):
-            raise ValueError("mask has bits beyond 2^k points")
-
-    @property
-    def size(self) -> int:
-        return self.mask.bit_count()
-
-    def __contains__(self, point: int) -> bool:
-        return bool((self.mask >> point) & 1)
-
-    def members(self) -> Iterable[int]:
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
-
-    def to_hex(self) -> str:
-        return format(self.mask, "x")
-
-    @staticmethod
-    def from_hex(k: int, text: str) -> "IntersectionPattern":
-        return IntersectionPattern(k, int(text, 16))
 
 
 @lru_cache(maxsize=None)
@@ -207,21 +175,19 @@ def full_mask(k: int) -> int:
     return (1 << (1 << k)) - 1
 
 
-def evaluate_pattern(linear_map: LinearMap) -> tuple[IntersectionPattern, int]:
-    """Pattern of points x with every row value in {0,1}, and its size."""
-    k = linear_map.k
-    mask = full_mask(k)
+def evaluate_pattern(linear_map: LinearMap) -> int:
+    """Mask of the points x with every row value in {0,1}."""
+    mask = full_mask(linear_map.k)
     for row in linear_map.entries:
         coeffs, unit = _scaled_row(row)
         mask &= row_mask(coeffs, unit)
         if mask == 0:
             break
-    pattern = IntersectionPattern(k, mask)
-    return pattern, pattern.size
+    return mask
 
 
 def intersection_size(linear_map: LinearMap) -> int:
-    return evaluate_pattern(linear_map)[1]
+    return evaluate_pattern(linear_map).bit_count()
 
 
 def support(linear_map: LinearMap) -> tuple[tuple[frozenset[int], ...], frozenset[int]]:
@@ -287,25 +253,25 @@ def fix_coordinate_count(linear_map: LinearMap, coordinate: int) -> int:
     """Number of pattern members whose given coordinate equals zero."""
     if not 1 <= coordinate <= linear_map.k:
         raise IndexError("coordinate outside 1..k")
-    pattern, _ = evaluate_pattern(linear_map)
-    return (pattern.mask & _coordinate_zero_mask(linear_map.k, coordinate)).bit_count()
+    mask = evaluate_pattern(linear_map)
+    return (mask & _coordinate_zero_mask(linear_map.k, coordinate)).bit_count()
 
 
 def factor_pattern(
-    pattern: IntersectionPattern, support_set: Iterable[int]
-) -> tuple[IntersectionPattern, int]:
-    """Split P = J x {0,1}^free over the claimed support, validating the split.
+    k: int, mask: int, support_set: Iterable[int]
+) -> tuple[int, int]:
+    """Split the pattern P = J x {0,1}^free of {0,1}^k over the claimed
+    support, validating the split.
 
-    Returns the compressed pattern J over the support coordinates (in ascending
-    order) and the count of free coordinates.  Raises PatternFactorError when
-    the pattern actually depends on a coordinate outside the support.
+    Returns the mask of J over the support coordinates (bit i of a J point is
+    the i-th support coordinate, ascending) and the count of free coordinates.
+    Raises PatternFactorError when the pattern actually depends on a
+    coordinate outside the support.
     """
-    k = pattern.k
     supp = sorted(set(support_set))
     if supp and (supp[0] < 1 or supp[-1] > k):
         raise ValueError("support coordinate outside 1..k")
     free = [c for c in range(1, k + 1) if c not in set(supp)]
-    mask = pattern.mask
     for c in free:
         zero_sel = _coordinate_zero_mask(k, c)
         half = 1 << (c - 1)
@@ -324,11 +290,10 @@ def factor_pattern(
                 point |= 1 << (supp[bit_idx] - 1)
         if (mask >> point) & 1:
             j_mask |= 1 << combo
-    j_pattern = IntersectionPattern(s, j_mask)
     free_count = k - s
-    if j_pattern.size << free_count != pattern.size:
+    if j_mask.bit_count() << free_count != mask.bit_count():
         raise PatternFactorError("pattern size does not match the product form")
-    return j_pattern, free_count
+    return j_mask, free_count
 
 
 @dataclass
@@ -367,7 +332,8 @@ def oracle_enumerate(
     (intersection_closure, with the bar keep_above * 2^k rounded down); the
     result is identical to the raw sweep over all |entries|^(k*m) matrices.
     Building the row masks and closing them may each take at most
-    ORACLE_WORK_BUDGET steps; either guard raises EnumerationBudgetError.
+    ORACLE_WORK_BUDGET steps, an intersection costing max(1, 2^k // 256) of
+    them; either guard raises EnumerationBudgetError.
     Only sizes strictly above keep_above * 2^k are reported.  k must lie in
     1..MAX_DIMENSION and m be at least 1.
     """
@@ -386,8 +352,9 @@ def oracle_enumerate(
     keep = _as_fraction(keep_above)
     above = (keep.numerator << k) // keep.denominator
     masks = {mask for _row, mask in row_masks(k, entries)}
+    step = max(1, (1 << k) // 256)
     reached = intersection_closure(
-        masks, masks, above, max_rows=m, max_work=ORACLE_WORK_BUDGET
+        masks, masks, above, max_rows=m, max_work=ORACLE_WORK_BUDGET // step
     )
     result = tuple(sorted({mask.bit_count() for mask in reached}))
     return SizeSet(k + m, k, result, {s: "oracle" for s in result})

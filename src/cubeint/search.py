@@ -95,14 +95,14 @@ class ShapeRecord:
     shape: Shape
     max_size: int
     values: tuple[int, ...]
-    keys: tuple = ()
+    keys: tuple
 
     @property
     def fraction(self) -> Fraction:
         return Fraction(self.max_size, 1 << self.shape.vertex_count)
 
     def raw_count(self) -> int:
-        return max(1, len(self.keys))
+        return len(self.keys)
 
 
 @dataclass

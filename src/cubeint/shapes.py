@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, Sequence
 
-from .cube import LinearMap, row_mask
+from .cube import row_mask
 
 Edge = tuple[int, ...]
 
@@ -64,9 +64,6 @@ class Shape:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def distinct_edge_count(self) -> int:
-        return len(set(self.edges))
-
     def degrees(self) -> Counter:
         deg: Counter = Counter()
         for edge in self.edges:
@@ -100,38 +97,6 @@ class Shape:
         ):
             raise ValueError("a shape is a JSON object with 'edges': lists of integers")
         return Shape.from_edges(edges)
-
-
-@dataclass(frozen=True)
-class SignAssignment:
-    """Signs in {-1,+1} for every incidence, aligned to the shape's edges.
-
-    signs[i][j] is the sign on the j-th smallest vertex of edge i.
-    """
-
-    shape: Shape
-    signs: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.signs) != self.shape.edge_count:
-            raise ValueError("one sign tuple per edge required")
-        for edge, row in zip(self.shape.edges, self.signs):
-            if len(row) != len(edge) or any(s not in (-1, 1) for s in row):
-                raise ValueError("signs must be +-1 and match edge sizes")
-
-    def sign(self, edge_index: int, vertex: int) -> int:
-        edge = self.shape.edges[edge_index]
-        return self.signs[edge_index][edge.index(vertex)]
-
-    def to_map(self) -> LinearMap:
-        k = self.shape.vertex_count
-        rows = []
-        for edge, row in zip(self.shape.edges, self.signs):
-            coeffs = [0] * k
-            for v, s in zip(edge, row):
-                coeffs[v - 1] = s
-            rows.append(coeffs)
-        return LinearMap.from_rows(k, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -374,14 +339,15 @@ def intersection_value_set(
     return tuple(sorted({mask.bit_count() for mask in masks}))
 
 
-def max_intersection(shape: Shape) -> tuple[int, SignAssignment | None]:
+def max_intersection(shape: Shape) -> tuple[int, tuple | None]:
     """Best achievable size over sign assignments, with a deterministic witness.
 
-    One branch-and-bound walk over the cached edge choices in ascending sign
-    order (reduced private placements, -1 before +1); the witness is recorded
-    whenever the best size rises, so it is the first assignment in that order
-    reaching the maximum.  Returns (0, None) when every assignment gives the
-    empty set.
+    The witness holds one sign row per edge: row i gives the +-1 on the
+    vertices of edge i, ascending.  One branch-and-bound walk over the cached
+    edge choices in ascending sign order (reduced private placements, -1
+    before +1); the witness is recorded whenever the best size rises, so it is
+    the first assignment in that order reaching the maximum.  Returns
+    (0, None) when every assignment gives the empty set.
     """
     cands = _edge_candidates(shape)
     best = 0
@@ -399,9 +365,7 @@ def max_intersection(shape: Shape) -> tuple[int, SignAssignment | None]:
             walk(idx + 1, mask & cand_mask, chosen + (signs_t,))
 
     walk(0, (1 << (1 << shape.vertex_count)) - 1, ())
-    if witness is None:
-        return 0, None
-    return best, SignAssignment(shape, witness)
+    return best, witness
 
 
 def shape_fraction(shape: Shape) -> Fraction:

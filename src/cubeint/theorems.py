@@ -72,16 +72,12 @@ class Report:
 
 
 def _jsonable(value):
+    """Check details with every dict key as a string, so that json.dumps sorts
+    the keys as text (it would sort int keys by value)."""
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (set, frozenset)):
-        return [_jsonable(v) for v in sorted(value)]
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, (LinearMap, Shape, SizeSet)):
-        return value.to_json_dict()
     return value
 
 

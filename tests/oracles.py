@@ -5,7 +5,7 @@ from itertools import permutations, product
 
 from cubeint.codim1 import binomial
 from cubeint.cube import LinearMap, evaluate_pattern, row_mask
-from cubeint.shapes import Edge, Shape, SignAssignment, _edge_key
+from cubeint.shapes import Edge, Shape, _edge_key
 
 
 def reference_row_mask(coeffs: tuple[int, ...], unit: int) -> int:
@@ -40,20 +40,35 @@ def assert_normal_shape(shape: Shape) -> None:
         raise AssertionError("edges must be sorted by (size desc, lex)")
 
 
-def assignment_intersection(shape: Shape, assignment: SignAssignment) -> int:
-    """Size of the intersection for one sign assignment.
+def assignment_map(shape: Shape, signs) -> LinearMap:
+    """The map of one sign assignment: signs[i][j] is the sign on the j-th
+    smallest vertex of edge i."""
+    k = shape.vertex_count
+    rows = []
+    for edge, row in zip(shape.edges, signs):
+        coeffs = [0] * k
+        for v, s in zip(edge, row):
+            coeffs[v - 1] = s
+        rows.append(coeffs)
+    return LinearMap.from_rows(k, rows)
+
+
+def assignment_intersection(shape: Shape, signs) -> int:
+    """Size of the intersection for one sign assignment (a sign row per edge).
 
     Conditions are evaluated by conditioning on the shared coordinates (those
     in at least two edges): for each 0/1 choice there, every edge contributes
     the number of ways to finish its private coordinates, and the total is the
     sum over shared choices of the product of those counts.
     """
-    if assignment.shape != shape:
+    if len(signs) != shape.edge_count or any(
+        len(row) != len(edge) for edge, row in zip(shape.edges, signs)
+    ):
         raise ValueError("assignment does not belong to this shape")
     shared = shape.shared_vertices()
     shared_index = {v: i for i, v in enumerate(shared)}
     per_edge = []
-    for edge, row in zip(shape.edges, assignment.signs):
+    for edge, row in zip(shape.edges, signs):
         shared_signs = [(shared_index[v], s) for v, s in zip(edge, row) if v in shared_index]
         private_signs = [s for v, s in zip(edge, row) if v not in shared_index]
         n = len(private_signs)
@@ -78,8 +93,7 @@ def naive_max_intersection(shape: Shape) -> int:
     best = 0
     ranges = [product((-1, 1), repeat=len(edge)) for edge in shape.edges]
     for combo in product(*ranges):
-        assignment = SignAssignment(shape, tuple(tuple(r) for r in combo))
-        _, size = evaluate_pattern(assignment.to_map())
+        size = evaluate_pattern(assignment_map(shape, combo)).bit_count()
         best = max(best, size)
     return best
 
@@ -147,8 +161,8 @@ def pairwise_ints_masks(k: int, entries) -> set[int]:
     bar = Fraction(15, 16) * (1 << (k - 1))
     pure, bad = set(), set()
     for row in product(entries, repeat=k):
-        pattern, _ = evaluate_pattern(LinearMap.from_rows(k, [row]))
-        (pure if set(row) <= plain else bad).add(pattern.mask)
+        mask = evaluate_pattern(LinearMap.from_rows(k, [row]))
+        (pure if set(row) <= plain else bad).add(mask)
     found = {mask for mask in bad if mask.bit_count() > bar}
     for mask in bad:
         for other in pure | bad:
@@ -187,9 +201,9 @@ def reference_edge_candidates(shape: Shape) -> list[list[tuple[tuple[int, ...], 
     return per_edge
 
 
-def reference_value_set(shape: Shape, floor=0) -> dict[int, SignAssignment]:
-    """Every size above floor * 2^k with its first witness in ascending
-    candidate order, by a plain recursive walk that tests the floor on entry
+def reference_value_set(shape: Shape, floor=0) -> dict[int, tuple]:
+    """Every size above floor * 2^k with its first witness (a sign row per
+    edge) in ascending candidate order, by a plain recursive walk that tests the floor on entry
     to every call and records a value at the first leaf reaching it.  No
     cache."""
     floor = Fraction(floor)
@@ -211,7 +225,4 @@ def reference_value_set(shape: Shape, floor=0) -> dict[int, SignAssignment]:
             walk(idx + 1, mask & cand_mask, chosen + (signs_t,))
 
     walk(0, (1 << points) - 1, ())
-    return {
-        value: SignAssignment(shape, signs)
-        for value, signs in sorted(found.items())
-    }
+    return dict(sorted(found.items()))

@@ -148,6 +148,33 @@ class TestCommands:
         assert code == 0
         assert data["result"]["size"] == 3
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["shape", "--edges", "1,2,3;2,3,4"],
+                {"max": 10, "fraction": "5/8", "witness": [[-1, 1, 1], [-1, 1, 1]]},
+            ),
+            (
+                ["shape", "--edges", ";".join(f"1,{v}" for v in range(2, 12))],
+                {"max": 1025, "witness": [[-1, 1]] * 10},
+            ),
+            (
+                ["map", "--json", '{"k":2,"entries":[["1","-1"]]}'],
+                {"size": 3, "pattern_hex": "b"},
+            ),
+            (
+                ["map", "--json", '{"k":3,"entries":[["1/2","1/2","0"],["1","-1","1"]]}'],
+                {"size": 4, "pattern_hex": "99"},
+            ),
+        ],
+    )
+    def test_golden_payloads(self, capsys, argv, expected):
+        code, out = run(capsys, *argv)
+        result = json.loads(out)["result"]
+        assert code == 0
+        assert {key: result[key] for key in expected} == expected
+
     def test_verify_antichain_exit_zero(self, capsys):
         code, out = run(capsys, "verify", "antichain", "--ell", "4")
         assert code == 0
@@ -228,7 +255,8 @@ class TestExitContract:
         assert "Traceback" not in err
 
     # limits that live in the library, and flags that exclude each other; the
-    # first two ran out of memory or time before anything rejected them
+    # first two ran out of memory or time, and the last for 5 s, before
+    # anything rejected them
     @pytest.mark.parametrize(
         "argv",
         [
@@ -243,6 +271,7 @@ class TestExitContract:
             ["oracle", "--k", "0", "--m", "1"],
             ["shape", "--json", '{"edges":[[true,2]]}'],
             ["shape", "--edges", "1,2", "--json", '{"edges":[[1,2]]}'],
+            ["oracle", "--k", "11", "--m", "2", "--entries", "0,1"],
         ],
     )
     def test_refusal_is_one_line_and_prompt(self, argv):

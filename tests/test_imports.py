@@ -1,5 +1,6 @@
-"""Package modules reach each other only through public names, no
-certificate draws random numbers, and the benchmark's hooks still resolve."""
+"""Package modules reach each other only through public names, every public
+name resolves, no certificate draws random numbers, and the benchmark's hooks
+still resolve."""
 import ast
 import importlib
 import importlib.util
@@ -67,6 +68,11 @@ def test_certificates_draw_no_random_numbers():
         if (found := imports_of(path.read_text(encoding="utf-8"), "random"))
     }
     assert offenders == {}
+
+
+def test_public_names_resolve():
+    missing = [name for name in cubeint.__all__ if not hasattr(cubeint, name)]
+    assert missing == []
 
 
 def test_benchmark_hooks_resolve():

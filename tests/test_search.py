@@ -45,7 +45,7 @@ class TestExpand:
         assert canonical_form(Shape.from_edges([(1, 2), (2, 3)])).edges in child_edge_sets
         assert canonical_form(Shape.from_edges([(1, 2), (3, 4)])).edges in child_edge_sets
         # duplicates break minimality in large mode
-        assert all(c.distinct_edge_count() == c.edge_count for c in children)
+        assert all(len(set(c.edges)) == c.edge_count for c in children)
 
     def test_small_mode_allows_duplicates(self):
         config = SearchConfig(NON_REDUNDANT_SMALL, 8)
@@ -106,7 +106,7 @@ class TestLargeSearch:
 class TestSmallSearch:
     def test_eighteen_pair_options(self, small8):
         pairs = [
-            rec for rec in small8.survivors(2) if rec.shape.distinct_edge_count() == 2
+            rec for rec in small8.survivors(2) if len(set(rec.shape.edges)) == 2
         ]
         assert len(pairs) == 18
         assert all(rec.shape.vertex_count <= 6 for rec in pairs)

@@ -16,7 +16,6 @@ from cubeint.shapes import (
     STAR32_CENTER_EDGES,
     CanonicalBudgetError,
     Shape,
-    SignAssignment,
     _edge_candidates,
     _edge_choices,
     canonical_form,
@@ -28,6 +27,7 @@ from cubeint.shapes import (
 from oracles import (
     assert_normal_shape,
     assignment_intersection,
+    assignment_map,
     brute_canonical_form,
     naive_max_intersection,
     reference_edge_candidates,
@@ -65,7 +65,7 @@ class TestShapeBasics:
 
     def test_duplicate_edges_allowed(self):
         s = Shape.from_edges([(1, 2), (1, 2)])
-        assert s.edge_count == 2 and s.distinct_edge_count() == 1
+        assert s.edge_count == 2 and len(set(s.edges)) == 1
 
     def test_json_round_trip(self):
         s = shape((1, 2, 3), (2, 3, 4))
@@ -90,7 +90,7 @@ class TestCanonicalForm:
     def test_duplicate_multiplicity_preserved(self):
         s = shape((1, 2), (1, 2), (1, 3))
         c = canonical_form(s)
-        assert c.edge_count == 3 and c.distinct_edge_count() == 2
+        assert c.edge_count == 3 and len(set(c.edges)) == 2
 
     def test_distinguishes_pair_edge_placement(self):
         # a 2-edge touching the shared vertex vs. one that misses it
@@ -119,19 +119,18 @@ class TestAssignmentIntersection:
         s = shape((1, 2, 3), (2, 3, 4))
         # canonical labels: shared pair first, one private leaf per edge
         canon = canonical_form(s)
-        assignment = SignAssignment(canon, ((1, 1, -1), (1, 1, -1)))
+        assignment = ((1, 1, -1), (1, 1, -1))
         assert assignment_intersection(canon, assignment) == 10
 
     def test_disagreeing_pair_scores_eight(self):
         canon = canonical_form(shape((1, 2, 3), (2, 3, 4)))
-        assignment = SignAssignment(canon, ((1, 1, -1), (-1, 1, 1)))
+        assignment = ((1, 1, -1), (-1, 1, 1))
         assert assignment_intersection(canon, assignment) == 8
 
     def test_triple_star_through_one_vertex(self):
         s = shape((1, 2, 3), (1, 4, 5), (1, 6, 7))
         signs = tuple((-1, 1, 1) for _ in range(3))
-        assignment = SignAssignment(s, signs)
-        assert assignment_intersection(s, assignment) == 54
+        assert assignment_intersection(s, signs) == 54
 
     def test_always_matches_map_evaluation(self):
         shapes = [
@@ -144,9 +143,8 @@ class TestAssignmentIntersection:
             for combo in product(
                 *[list(product((-1, 1), repeat=len(e))) for e in s.edges]
             ):
-                assignment = SignAssignment(s, combo)
-                _, size = evaluate_pattern(assignment.to_map())
-                assert assignment_intersection(s, assignment) == size
+                size = evaluate_pattern(assignment_map(s, combo)).bit_count()
+                assert assignment_intersection(s, combo) == size
 
 
 class TestMaxIntersection:
@@ -169,7 +167,8 @@ class TestMaxIntersection:
         assert best == 10
         # the witness agrees in sign across the shared pair
         for v in s.shared_vertices():
-            assert witness.sign(0, v) == witness.sign(1, v)
+            first, second = s.edges[0], s.edges[1]
+            assert witness[0][first.index(v)] == witness[1][second.index(v)]
 
 
 class TestValueSets:
@@ -377,9 +376,8 @@ def test_conditioning_formula_matches_mask_evaluation(data):
     signs = tuple(
         tuple(data.draw(st.sampled_from((-1, 1))) for _ in edge) for edge in s.edges
     )
-    assignment = SignAssignment(s, signs)
-    _, size = evaluate_pattern(assignment.to_map())
-    assert assignment_intersection(s, assignment) == size
+    size = evaluate_pattern(assignment_map(s, signs)).bit_count()
+    assert assignment_intersection(s, signs) == size
 
 
 @given(st.data())
