@@ -19,16 +19,36 @@ Three modes:
 * ``exhaustive-large`` -- duplicates allowed, no redundancy skip; every state
                           keeps its full list of above-threshold values, which
                           is what the large-size verification consumes.
+
+Children are generated once per vertex class, with a multiplicity.  Vertices
+with the same incident edges (one edge's private run, twin shared vertices)
+are interchangeable: swapping two of them is an automorphism that fixes every
+edge, so it maps a child to an isomorphic one with the same key (new size,
+overlap vector).  Choosing a count from each class, in place of a labelled
+subset, therefore loses nothing, and the multiplicity prod C(|class|, count)
+keeps ``pruned_count`` and the raw survivor counts equal to a subset-by-subset
+enumeration's.
+
+A child is ruled out before it is labelled when one of two upper bounds on
+its best size is at or below the threshold:
+
+* ``max(parent.values) * C(f+1, floor((f+1)/2))`` for f fresh vertices: over
+  any parent point, the new condition a.x + b.y in {0, 1} with b in {-1, 1}^f
+  keeps two adjacent levels of y, at most C(f, j) + C(f, j+1) <= that
+  binomial points; a parent assignment at or below the threshold stays there,
+  since the binomial is at most 2^f.
+* the best fraction of the two-edge shape (e, new) for each parent edge e:
+  the child's intersection lies inside that shape's, times a free cube.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from math import comb
 
 from .codim1 import support_size_bound
 from .cube import MAX_DIMENSION
-from .shapes import Shape, canonical_form, intersection_value_set
+from .shapes import Shape, canonical_form, intersection_value_set, max_intersection
 
 MINIMAL_LARGE = "minimal-large"
 NON_REDUNDANT_SMALL = "non-redundant-small"
@@ -138,28 +158,105 @@ class SearchResult:
 
 
 def _raw_children(shape: Shape, config: SearchConfig):
-    """All admissible one-edge extensions, as (child shape, key) pairs.
+    """Every admissible one-edge extension, once per vertex-class choice, as
+    (child shape, key, multiplicity) triples.
 
-    The new edge is a subset of the current vertices plus a run of fresh ones;
-    its size may not exceed the smallest existing edge, which realises the
+    The new edge takes some current vertices plus a run of fresh ones; its
+    size may not exceed the smallest existing edge, which realises the
     non-increasing addition order.  The key records the new size and the
-    overlap profile with the existing edges.
+    overlap vector (|chosen & e| for every edge e).  A vertex class is the set
+    of vertices with the same incident edge indices.  Swapping two vertices of
+    one class fixes every edge, so the labelled subsets that take the same
+    count from every class give isomorphic children with one key.  Each count
+    vector is yielded once, on the lowest-labelled members of each class, with
+    its multiplicity prod C(|class|, count), the number of labelled subsets it
+    stands for.
+
+    Both bounds of _bound then read only the fresh count and the key, which
+    every member of a class shares:
+    * f fresh vertices multiply any parent size by at most
+      C(f+1, floor((f+1)/2)), the two adjacent levels of one +-1 row over them;
+    * the child's intersection lies inside that of each two-edge shape
+      (e, new), so it is at most that shape's best fraction.
     """
-    verts = list(range(1, shape.vertex_count + 1))
+    n = shape.vertex_count
+    incident: dict[int, list[int]] = {}
+    for i, edge in enumerate(shape.edges):
+        for v in edge:
+            incident.setdefault(v, []).append(i)
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for v in range(1, n + 1):
+        classes.setdefault(tuple(incident[v]), []).append(v)
+    members = list(classes.values())
+    sizes = [len(m) for m in members]
     smallest = len(shape.edges[-1])
     for new_size in range(2, min(smallest, config.max_edge_size) + 1):
-        for used in range(min(new_size, len(verts)) + 1):
-            fresh = new_size - used
-            if shape.vertex_count + fresh > config.k:
-                continue
-            fresh_verts = tuple(range(len(verts) + 1, len(verts) + 1 + fresh))
-            for chosen in combinations(verts, used):
-                new_edge = tuple(sorted(chosen + fresh_verts))
-                child = shape.with_edge(new_edge)
+        for used in range(max(0, new_size - (config.k - n)), min(new_size, n) + 1):
+            fresh_verts = tuple(range(n + 1, n + 1 + new_size - used))
+            for counts in _count_vectors(sizes, used):
+                chosen = [v for m, c in zip(members, counts) for v in m[:c]]
+                child = shape.with_edge(tuple(sorted(chosen)) + fresh_verts)
                 if config.mode == MINIMAL_LARGE and not child.is_minimal():
                     continue
-                vec = tuple(len(set(chosen) & set(e)) for e in shape.edges)
-                yield child, (new_size, vec)
+                vec = [0] * len(shape.edges)
+                multiplicity = 1
+                for edges, size, c in zip(classes, sizes, counts):
+                    for i in edges:
+                        vec[i] += c
+                    multiplicity *= comb(size, c)
+                yield child, (new_size, tuple(vec)), multiplicity
+
+
+def _count_vectors(sizes: list[int], total: int):
+    """Every tuple of counts 0 <= c_i <= sizes[i] summing to total, in
+    lexicographic order."""
+    if not sizes:
+        yield ()
+        return
+    rest = sum(sizes) - sizes[0]
+    for c in range(max(0, total - rest), min(sizes[0], total) + 1):
+        for tail in _count_vectors(sizes[1:], total - c):
+            yield (c,) + tail
+
+
+def _dead_pairs(config: SearchConfig) -> frozenset:
+    """(|e|, |new|, |e & new|) of every two-edge shape of at most k vertices
+    whose best size is at or below the threshold; computed once per search."""
+    num, den = config.threshold.numerator, config.threshold.denominator
+    dead = set()
+    for a in range(2, config.max_edge_size + 1):
+        for b in range(2, a + 1):
+            for x in range(max(0, a + b - config.k), b + 1):
+                pair = Shape.from_edges([range(1, a + 1), range(a - x + 1, a - x + b + 1)])
+                best, _ = max_intersection(pair)
+                if best * den <= num << pair.vertex_count:
+                    dead.add((a, b, x))
+    return frozenset(dead)
+
+
+def _bound(parent: ShapeRecord, config: SearchConfig, dead_pairs: frozenset):
+    """ruled_out(child, key) for the children of parent: whether either bound
+    of the module docstring puts every size of the child at or below the
+    threshold.  The fresh-vertex ratio C(f+1, floor((f+1)/2)) / 2^f does not
+    grow with f, so one least dead f, found per parent, serves every child.
+    """
+    n = parent.shape.vertex_count
+    top = max(parent.values)
+    num, den = config.threshold.numerator, config.threshold.denominator
+    least_dead = next(
+        (f for f in range(config.k - n + 1)
+         if top * comb(f + 1, (f + 1) // 2) * den <= num << (n + f)),
+        config.k - n + 1,
+    )
+    edge_sizes = [len(e) for e in parent.shape.edges]
+
+    def ruled_out(child: Shape, key: tuple) -> bool:
+        new_size, vec = key
+        return child.vertex_count - n >= least_dead or any(
+            (a, new_size, x) in dead_pairs for a, x in zip(edge_sizes, vec)
+        )
+
+    return ruled_out
 
 
 def bfs_search(config: SearchConfig) -> SearchResult:
@@ -178,11 +275,16 @@ def bfs_search(config: SearchConfig) -> SearchResult:
             keys=((size, ()),),
         )
     result.depths.append(_sorted_records(frontier))
+    dead_pairs = _dead_pairs(config)
 
     for _depth in range(2, config.max_edges + 1):
         new_frontier: dict[tuple, ShapeRecord] = {}
         for parent in frontier.values():
-            for child, key in _raw_children(parent.shape, config):
+            ruled_out = _bound(parent, config, dead_pairs)
+            for child, key, multiplicity in _raw_children(parent.shape, config):
+                if ruled_out(child, key):
+                    result.pruned_count += multiplicity
+                    continue
                 canon = canonical_form(child)
                 values = intersection_value_set(canon, floor=config.threshold)
                 if config.mode == NON_REDUNDANT_SMALL:
@@ -192,7 +294,7 @@ def bfs_search(config: SearchConfig) -> SearchResult:
                 else:
                     admissible = values
                 if not admissible:
-                    result.pruned_count += 1
+                    result.pruned_count += multiplicity
                     continue
                 best = max(admissible)
                 record = new_frontier.get(canon.edges)

@@ -34,8 +34,9 @@ from .search import (
 from .shapes import Shape, canonical_form, intersection_value_set
 
 # Largest k that verify_large_sets and verify_small_window accept: the slower
-# of the two, verify_large_sets(12), takes about 15 s in a fresh process on a
-# 2-vCPU host, and each step of k multiplies that by 1.5 to 1.7.
+# of the two, verify_large_sets(12), takes about 8 s in a fresh process on a
+# 2-vCPU host (verify_small_window(12) about 5 s), and each step of k
+# multiplies that by 1.6 to 1.8.
 MAX_CERTIFIED_K = 12
 
 

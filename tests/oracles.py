@@ -1,11 +1,12 @@
 """Slow reference implementations that the fast code is checked against."""
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from cubeint.codim1 import binomial
 from cubeint.cube import LinearMap, evaluate_pattern, row_mask
-from cubeint.shapes import Edge, Shape, _edge_key
+from cubeint.search import EXHAUSTIVE_LARGE, MINIMAL_LARGE, SearchConfig
+from cubeint.shapes import Edge, Shape, _edge_key, max_intersection
 
 
 def reference_row_mask(coeffs: tuple[int, ...], unit: int) -> int:
@@ -226,3 +227,70 @@ def reference_value_set(shape: Shape, floor=0) -> dict[int, tuple]:
 
     walk(0, (1 << points) - 1, ())
     return dict(sorted(found.items()))
+
+
+def labelled_children(shape: Shape, config: SearchConfig):
+    """All admissible one-edge extensions, as (child shape, key) pairs, one per
+    labelled subset of the current vertices.
+
+    The new edge is a subset of the current vertices plus a run of fresh ones;
+    its size may not exceed the smallest existing edge, which realises the
+    non-increasing addition order.  The key records the new size and the
+    overlap profile with the existing edges.
+    """
+    verts = list(range(1, shape.vertex_count + 1))
+    smallest = len(shape.edges[-1])
+    for new_size in range(2, min(smallest, config.max_edge_size) + 1):
+        for used in range(min(new_size, len(verts)) + 1):
+            fresh = new_size - used
+            if shape.vertex_count + fresh > config.k:
+                continue
+            fresh_verts = tuple(range(len(verts) + 1, len(verts) + 1 + fresh))
+            for chosen in combinations(verts, used):
+                new_edge = tuple(sorted(chosen + fresh_verts))
+                child = shape.with_edge(new_edge)
+                if config.mode == MINIMAL_LARGE and not child.is_minimal():
+                    continue
+                vec = tuple(len(set(chosen) & set(e)) for e in shape.edges)
+                yield child, (new_size, vec)
+
+
+def brute_frontier(k: int) -> list[set[tuple]]:
+    """The exhaustive-large frontier of dimension k, depth by depth, as sets of
+    brute_canonical_form edges, by an unordered BFS with no edge order, no
+    vertex reduction and no keys.
+
+    Every surviving state is extended by every subset of 2..max_edge_size of
+    k labelled vertices, and the result is kept when its best size is above
+    half its cube.  Survival is monotone under adding an edge, so this is the
+    set of surviving shapes with each number of edges.
+    """
+    config = SearchConfig(EXHAUSTIVE_LARGE, k)
+    subsets = [
+        edge
+        for size in range(2, config.max_edge_size + 1)
+        for edge in combinations(range(1, k + 1), size)
+    ]
+
+    alive: dict[tuple, bool] = {}
+
+    def survivors(shapes) -> set[tuple]:
+        kept = set()
+        for shape in shapes:
+            canon = brute_canonical_form(shape)
+            if canon.edges not in alive:
+                best, _ = max_intersection(canon)
+                alive[canon.edges] = 2 * best > 1 << canon.vertex_count
+            if alive[canon.edges]:
+                kept.add(canon.edges)
+        return kept
+
+    depths = [survivors(Shape.from_edges([edge]) for edge in subsets)]
+    while len(depths) < config.max_edges:
+        grown = survivors(
+            Shape.from_edges(edges + (edge,)) for edges in depths[-1] for edge in subsets
+        )
+        if not grown:
+            break
+        depths.append(grown)
+    return depths

@@ -1,12 +1,17 @@
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from cubeint.search import (
     EXHAUSTIVE_LARGE,
     MINIMAL_LARGE,
+    MODES,
     NON_REDUNDANT_SMALL,
     SearchConfig,
+    _bound,
+    _dead_pairs,
     _raw_children,
     bfs_search,
 )
@@ -16,15 +21,31 @@ from cubeint.shapes import (
     Shape,
     canonical_form,
     classify_star,
+    intersection_value_set,
     max_intersection,
 )
 from cubeint.theorems import expected_small_families
-from oracles import assignment_intersection
+from oracles import (
+    assignment_intersection,
+    brute_canonical_form,
+    brute_frontier,
+    labelled_children,
+)
 
 
 def canonical_children(shape, config):
     """Canonical children of one survivor (one added condition), deduplicated."""
-    return {canonical_form(c) for c, _ in _raw_children(shape, config)}
+    return {canonical_form(c) for c, _ in labelled_children(shape, config)}
+
+
+@lru_cache(maxsize=None)
+def searched(config):
+    return bfs_search(config)
+
+
+def frontier_parents(config):
+    """Every record of every depth of the search of config."""
+    return [rec for records in searched(config).depths for rec in records]
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +156,85 @@ class TestExhaustiveSearch:
         sizes = {16} | result.all_values_scaled(4, max_depth=2)
         # above-half sizes with two conditions in a 4-cube
         assert sizes == {9, 10, 12, 16}
+
+
+class TestClassGenerator:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_weighted_children_match_labelled_oracle(self, mode):
+        for k in range(2, 9):
+            config = SearchConfig(mode, k)
+            for rec in frontier_parents(config):
+                labelled = Counter(
+                    (canonical_form(child).edges, key)
+                    for child, key in labelled_children(rec.shape, config)
+                )
+                weighted = Counter()
+                for child, key, multiplicity in _raw_children(rec.shape, config):
+                    weighted[canonical_form(child).edges, key] += multiplicity
+                assert weighted == labelled, (mode, k, rec.shape.edges)
+
+    def test_one_child_per_class_choice(self):
+        # four disjoint private runs of sizes 3, 3, 3, 2: a new pair takes
+        # two vertices from one run or one from each of two runs
+        star = Shape.from_edges([(1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11)])
+        config = SearchConfig(EXHAUSTIVE_LARGE, 11)
+        children = list(_raw_children(star, config))
+        assert len(children) == 4 + 6
+        assert sum(m for _c, _k, m in children) == len(list(labelled_children(star, config)))
+
+
+SOUNDNESS_CONFIGS = [
+    SearchConfig(mode, k) for mode in MODES for k in range(2, 9)
+] + [SearchConfig(EXHAUSTIVE_LARGE, k, threshold=Fraction(7, 16)) for k in range(2, 8)]
+
+
+class TestBound:
+    @pytest.mark.parametrize(
+        "config", SOUNDNESS_CONFIGS, ids=lambda c: f"{c.mode}-{c.k}-{c.threshold}"
+    )
+    def test_ruled_out_children_have_no_value_above_threshold(self, config):
+        dead_pairs = _dead_pairs(config)
+        ruled = 0
+        for rec in frontier_parents(config):
+            ruled_out = _bound(rec, config, dead_pairs)
+            for child, key in labelled_children(rec.shape, config):
+                if ruled_out(child, key):
+                    ruled += 1
+                    canon = canonical_form(child)
+                    assert intersection_value_set(canon, floor=config.threshold) == ()
+        # from k = 5 on every one of these searches has children to rule out
+        assert ruled or config.k < 5
+
+    def test_pair_bound_table(self):
+        # (|e|, |new|, |e & new|): two disjoint triples keep 36/64 > 1/2 and
+        # a repeated 4-edge keeps 10/16, but a 4-edge beside a disjoint pair
+        # keeps only 30/64
+        dead = _dead_pairs(SearchConfig(EXHAUSTIVE_LARGE, 8))
+        assert (3, 3, 0) not in dead and (4, 4, 4) not in dead
+        assert (4, 2, 0) in dead
+        assert not any(a <= 3 for a, _b, _x in dead)
+
+    @pytest.mark.parametrize(
+        "mode, pruned",
+        [
+            (MINIMAL_LARGE, [24, 91, 219, 434]),
+            (NON_REDUNDANT_SMALL, [550, 1139, 1795, 2684]),
+            (EXHAUSTIVE_LARGE, [812, 2574, 5775, 9879]),
+        ],
+    )
+    def test_golden_pruned_counts(self, mode, pruned):
+        # one per labelled child, as the subset-by-subset generator counted
+        assert [searched(SearchConfig(mode, k)).pruned_count for k in (5, 6, 7, 8)] == pruned
+
+
+class TestFrontierCompleteness:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_exhaustive_frontier_equals_unordered_brute_force(self, k):
+        frontier = [
+            {brute_canonical_form(rec.shape).edges for rec in records}
+            for records in searched(SearchConfig(EXHAUSTIVE_LARGE, k)).depths
+        ]
+        assert frontier == brute_frontier(k)
 
 
 class TestPruningSoundness:

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cubeint.cube import evaluate_pattern
-from cubeint.search import MODES, SearchConfig, _raw_children, bfs_search
+from cubeint.search import MODES, SearchConfig, bfs_search
 from cubeint.shapes import (
     CANONICAL_LEAF_BUDGET,
     OTHER,
@@ -29,6 +29,7 @@ from oracles import (
     assignment_intersection,
     assignment_map,
     brute_canonical_form,
+    labelled_children,
     naive_max_intersection,
     reference_edge_candidates,
     reference_value_set,
@@ -227,7 +228,8 @@ def small_shapes(max_vertices=5, max_edges=3):
 
 
 def search_inputs(max_k=6):
-    """Every shape the three search modes pass to canonical_form up to k."""
+    """Every state of the three search modes up to k, and every labelled child
+    of each: a superset of what the searches pass to canonical_form."""
     for mode in MODES:
         for k in range(2, max_k + 1):
             config = SearchConfig(mode, k)
@@ -235,7 +237,7 @@ def search_inputs(max_k=6):
             for records in result.depths:
                 for rec in records:
                     yield rec.shape
-                    for child, _key in _raw_children(rec.shape, config):
+                    for child, _key in labelled_children(rec.shape, config):
                         yield child
 
 
