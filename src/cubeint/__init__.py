@@ -6,22 +6,14 @@ from .cube import (
     LinearMap,
     SizeSet,
     evaluate_pattern,
-    factor_pattern,
-    fix_coordinate_count,
-    has_redundant_condition,
     intersection_size,
-    is_minimal,
     oracle_enumerate,
-    restrict,
-    support,
 )
 from .codim1 import (
     SignCount,
     codim1_size,
     codim1_table,
-    central_ratio_nonincreasing,
     large_codim1_sizes,
-    level_count,
     support_size_bound,
 )
 from .shapes import (
@@ -30,7 +22,6 @@ from .shapes import (
     canonical_form,
     classify_star,
     max_intersection,
-    shape_fraction,
 )
 from .search import (
     SearchConfig,
@@ -48,22 +39,13 @@ __all__ = [
     "SearchResult",
     "bfs_search",
     "canonical_form",
-    "central_ratio_nonincreasing",
     "classify_star",
     "codim1_size",
     "codim1_table",
     "evaluate_pattern",
-    "factor_pattern",
-    "fix_coordinate_count",
-    "has_redundant_condition",
     "intersection_size",
-    "is_minimal",
     "large_codim1_sizes",
-    "level_count",
     "max_intersection",
     "oracle_enumerate",
-    "restrict",
-    "shape_fraction",
-    "support",
     "support_size_bound",
 ]

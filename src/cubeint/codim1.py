@@ -37,11 +37,6 @@ class SignCount:
         return self.plus + self.minus + self.zero
 
 
-def level_count(sc: SignCount, level: int) -> int:
-    """Number of cube points on which the row evaluates to `level`."""
-    return (1 << sc.zero) * binomial(sc.plus + sc.minus, sc.minus + level)
-
-
 def codim1_size(sc: SignCount) -> int:
     """Intersection size of the single-row map with the given sign counts."""
     return (1 << sc.zero) * binomial(sc.plus + sc.minus + 1, sc.minus + 1)
@@ -96,23 +91,6 @@ def large_codim1_sizes(k: int) -> SizeSet:
         )
     sizes = tuple(sorted(found))
     return SizeSet(k + 1, k, sizes, {s: "construction" for s in sizes})
-
-
-def central_ratio(n: int) -> Fraction:
-    return Fraction(binomial(n, n // 2), 1 << n)
-
-
-def central_ratio_nonincreasing(n_max: int) -> bool:
-    """Exact check that C(n, n//2) / 2^n never increases up to n_max."""
-    if n_max < 1:
-        raise ValueError("n_max must be positive")
-    previous = central_ratio(1)
-    for n in range(2, n_max + 1):
-        current = central_ratio(n)
-        if current > previous:
-            return False
-        previous = current
-    return True
 
 
 def support_size_bound(threshold: Fraction) -> int:

@@ -24,10 +24,6 @@ MAX_DIMENSION = 24
 ORACLE_WORK_BUDGET = 5_000_000
 
 
-class PatternFactorError(ValueError):
-    """The pattern does not factor over the claimed support."""
-
-
 class EnumerationBudgetError(RuntimeError):
     """An exhaustive enumeration would exceed its configured budget."""
 
@@ -188,112 +184,6 @@ def evaluate_pattern(linear_map: LinearMap) -> int:
 
 def intersection_size(linear_map: LinearMap) -> int:
     return evaluate_pattern(linear_map).bit_count()
-
-
-def support(linear_map: LinearMap) -> tuple[tuple[frozenset[int], ...], frozenset[int]]:
-    """Per-row supports (1-based coordinate sets) and their union."""
-    rows = tuple(
-        frozenset(j + 1 for j, v in enumerate(row) if v != 0)
-        for row in linear_map.entries
-    )
-    total = frozenset().union(*rows) if rows else frozenset()
-    return rows, total
-
-
-def restrict(linear_map: LinearMap, rows: Iterable[int]) -> LinearMap:
-    """Keep only the rows with the given 1-based indices, ascending."""
-    indices = sorted(set(rows))
-    if not indices:
-        raise ValueError("row subset must be nonempty")
-    if indices[0] < 1 or indices[-1] > linear_map.m:
-        raise IndexError("row index outside 1..m")
-    return LinearMap(linear_map.k, tuple(linear_map.entries[i - 1] for i in indices))
-
-
-def is_minimal(linear_map: LinearMap) -> bool:
-    """No row support inside the union of the others, and no vacuous row."""
-    row_supports, _ = support(linear_map)
-    m = linear_map.m
-    for i in range(m):
-        others = frozenset().union(
-            *(row_supports[j] for j in range(m) if j != i)
-        ) if m > 1 else frozenset()
-        if row_supports[i] <= others:
-            return False
-        coeffs, unit = _scaled_row(linear_map.entries[i])
-        if row_mask(coeffs, unit) == full_mask(linear_map.k):
-            return False
-    return True
-
-
-def has_redundant_condition(linear_map: LinearMap) -> bool:
-    """True iff dropping some row leaves the intersection size unchanged."""
-    if linear_map.m == 0:
-        raise ValueError("map has no conditions")
-    total = intersection_size(linear_map)
-    if linear_map.m == 1:
-        return total == 1 << linear_map.k
-    for i in range(1, linear_map.m + 1):
-        rest = [j for j in range(1, linear_map.m + 1) if j != i]
-        if intersection_size(restrict(linear_map, rest)) == total:
-            return True
-    return False
-
-
-def _coordinate_zero_mask(k: int, coordinate: int) -> int:
-    """Bitmask selecting the points with the given 1-based coordinate = 0."""
-    b = coordinate - 1
-    period = 1 << (b + 1)
-    block = (1 << (1 << b)) - 1
-    repeats = (full_mask(k)) // ((1 << period) - 1)
-    return block * repeats
-
-
-def fix_coordinate_count(linear_map: LinearMap, coordinate: int) -> int:
-    """Number of pattern members whose given coordinate equals zero."""
-    if not 1 <= coordinate <= linear_map.k:
-        raise IndexError("coordinate outside 1..k")
-    mask = evaluate_pattern(linear_map)
-    return (mask & _coordinate_zero_mask(linear_map.k, coordinate)).bit_count()
-
-
-def factor_pattern(
-    k: int, mask: int, support_set: Iterable[int]
-) -> tuple[int, int]:
-    """Split the pattern P = J x {0,1}^free of {0,1}^k over the claimed
-    support, validating the split.
-
-    Returns the mask of J over the support coordinates (bit i of a J point is
-    the i-th support coordinate, ascending) and the count of free coordinates.
-    Raises PatternFactorError when the pattern actually depends on a
-    coordinate outside the support.
-    """
-    supp = sorted(set(support_set))
-    if supp and (supp[0] < 1 or supp[-1] > k):
-        raise ValueError("support coordinate outside 1..k")
-    free = [c for c in range(1, k + 1) if c not in set(supp)]
-    for c in free:
-        zero_sel = _coordinate_zero_mask(k, c)
-        half = 1 << (c - 1)
-        low = mask & zero_sel
-        high = (mask >> half) & zero_sel
-        if low != high:
-            raise PatternFactorError(
-                f"pattern depends on coordinate {c} outside the claimed support"
-            )
-    j_mask = 0
-    s = len(supp)
-    for combo in range(1 << s):
-        point = 0
-        for bit_idx in range(s):
-            if (combo >> bit_idx) & 1:
-                point |= 1 << (supp[bit_idx] - 1)
-        if (mask >> point) & 1:
-            j_mask |= 1 << combo
-    free_count = k - s
-    if j_mask.bit_count() << free_count != mask.bit_count():
-        raise PatternFactorError("pattern size does not match the product form")
-    return j_mask, free_count
 
 
 @dataclass

@@ -60,10 +60,6 @@ class Shape:
     def vertex_count(self) -> int:
         return max(v for edge in self.edges for v in edge)
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def degrees(self) -> Counter:
         deg: Counter = Counter()
         for edge in self.edges:
@@ -366,9 +362,3 @@ def max_intersection(shape: Shape) -> tuple[int, tuple | None]:
 
     walk(0, (1 << (1 << shape.vertex_count)) - 1, ())
     return best, witness
-
-
-def shape_fraction(shape: Shape) -> Fraction:
-    """Best achievable size divided by the covered cube's size."""
-    best, _ = max_intersection(shape)
-    return Fraction(best, 1 << shape.vertex_count)

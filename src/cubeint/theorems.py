@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .codim1 import SignCount, binomial, closed_form_large_sizes
@@ -16,13 +15,9 @@ from .cube import (
     MAX_DIMENSION,
     LinearMap,
     SizeSet,
-    fix_coordinate_count,
-    full_mask,
     intersection_closure,
     intersection_size,
-    restrict,
     row_masks,
-    support,
 )
 from .search import (
     EXHAUSTIVE_LARGE,
@@ -87,12 +82,6 @@ def _jsonable(value):
 # ---------------------------------------------------------------------------
 
 
-def build_zero_extension(linear_map: LinearMap) -> LinearMap:
-    """Append one zero column; the intersection size exactly doubles."""
-    entries = tuple(row + (Fraction(0),) for row in linear_map.entries)
-    return LinearMap(linear_map.k + 1, entries)
-
-
 def build_21_star_map(k: int) -> LinearMap:
     """k conditions on k+1 coordinates through a common last coordinate,
     achieving 2^k + 1."""
@@ -105,35 +94,6 @@ def build_21_star_map(k: int) -> LinearMap:
         row[k] = 1
         rows.append(row)
     return LinearMap.from_rows(k + 1, rows)
-
-
-def build_32_star_map(k: int) -> LinearMap:
-    """k-2 conditions through a common coordinate pair, achieving 2^(k-1)+2."""
-    if k < 4:
-        raise ValueError("needs k >= 4")
-    rows = []
-    for leaf in range(2, k):
-        row = [0] * k
-        row[0] = 1
-        row[1] = 1
-        row[leaf] = -1
-        rows.append(row)
-    return LinearMap.from_rows(k, rows)
-
-
-def drop_coordinate(linear_map: LinearMap, coordinate: int) -> LinearMap:
-    """Delete a coordinate along which the pattern splits exactly in half."""
-    total = intersection_size(linear_map)
-    zero_side = fix_coordinate_count(linear_map, coordinate)
-    if 2 * zero_side != total:
-        raise ValueError(
-            f"coordinate {coordinate} does not split the pattern in half "
-            f"({zero_side} of {total})"
-        )
-    entries = tuple(
-        row[: coordinate - 1] + row[coordinate:] for row in linear_map.entries
-    )
-    return LinearMap(linear_map.k - 1, entries)
 
 
 def _single_row_map(k: int, sc: SignCount) -> LinearMap:
@@ -440,81 +400,6 @@ def antichain_bound_check(ell: int) -> Report:
 
 
 # ---------------------------------------------------------------------------
-# the drop bound for a fresh non-redundant condition
-# ---------------------------------------------------------------------------
-
-
-def condition_drop_bound_check(linear_map: LinearMap) -> CheckResult:
-    """For a map whose last condition genuinely cuts, the cut is large:
-    down to 3/4 of the previous size, or by a full 2^(k-s-1) block."""
-    if linear_map.m < 2:
-        raise ValueError("needs at least two conditions")
-    head = restrict(linear_map, range(1, linear_map.m))
-    t_full = intersection_size(linear_map)
-    t_head = intersection_size(head)
-    if t_full >= t_head:
-        raise ValueError("last condition is redundant; bound does not apply")
-    _, head_support = support(head)
-    s = len(head_support)
-    allowed = max(
-        Fraction(3, 4) * t_head,
-        Fraction(t_head) - Fraction(1 << linear_map.k, 1 << (s + 1)),
-    )
-    return CheckResult(
-        "non-redundant condition cuts deeply",
-        Fraction(t_full) <= allowed,
-        {
-            "t_full": t_full,
-            "t_head": t_head,
-            "support": s,
-            "allowed": str(allowed),
-        },
-    )
-
-
-def condition_drop_bound_sweep(max_k: int = 4, max_rows: int = 3) -> Report:
-    """Exhaustive sweep of the drop bound over all small sign matrices."""
-    report = Report("non-redundant drop bound sweep")
-    failures = []
-    checked = 0
-    for k in range(1, max_k + 1):
-        rows = {}
-        for row, mask in row_masks(k, (-1, 0, 1)):
-            supp = frozenset(j + 1 for j, v in enumerate(row) if v != 0)
-            rows.setdefault((mask, supp), row)
-        row_items = sorted(rows.items(), key=lambda kv: kv[1])
-        for m_head in range(1, max_rows):
-            for head in combinations(row_items, m_head):
-                head_mask = full_mask(k)
-                head_support: frozenset = frozenset()
-                for (mask, supp), _row in head:
-                    head_mask &= mask
-                    head_support |= supp
-                t_head = head_mask.bit_count()
-                s = len(head_support)
-                for (mask, _supp), _row in row_items:
-                    t_full = (head_mask & mask).bit_count()
-                    if t_full >= t_head:
-                        continue
-                    checked += 1
-                    allowed = max(
-                        Fraction(3, 4) * t_head,
-                        Fraction(t_head) - Fraction(1 << k, 1 << (s + 1)),
-                    )
-                    if Fraction(t_full) > allowed:
-                        failures.append(
-                            {"k": k, "head": [kv[1] for kv in head], "row": _row}
-                        )
-    report.add(
-        "bound holds on every instance",
-        not failures,
-        checked=checked,
-        failures=failures[:3],
-    )
-    return report
-
-
-# ---------------------------------------------------------------------------
 # integrality of entries near the top of the small range
 # ---------------------------------------------------------------------------
 
@@ -608,34 +493,3 @@ def expected_h_n_window(n: int) -> tuple[int, ...]:
             }
         )
     )
-
-
-# ---------------------------------------------------------------------------
-# sums of powers of two
-# ---------------------------------------------------------------------------
-
-
-def sum_of_powers_members(k: int, exponents: Iterable[int]) -> Report:
-    """Desk-scale membership check for a sum of distinct powers of two: some
-    map of at most three sign rows has exactly that many points."""
-    exps = sorted(set(exponents), reverse=True)
-    if not exps or exps[-1] < 0:
-        raise ValueError("exponents must be nonnegative")
-    if exps[0] > k - (len(exps) - 1):
-        raise ValueError("largest exponent too big for this dimension")
-    if k > 5:
-        raise ValueError("membership search intended for k <= 5")
-    target = sum(1 << e for e in exps)
-    report = Report(f"membership of {target} for k={k}")
-
-    # the zero row's mask is the full cube, so no rows at all is covered too
-    rows = {mask for _row, mask in row_masks(k, (-1, 0, 1))}
-    reached = intersection_closure(rows, rows, target - 1, max_rows=3)
-    found = target in {mask.bit_count() for mask in reached}
-    report.add(
-        "membership located by map search" if found else "membership not located",
-        found,
-        target=target,
-        status="verified" if found else "unverified",
-    )
-    return report

@@ -3,7 +3,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from cubeint.codim1 import binomial
+from cubeint.codim1 import SignCount, binomial
 from cubeint.cube import LinearMap, evaluate_pattern, row_mask
 from cubeint.search import EXHAUSTIVE_LARGE, MINIMAL_LARGE, SearchConfig
 from cubeint.shapes import Edge, Shape, _edge_key, max_intersection
@@ -18,6 +18,12 @@ def reference_row_mask(coeffs: tuple[int, ...], unit: int) -> int:
         if value in (0, unit):
             mask |= 1 << x
     return mask
+
+
+def level_count(sc: SignCount, level: int) -> int:
+    """Number of cube points on which the row evaluates to `level`; the levels
+    0 and 1 add up to codim1.codim1_size."""
+    return (1 << sc.zero) * binomial(sc.plus + sc.minus, sc.minus + level)
 
 
 def assert_normal_shape(shape: Shape) -> None:
@@ -62,7 +68,7 @@ def assignment_intersection(shape: Shape, signs) -> int:
     the number of ways to finish its private coordinates, and the total is the
     sum over shared choices of the product of those counts.
     """
-    if len(signs) != shape.edge_count or any(
+    if len(signs) != len(shape.edges) or any(
         len(row) != len(edge) for edge, row in zip(shape.edges, signs)
     ):
         raise ValueError("assignment does not belong to this shape")
@@ -97,6 +103,12 @@ def naive_max_intersection(shape: Shape) -> int:
         size = evaluate_pattern(assignment_map(shape, combo)).bit_count()
         best = max(best, size)
     return best
+
+
+def shape_fraction(shape: Shape) -> Fraction:
+    """Best achievable size divided by the covered cube's size."""
+    best, _ = max_intersection(shape)
+    return Fraction(best, 1 << shape.vertex_count)
 
 
 def brute_canonical_form(shape: Shape) -> Shape:

@@ -6,17 +6,12 @@ every expected value is exact, no tolerances anywhere.
 import sys
 import time
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
 from cubeint.codim1 import closed_form_large_sizes, codim1_table, large_codim1_sizes
-from cubeint.cube import (
-    LinearMap,
-    intersection_size,
-    restrict,
-    row_masks,
-)
+from cubeint.cube import LinearMap, intersection_size, row_masks
 from cubeint.search import MINIMAL_LARGE, NON_REDUNDANT_SMALL, SearchConfig, bfs_search
 from cubeint.shapes import (
     STAR21,
@@ -29,16 +24,19 @@ from cubeint.shapes import (
 from cubeint.theorems import (
     antichain_bound_check,
     build_21_star_map,
-    build_32_star_map,
-    build_zero_extension,
     count_subset_sums_in,
     expected_h_n_window,
     expected_small_families,
     h_n_window,
     ints_window_check,
-    condition_drop_bound_sweep,
     verify_large_sets,
     verify_small_window,
+)
+from lemmas import (
+    build_32_star_map,
+    build_zero_extension,
+    condition_drop_bound_sweep,
+    restrict,
 )
 from oracles import naive_max_intersection
 
@@ -225,15 +223,13 @@ def test_criterion_08_constructions():
         ok = ok and intersection_size(build_21_star_map(k)) == (1 << k) + 1
     for k in range(4, 11):
         ok = ok and intersection_size(build_32_star_map(k)) == (1 << (k - 1)) + 2
-    import random
-
-    rng = random.Random(2024)
-    for _ in range(1000):
-        k = rng.randint(1, 5)
-        m = rng.randint(1, 3)
-        rows = [[rng.choice((-1, 0, 1)) for _ in range(k)] for _ in range(m)]
-        base = LinearMap.from_rows(k, rows)
-        ok = ok and intersection_size(build_zero_extension(base)) == 2 * intersection_size(base)
+    # every {-1,0,1} map with k <= 3 and m <= 3, or k = 4 and m <= 2
+    for k, max_m in ((1, 3), (2, 3), (3, 3), (4, 2)):
+        rows = list(product((-1, 0, 1), repeat=k))
+        for m in range(1, max_m + 1):
+            for combo in product(rows, repeat=m):
+                base = LinearMap.from_rows(k, combo)
+                ok = ok and intersection_size(build_zero_extension(base)) == 2 * intersection_size(base)
     report(
         8,
         ok,

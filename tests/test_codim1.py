@@ -7,16 +7,15 @@ from hypothesis import strategies as st
 from cubeint.codim1 import (
     SignCount,
     binomial,
-    central_ratio,
-    central_ratio_nonincreasing,
     closed_form_large_sizes,
     codim1_size,
     codim1_table,
     large_codim1_sizes,
-    level_count,
     support_size_bound,
 )
 from cubeint.cube import LinearMap, intersection_size
+from lemmas import central_ratio, central_ratio_nonincreasing
+from oracles import level_count
 
 
 class TestLevelCount:

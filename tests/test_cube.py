@@ -12,22 +12,16 @@ from cubeint.cube import (
     EnumerationBudgetError,
     LinearMap,
     ORACLE_WORK_BUDGET,
-    PatternFactorError,
     evaluate_pattern,
-    factor_pattern,
-    fix_coordinate_count,
-    has_redundant_condition,
     intersection_closure,
     intersection_size,
-    is_minimal,
     oracle_enumerate,
-    restrict,
     row_mask,
     row_masks,
-    support,
     _scaled_row,
 )
 
+from lemmas import fix_coordinate_count, restrict, support
 from oracles import reference_row_mask
 
 
@@ -111,61 +105,6 @@ class TestSupportRestrict:
             t_full = intersection_size(mp)
             for i in (1, 2):
                 assert intersection_size(restrict(mp, {i})) >= t_full
-
-
-class TestMinimality:
-    def test_private_vertices_minimal(self):
-        assert is_minimal(lm(4, [[1, 1, -1, 0], [0, 0, 1, 1]]))
-
-    def test_contained_support_not_minimal(self):
-        m = lm(5, [[1, 1, -1, 0, 0], [0, 1, 1, -1, 0], [0, 0, 0, 1, 1]])
-        assert not is_minimal(m)
-
-    def test_zero_row_not_minimal(self):
-        assert not is_minimal(lm(2, [[0, 0]]))
-
-    def test_vacuous_singleton_not_minimal(self):
-        assert not is_minimal(lm(2, [[1, 0], [0, -1]]))
-
-
-class TestRedundancy:
-    def test_duplicate_row(self):
-        assert has_redundant_condition(lm(2, [[1, -1], [1, -1]]))
-
-    def test_star_pair_all_needed(self):
-        m = lm(4, [[1, 1, -1, 0], [0, 1, 1, -1]])
-        assert not has_redundant_condition(m)
-
-    def test_zero_row_redundant(self):
-        assert has_redundant_condition(lm(2, [[1, -1], [0, 0]]))
-
-    def test_single_row(self):
-        assert not has_redundant_condition(lm(2, [[1, -1]]))
-        assert has_redundant_condition(lm(2, [[1, 0]]))
-
-
-class TestFactorPattern:
-    def test_difference_row_with_free_coordinate(self):
-        mask = evaluate_pattern(lm(3, [[1, -1, 0]]))
-        j, free = factor_pattern(3, mask, {1, 2})
-        assert free == 1
-        assert j.bit_count() == 3
-        assert mask.bit_count() == j.bit_count() << free
-
-    def test_full_support_identity(self):
-        mask = evaluate_pattern(lm(2, [[1, -1]]))
-        j, free = factor_pattern(2, mask, {1, 2})
-        assert free == 0 and j == mask
-
-    def test_zero_map_fully_free(self):
-        mask = evaluate_pattern(lm(3, [[0, 0, 0]]))
-        j, free = factor_pattern(3, mask, set())
-        assert free == 3 and j.bit_count() == 1
-
-    def test_wrong_support_detected(self):
-        mask = evaluate_pattern(lm(2, [[1, -1]]))
-        with pytest.raises(PatternFactorError):
-            factor_pattern(2, mask, {1})
 
 
 class TestFixCoordinateCount:

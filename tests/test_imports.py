@@ -1,9 +1,10 @@
-"""Package modules reach each other only through public names, every public
-name resolves, no certificate draws random numbers, and the benchmark's hooks
-still resolve."""
+"""Package modules reach each other only through public names, every
+definition is used by the package itself, every public name resolves, no
+certificate draws random numbers, and the benchmark's hooks still resolve."""
 import ast
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import cubeint
@@ -22,6 +23,40 @@ def private_imports(source: str) -> list[str]:
                     module = "." * node.level + (node.module or "")
                     found.append(f"{node.lineno}: from {module} import {alias.name}")
     return found
+
+
+def names_in(node) -> Counter:
+    """How often each name is read, as a variable or as an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def definitions(tree):
+    """(qualified name, node) of each top-level def or class and each public
+    method of a public class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def unused_definitions(sources: list[str]) -> list[str]:
+    """Definitions whose name is read nowhere in the sources but inside
+    themselves: API that only code outside the sources (such as tests) runs."""
+    trees = [ast.parse(source) for source in sources]
+    named = sum((names_in(tree) for tree in trees), Counter())
+    return sorted(
+        qualified
+        for tree in trees
+        for qualified, node in definitions(tree)
+        if named[node.name] == names_in(node)[node.name]
+    )
 
 
 def imports_of(source: str, name: str) -> list[str]:
@@ -54,6 +89,27 @@ def test_no_private_imports_across_modules():
         if (found := private_imports(path.read_text(encoding="utf-8")))
     }
     assert offenders == {}
+
+
+def test_detector_sees_unused_definitions():
+    source = (
+        "def used():\n    return 1\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "class Box:\n    def read(self):\n        return used()\n"
+        "    def _hidden(self):\n        return 0\n"
+        "def caller(box: Box):\n    return box.read()\n"
+    )
+    assert unused_definitions([source]) == ["caller", "recursive"]
+    assert unused_definitions([source, "caller(recursive)\n"]) == []
+
+
+def test_every_definition_is_used_by_the_package():
+    sources = [
+        path.read_text(encoding="utf-8")
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    ]
+    assert unused_definitions(sources) == []
 
 
 def test_detector_sees_random():

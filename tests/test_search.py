@@ -30,6 +30,7 @@ from oracles import (
     brute_canonical_form,
     brute_frontier,
     labelled_children,
+    shape_fraction,
 )
 
 
@@ -66,7 +67,7 @@ class TestExpand:
         assert canonical_form(Shape.from_edges([(1, 2), (2, 3)])).edges in child_edge_sets
         assert canonical_form(Shape.from_edges([(1, 2), (3, 4)])).edges in child_edge_sets
         # duplicates break minimality in large mode
-        assert all(len(set(c.edges)) == c.edge_count for c in children)
+        assert all(len(set(c.edges)) == len(c.edges) for c in children)
 
     def test_small_mode_allows_duplicates(self):
         config = SearchConfig(NON_REDUNDANT_SMALL, 8)
@@ -241,8 +242,6 @@ class TestPruningSoundness:
     def test_children_of_a_pruned_shape_stay_pruned(self):
         # three disjoint pairs sit at 27/64 <= 1/2; nothing they grow into
         # can climb back over the threshold
-        from cubeint.shapes import shape_fraction
-
         pruned = Shape.from_edges([(1, 2), (3, 4), (5, 6)])
         assert shape_fraction(pruned) <= Fraction(1, 2)
         config = SearchConfig(EXHAUSTIVE_LARGE, 8, max_edges=4)

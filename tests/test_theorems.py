@@ -21,21 +21,24 @@ from cubeint.theorems import (
     antichain_bound_check,
     antichain_expression,
     build_21_star_map,
-    build_32_star_map,
-    build_zero_extension,
     claimed_large_sizes,
     count_subset_sums_in,
-    drop_coordinate,
     expected_h_n_window,
     h_n_window,
     ints_window_check,
     large_membership_witnesses,
-    condition_drop_bound_check,
-    condition_drop_bound_sweep,
     small_window_values,
-    sum_of_powers_members,
     verify_large_sets,
     verify_small_window,
+)
+from lemmas import (
+    build_32_star_map,
+    build_zero_extension,
+    condition_drop_bound_check,
+    condition_drop_bound_sweep,
+    drop_coordinate,
+    fix_coordinate_count,
+    sum_of_powers_members,
 )
 from oracles import pairwise_ints_masks
 
@@ -96,8 +99,6 @@ class TestConstructions:
             t = intersection_size(m)
             for coordinate in (1, 2, 3):
                 pattern_half = t % 2 == 0
-                from cubeint.cube import fix_coordinate_count
-
                 if pattern_half and fix_coordinate_count(m, coordinate) * 2 == t:
                     dropped = drop_coordinate(m, coordinate)
                     assert intersection_size(dropped) == t // 2
