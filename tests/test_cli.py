@@ -221,6 +221,51 @@ class TestCommands:
         assert data["result"]["match"] is True
 
 
+class TestPaperCommands:
+    """The command lines README gives for reproducing the paper's results."""
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["verify", "large", "--k", "6"], "H+(7,6) matches"),
+            (["verify", "small", "--k", "8"], "strict interior of the window"),
+        ],
+        ids=["verify_large_k6", "verify_small_k8"],
+    )
+    def test_verify_passes_every_check(self, capsys, argv, name):
+        code, out = run(capsys, *argv)
+        checks = json.loads(out)["result"]["checks"]
+        assert code == 0
+        assert name in [c["name"] for c in checks]
+        assert all(c["passed"] for c in checks)
+
+    def test_small_search_survivors_per_depth(self, capsys):
+        code, out = run(capsys, "search", "--mode", "small", "--k", "8")
+        result = json.loads(out)["result"]
+        assert code == 0 and result["terminated_naturally"] is True
+        survivors = [(d["edges"], len(d["shapes"])) for d in result["depths"]]
+        assert survivors == [
+            (1, 7), (2, 20), (3, 24), (4, 6), (5, 6), (6, 6), (7, 5), (8, 2)
+        ]
+
+    def test_codim1_table_header(self, capsys):
+        code, out = run(capsys, "sizes", "codim1")
+        assert code == 0
+        assert "a\tb\tt" in out.splitlines()
+
+    def test_large_sizes_k6(self, capsys):
+        code, out = run(capsys, "sizes", "large", "--k", "6")
+        assert code == 0
+        assert json.loads(out)["result"]["sizes"] == [35, 40, 48, 64]
+
+    def test_top_quarter_window_n24(self, capsys):
+        code, out = run(capsys, "window", "hn", "--n", "24")
+        assert code == 0
+        assert json.loads(out)["result"]["sizes"] == [
+            4194304, 4587520, 5242880, 6291456, 8388608, 16777216
+        ]
+
+
 class TestExitContract:
     @pytest.mark.parametrize(
         "argv",
@@ -263,6 +308,8 @@ class TestExitContract:
             ["window", "hn", "--n", "1000000000000"],
             ["sizes", "large", "--k", "2000"],
             ["window", "hn", "--n", "3"],
+            ["window", "hn", "--n", "30"],
+            ["verify", "large", "--k", "5"],
             ["verify", "large", "--k", "13"],
             ["verify", "small", "--k", "13"],
             ["verify", "small", "--k", "7"],

@@ -13,6 +13,7 @@ from cubeint.cube import (
     LinearMap,
     ORACLE_WORK_BUDGET,
     evaluate_pattern,
+    full_mask,
     intersection_closure,
     intersection_size,
     oracle_enumerate,
@@ -105,6 +106,54 @@ class TestSupportRestrict:
             t_full = intersection_size(mp)
             for i in (1, 2):
                 assert intersection_size(restrict(mp, {i})) >= t_full
+
+
+class TestConditionRedundancy:
+    """A condition is redundant when dropping it leaves the pattern as it was."""
+
+    def test_duplicate_row(self):
+        assert evaluate_pattern(lm(2, [[1, -1], [1, -1]])) == evaluate_pattern(
+            lm(2, [[1, -1]])
+        )
+
+    def test_star_pair_all_needed(self):
+        m = lm(4, [[1, 1, -1, 0], [0, 1, 1, -1]])
+        both = evaluate_pattern(m)
+        for i in (1, 2):
+            assert evaluate_pattern(restrict(m, {i})) != both
+
+    def test_zero_row_redundant(self):
+        assert evaluate_pattern(lm(2, [[1, -1], [0, 0]])) == evaluate_pattern(
+            lm(2, [[1, -1]])
+        )
+
+    def test_single_row(self):
+        assert evaluate_pattern(lm(2, [[1, -1]])) != full_mask(2)
+        assert evaluate_pattern(lm(2, [[1, 0]])) == full_mask(2)
+
+
+class TestFreeCoordinates:
+    """Coordinate i is bit i-1 of a point, so a pattern that ignores it holds
+    x exactly when it holds x with that bit flipped."""
+
+    def test_difference_row_with_free_coordinate(self):
+        two = evaluate_pattern(lm(2, [[1, -1]]))
+        three = evaluate_pattern(lm(3, [[1, -1, 0]]))
+        assert three == two | two << 4
+        assert three.bit_count() == two.bit_count() << 1 == 6
+
+    def test_free_middle_coordinate(self):
+        # x1 - x3 in {0,1}: (x1,x3) in {00, 10, 11}, x2 free
+        assert members(evaluate_pattern(lm(3, [[1, 0, -1]]))) == [0, 1, 2, 3, 5, 7]
+
+    def test_zero_map_fully_free(self):
+        assert evaluate_pattern(lm(3, [[0, 0, 0]])) == full_mask(3)
+
+    def test_support_coordinates_not_free(self):
+        mask = evaluate_pattern(lm(2, [[1, -1]]))
+        for c in (1, 2):
+            flip = 1 << (c - 1)
+            assert any(mask >> x & 1 != mask >> (x ^ flip) & 1 for x in range(4))
 
 
 class TestFixCoordinateCount:

@@ -73,6 +73,29 @@ class TestShapeBasics:
         assert Shape.from_json_dict(s.to_json_dict()) == s
 
 
+class TestMinimality:
+    def test_private_vertices_minimal(self):
+        assert shape((1, 2, 3), (3, 4)).is_minimal()
+
+    def test_contained_support_not_minimal(self):
+        assert not shape((1, 2, 3), (2, 3, 4), (4, 5)).is_minimal()
+
+    def test_duplicate_edge_not_minimal(self):
+        assert not shape((1, 2), (1, 2), (1, 3)).is_minimal()
+
+    def test_single_edge_minimal(self):
+        assert shape((1, 2)).is_minimal()
+
+    def test_no_edge_inside_the_others(self):
+        # a private vertex is the same as an edge not covered by the rest
+        for s in small_shape_inputs(max_vertices=5, max_edges=3):
+            covered = [
+                set(edge) <= {v for j, e in enumerate(s.edges) if j != i for v in e}
+                for i, edge in enumerate(s.edges)
+            ]
+            assert s.is_minimal() == (not any(covered)), s
+
+
 class TestCanonicalForm:
     def test_relabelled_pairs_coincide(self):
         a = shape((1, 2), (1, 3))
