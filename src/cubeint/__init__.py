@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .cube import (
     LinearMap,
-    SizeSet,
     evaluate_pattern,
     intersection_size,
     oracle_enumerate,
@@ -32,7 +31,6 @@ from .search import (
 __all__ = [
     "CanonicalBudgetError",
     "LinearMap",
-    "SizeSet",
     "SignCount",
     "Shape",
     "SearchConfig",

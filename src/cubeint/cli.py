@@ -9,7 +9,13 @@ from fractions import Fraction
 
 from . import __version__
 from .codim1 import codim1_table, large_codim1_sizes
-from .cube import EnumerationBudgetError, LinearMap, evaluate_pattern, oracle_enumerate
+from .cube import (
+    EnumerationBudgetError,
+    LinearMap,
+    evaluate_pattern,
+    intersection_size,
+    oracle_enumerate,
+)
 from .search import (
     EXHAUSTIVE_LARGE,
     MINIMAL_LARGE,
@@ -84,12 +90,17 @@ def _emit_tsv(rows, header: str, args, meta: dict) -> None:
     _write("\n".join(lines) + "\n" + body, args)
 
 
+def _emit_sizes(sizes: tuple[int, ...], n: int, k: int, source: str, args) -> None:
+    """A size list as {n, k, sizes, provenance}, every size labelled source."""
+    provenance = {str(s): source for s in sizes}
+    _emit({"n": n, "k": k, "sizes": list(sizes), "provenance": provenance}, args)
+
+
 def _cmd_sizes(args) -> int:
     if args.table == "codim1":
         _emit_tsv(codim1_table(), "a\tb\tt", args, {"table": "codim1"})
         return 0
-    sizes = large_codim1_sizes(args.k)
-    _emit(sizes.to_json_dict(), args)
+    _emit_sizes(large_codim1_sizes(args.k), args.k + 1, args.k, "construction", args)
     return 0
 
 
@@ -143,14 +154,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_window(args) -> int:
-    sizes, witnesses = h_n_window(args.n)
-    expected = expected_h_n_window(args.n)
+    witnesses = h_n_window(args.n)
+    sizes = sorted(witnesses)
+    expected = list(expected_h_n_window(args.n))
     payload = {
         "n": args.n,
-        "sizes": list(sizes.sizes),
-        "expected": list(expected),
+        "sizes": sizes,
+        "expected": expected,
         "witnesses": {str(s): m.to_json_dict() for s, m in witnesses.items()},
-        "match": list(sizes.sizes) == list(expected),
+        "match": sizes == expected
+        and all(intersection_size(m) == s for s, m in witnesses.items()),
     }
     _emit(payload, args)
     return 0 if payload["match"] else VERIFY_FAILURE
@@ -159,7 +172,7 @@ def _cmd_window(args) -> int:
 def _cmd_oracle(args) -> int:
     entries = args.entries.split(",")
     sizes = oracle_enumerate(args.k, args.m, entries, keep_above=args.keep_above)
-    _emit(sizes.to_json_dict(), args)
+    _emit_sizes(sizes, args.k + args.m, args.k, "oracle", args)
     return 0
 
 

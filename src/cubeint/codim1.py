@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .cube import MAX_DIMENSION, SizeSet
+from .cube import MAX_DIMENSION
 
 
 def binomial(n: int, r: int) -> int:
@@ -69,8 +69,9 @@ def closed_form_large_sizes(k: int) -> tuple[int, ...]:
     )
 
 
-def large_codim1_sizes(k: int) -> SizeSet:
-    """Single-row sizes above half the cube, checked against the closed form.
+def large_codim1_sizes(k: int) -> tuple[int, ...]:
+    """Ascending single-row sizes above half the cube, checked against the
+    closed form.
 
     Valid for k >= 6 only; below that the enumerated set genuinely differs
     from the closed form and callers should enumerate directly.
@@ -89,8 +90,7 @@ def large_codim1_sizes(k: int) -> SizeSet:
         raise AssertionError(
             f"enumerated large sizes {sorted(found)} != closed form {sorted(expected)}"
         )
-    sizes = tuple(sorted(found))
-    return SizeSet(k + 1, k, sizes, {s: "construction" for s in sizes})
+    return tuple(sorted(found))
 
 
 def support_size_bound(threshold: Fraction) -> int:

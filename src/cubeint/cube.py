@@ -7,7 +7,7 @@ membership test is never subject to rounding.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -140,22 +140,24 @@ def intersection_closure(
     with all its descendants, and a generator at or below it is never used.
     A breadth-first frontier expands each mask kept once, at the least depth
     it is met; nothing at or below the bar is stored.  Expanding a depth costs
-    frontier x generators intersections; EnumerationBudgetError is raised,
-    before a depth is expanded, once the total would pass max_work.
+    frontier x generators intersections.  EnumerationBudgetError is raised
+    once the total would pass max_work: before a depth is expanded, and,
+    while one is expanded with another still due, as soon as the next
+    depth's frontier so far no longer fits; that frontier only grows, so
+    such a run would be refused before the next depth anyway.
     """
     generators = sorted({mask for mask in generators if mask.bit_count() > above})
     reached = {mask for mask in start if mask.bit_count() > above}
     frontier = sorted(reached)
+    refusal = f"closure of {len(generators)} masks needs more than {max_work} intersections"
     depth = 1
     work = 0
     while frontier and (max_rows is None or depth < max_rows):
         work += len(frontier) * len(generators)
         if max_work is not None and work > max_work:
-            raise EnumerationBudgetError(
-                f"closure of {len(generators)} masks needs more than "
-                f"{max_work} intersections"
-            )
+            raise EnumerationBudgetError(refusal)
         depth += 1
+        guarded = max_work is not None and (max_rows is None or depth < max_rows)
         next_frontier = []
         for mask in frontier:
             for generator in generators:
@@ -163,6 +165,8 @@ def intersection_closure(
                 if child not in reached and child.bit_count() > above:
                     reached.add(child)
                     next_frontier.append(child)
+            if guarded and work + len(next_frontier) * len(generators) > max_work:
+                raise EnumerationBudgetError(refusal)
         frontier = next_frontier
     return reached
 
@@ -186,37 +190,13 @@ def intersection_size(linear_map: LinearMap) -> int:
     return evaluate_pattern(linear_map).bit_count()
 
 
-@dataclass
-class SizeSet:
-    """Achievable intersection sizes for fixed (n, k), with provenance."""
-
-    n: int
-    k: int
-    sizes: tuple[int, ...]
-    provenance: dict[int, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        dedup = sorted(set(self.sizes))
-        if any(s < 1 or s > (1 << self.k) for s in dedup):
-            raise ValueError("size outside 1..2^k")
-        self.sizes = tuple(dedup)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "sizes": list(self.sizes),
-            "provenance": {str(s): self.provenance.get(s, "") for s in self.sizes},
-        }
-
-
 def oracle_enumerate(
     k: int,
     m: int,
     entry_set: Iterable,
     keep_above: Fraction | int = 0,
-) -> SizeSet:
-    """Exact set of achievable sizes over all m-row maps with given entries.
+) -> tuple[int, ...]:
+    """Ascending achievable sizes over all m-row maps with given entries.
 
     The distinct single-row masks are closed under intersection up to m rows
     (intersection_closure, with the bar keep_above * 2^k rounded down); the
@@ -246,5 +226,4 @@ def oracle_enumerate(
     reached = intersection_closure(
         masks, masks, above, max_rows=m, max_work=ORACLE_WORK_BUDGET // step
     )
-    result = tuple(sorted({mask.bit_count() for mask in reached}))
-    return SizeSet(k + m, k, result, {s: "oracle" for s in result})
+    return tuple(sorted({mask.bit_count() for mask in reached}))

@@ -143,18 +143,16 @@ class SearchResult:
     def canonical_survivor_count(self, depth: int) -> int:
         return len(self.survivors(depth))
 
-    def all_values_scaled(self, k: int, max_depth: int | None = None) -> set[int]:
+    def all_values_scaled(self, max_depth: int | None = None) -> set[int]:
         """Above-threshold values of every survivor, padded with isolated
-        coordinates up to dimension k."""
-        out: set[int] = set()
-        limit = len(self.depths) if max_depth is None else min(max_depth, len(self.depths))
-        for depth in range(1, limit + 1):
-            for rec in self.depths[depth - 1]:
-                shift = k - rec.shape.vertex_count
-                if shift < 0:
-                    continue
-                out.update(v << shift for v in rec.values)
-        return out
+        coordinates up to dimension config.k."""
+        k = self.config.k
+        return {
+            v << (k - rec.shape.vertex_count)
+            for records in self.depths[:max_depth]
+            for rec in records
+            for v in rec.values
+        }
 
 
 def _raw_children(shape: Shape, config: SearchConfig):

@@ -14,7 +14,6 @@ from .codim1 import SignCount, binomial, closed_form_large_sizes
 from .cube import (
     MAX_DIMENSION,
     LinearMap,
-    SizeSet,
     intersection_closure,
     intersection_size,
     row_masks,
@@ -151,7 +150,7 @@ def large_membership_witnesses(k: int, extra_rows: int) -> dict[int, LinearMap]:
 
 def computed_large_sizes(result: SearchResult, k: int, extra_rows: int) -> set[int]:
     sizes = {1 << k}
-    sizes.update(result.all_values_scaled(k, max_depth=extra_rows))
+    sizes.update(result.all_values_scaled(max_depth=extra_rows))
     return sizes
 
 
@@ -257,11 +256,8 @@ def verify_small_window(k: int = 8) -> Report:
         middle: _single_row_map(k, SignCount(5, 3, k - 8)),
         half: _single_row_map(k, SignCount(0, 1, k - 1)),
     }
-    wrong = {
-        size: intersection_size(m)
-        for size, m in memberships.items()
-        if intersection_size(m) != size
-    }
+    evaluated = {size: intersection_size(m) for size, m in memberships.items()}
+    wrong = {size: actual for size, actual in evaluated.items() if actual != size}
     report.add("claimed window values constructed", not wrong, failures=wrong)
 
     result = bfs_search(SearchConfig(NON_REDUNDANT_SMALL, k))
@@ -271,7 +267,7 @@ def verify_small_window(k: int = 8) -> Report:
         depths=len(result.depths),
     )
 
-    swept = result.all_values_scaled(k)
+    swept = result.all_values_scaled()
     inside = {v for v in swept if bottom < v < half}
     report.add(
         "strict interior of the window",
@@ -279,11 +275,11 @@ def verify_small_window(k: int = 8) -> Report:
         found=sorted(inside),
         expected=[middle],
     )
+    window = sorted(set(evaluated.values()) | inside)
     report.add(
         "window altogether",
-        sorted({bottom, middle, half}) == [bottom, middle, half]
-        and inside == {middle},
-        window=sorted({bottom, middle, half}),
+        window == [bottom, middle, half],
+        window=window,
     )
 
     if len(result.depths) >= 4:
@@ -454,30 +450,17 @@ def ints_window_check(k: int) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def h_n_window(n: int) -> tuple[SizeSet, dict[int, LinearMap]]:
-    """Sizes achievable in a fixed n-cube within the top quarter, with
-    witnesses; only subspace dimensions n, n-1, n-2 can reach that high."""
+def h_n_window(n: int) -> dict[int, LinearMap]:
+    """Witness maps for the sizes achievable in a fixed n-cube within the top
+    quarter, keyed by size; only subspace dimensions n, n-1, n-2 can reach
+    that high, and dimension n-1 takes the large chain's one-row witnesses."""
     if not 8 <= n <= MAX_DIMENSION:
         raise ValueError(f"window formula stated for n in 8..{MAX_DIMENSION}")
-    quarter = 1 << (n - 2)
-    witnesses: dict[int, LinearMap] = {}
-    witnesses[1 << n] = LinearMap(n, ())
-    witnesses[1 << (n - 1)] = _padded([[]], n - 1, 1)
-    witnesses[quarter] = _padded([[]], n - 2, 2)
-    k = n - 1
-    for rows, size in (
-        ([[1, -1]], (1 << (k - 1)) + (1 << (k - 2))),
-        ([[1, 1, -1, -1]], (1 << (k - 1)) + (1 << (k - 3))),
-        ([[1, 1, 1, -1, -1, -1]], (1 << (k - 1)) + (1 << (k - 5)) + (1 << (k - 6))),
-    ):
-        witnesses[size] = _padded(rows, k, 1)
-    for size, wit in witnesses.items():
-        actual = intersection_size(wit)
-        if actual != size:
-            raise AssertionError(f"witness for {size} evaluates to {actual}")
-    sizes = tuple(sorted(witnesses))
-    provenance = {s: "construction" for s in sizes}
-    return SizeSet(n, n, sizes, provenance), witnesses
+    return {
+        1 << n: LinearMap(n, ()),
+        1 << (n - 2): _padded([], n - 2, 2),
+        **large_membership_witnesses(n - 1, 1),
+    }
 
 
 def expected_h_n_window(n: int) -> tuple[int, ...]:

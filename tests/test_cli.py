@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubeint import cli, shapes
+from cubeint import cli, shapes, theorems
 from cubeint.cli import build_parser, main
 
 
@@ -94,6 +94,35 @@ class TestDeterminism:
         _, first = run(capsys, "search", "--mode", "large", "--k", "6", "--max-edges", "2")
         _, second = run(capsys, "search", "--mode", "large", "--k", "6", "--max-edges", "2")
         assert first == second
+
+    # content hashes of the size-list and window payloads; a change to their
+    # output format changes these
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["sizes", "large", "--k", "6"],
+                "ecc0bc4409e44d69f48fca0c0d70b0c9fa492c395640ebfe7c9f41403538b69c",
+            ),
+            (
+                ["oracle", "--k", "4", "--m", "1", "--keep-above", "1/2"],
+                "05b457a4e9439f5c40e415f7e0c46888299dbfb34d9abce30a03f6d897a51562",
+            ),
+            (
+                ["window", "hn", "--n", "10"],
+                "82e587a319a2bfdb43c43b2df0808cf37d9eda1926b89d23f8935e36105d5283",
+            ),
+            (
+                ["window", "hn", "--n", "24"],
+                "17b9d8862c02032e1ebf2a608e09b201c111daacaf7097e2e7b3917e41f8edb7",
+            ),
+        ],
+        ids=["sizes_large_k6", "oracle_k4_m1", "window_n10", "window_n24"],
+    )
+    def test_golden_content_hash(self, capsys, argv, digest):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["content_hash"] == digest
 
     def test_envelope_fields(self, capsys):
         _, out = run(capsys, "window", "hn", "--n", "10")
@@ -319,6 +348,7 @@ class TestExitContract:
             ["shape", "--json", '{"edges":[[true,2]]}'],
             ["shape", "--edges", "1,2", "--json", '{"edges":[[1,2]]}'],
             ["oracle", "--k", "11", "--m", "2", "--entries", "0,1"],
+            ["oracle", "--k", "7", "--m", "3"],
         ],
     )
     def test_refusal_is_one_line_and_prompt(self, argv):
@@ -328,6 +358,20 @@ class TestExitContract:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_wrong_window_witness_exits_one_with_a_report(self, capsys, monkeypatch):
+        padded = theorems._padded
+
+        def wrong(rows, k, m):
+            # x1 + x2 + x3 in {0, 1} holds on half the cube, x1 - x2 on 3/4
+            return padded([[1, 1, 1]] if rows == [[1, -1]] else rows, k, m)
+
+        monkeypatch.setattr(theorems, "_padded", wrong)
+        code = main(["window", "hn", "--n", "8"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.out)["result"]["match"] is False
+        assert captured.err == ""
 
     def test_ten_edge_star_exits_zero(self, capsys):
         edges = ";".join(f"1,{v}" for v in range(2, 12))

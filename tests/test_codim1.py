@@ -85,11 +85,11 @@ class TestLargeSizes:
         ],
     )
     def test_small_cases(self, k, expected):
-        assert large_codim1_sizes(k).sizes == expected
+        assert large_codim1_sizes(k) == expected
 
     def test_closed_form_consistency(self):
         for k in range(6, 13):
-            assert large_codim1_sizes(k).sizes == closed_form_large_sizes(k)
+            assert large_codim1_sizes(k) == closed_form_large_sizes(k)
 
     def test_rejects_small_k(self):
         with pytest.raises(ValueError):

@@ -184,18 +184,18 @@ class TestFixCoordinateCount:
 
 class TestOracle:
     def test_k2_single_row(self):
-        assert oracle_enumerate(2, 1, (-1, 0, 1)).sizes == (1, 2, 3, 4)
+        assert oracle_enumerate(2, 1, (-1, 0, 1)) == (1, 2, 3, 4)
 
     def test_k4_above_half(self):
         sizes = oracle_enumerate(4, 1, (-1, 0, 1), keep_above=Fraction(1, 2))
-        assert sizes.sizes == (10, 12, 16)
+        assert sizes == (10, 12, 16)
 
     def test_zero_entries_only(self):
-        assert oracle_enumerate(3, 2, (0,)).sizes == (8,)
+        assert oracle_enumerate(3, 2, (0,)) == (8,)
 
     def test_matches_raw_sweep(self):
         raw = sorted({intersection_size(m) for m in all_sign_maps(2, 2)})
-        assert list(oracle_enumerate(2, 2, (-1, 0, 1)).sizes) == raw
+        assert list(oracle_enumerate(2, 2, (-1, 0, 1))) == raw
 
     def test_rejects_fewer_than_one_row(self):
         for m in (0, -1):
@@ -210,7 +210,7 @@ class TestOracle:
     def test_two_entries_run_past_k8(self):
         # 2^9 rows of 2^9 points fit the row budget that refuses 3^9 rows
         above_half = oracle_enumerate(9, 1, (0, 1), keep_above=Fraction(1, 2))
-        assert above_half.sizes == (384, 512)
+        assert above_half == (384, 512)
         with pytest.raises(EnumerationBudgetError):
             oracle_enumerate(9, 1, (-1, 0, 1))
 
@@ -219,20 +219,20 @@ class TestOracle:
         # intersections
         with pytest.raises(EnumerationBudgetError, match=str(ORACLE_WORK_BUDGET)):
             oracle_enumerate(6, 3, (-1, 0, 1))
-        assert oracle_enumerate(5, 3, (-1, 0, 1)).sizes[-1] == 32
+        assert oracle_enumerate(5, 3, (-1, 0, 1))[-1] == 32
 
     def test_closure_saturates_before_a_huge_depth(self):
         # no mask is met first past depth 3 at k=3, so a million rows add nothing
         start = time.perf_counter()
         deep = oracle_enumerate(3, 10**6, (-1, 0, 1))
         assert time.perf_counter() - start < 1
-        assert deep.sizes == oracle_enumerate(3, 3, (-1, 0, 1)).sizes
+        assert deep == oracle_enumerate(3, 3, (-1, 0, 1))
 
     def test_row_work_guard(self):
         # 4^8 rows of 256 points each: 16.8 million steps before any closure
         with pytest.raises(EnumerationBudgetError, match=str(ORACLE_WORK_BUDGET)):
             oracle_enumerate(8, 1, (-1, 0, 1, 2))
-        assert oracle_enumerate(8, 1, (-1, 0, 1), keep_above=Fraction(1, 2)).sizes[-1] == 256
+        assert oracle_enumerate(8, 1, (-1, 0, 1), keep_above=Fraction(1, 2))[-1] == 256
 
 
 class TestIntersectionClosure:
@@ -264,6 +264,27 @@ class TestIntersectionClosure:
         assert self.sizes(above=0, max_rows=2, max_work=3) == [4, 4, 4, 8]
         with pytest.raises(EnumerationBudgetError):
             self.sizes(above=0, max_rows=3, max_work=11)
+
+    def test_refusal_stops_inside_the_last_affordable_depth(self):
+        # With 23 allowed, the third depth (cumulative cost 21) is affordable
+        # and the fourth (24) is not.  The first pair expanded at depth three
+        # meets the corner, so the refusal comes after 3 + 9 + 3
+        # intersections, not after all 21 of the first three depths.
+        count = []
+
+        class Counted(int):
+            def __and__(self, other):
+                count.append(1)
+                return int(self) & int(other)
+
+            __rand__ = __and__
+
+        faces = [Counted(face) for face in self.FACES]
+        with pytest.raises(EnumerationBudgetError):
+            intersection_closure([Counted((1 << 8) - 1)], faces, above=0, max_work=23)
+        assert len(count) == 3 + 9 + 3
+        # no depth is due after the last one allowed, so its frontier costs nothing
+        assert self.sizes(above=0, max_rows=4, max_work=21) == [1, 2, 2, 2, 4, 4, 4, 8]
 
 
 INTEGRALITY_ENTRIES = (-2, -1, Fraction(-1, 2), 0, Fraction(1, 2), 1, 2)

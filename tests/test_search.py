@@ -154,7 +154,7 @@ class TestExhaustiveSearch:
 
     def test_scaled_values_at_k4(self):
         result = bfs_search(SearchConfig(EXHAUSTIVE_LARGE, 4, max_edges=2))
-        sizes = {16} | result.all_values_scaled(4, max_depth=2)
+        sizes = {16} | result.all_values_scaled(max_depth=2)
         # above-half sizes with two conditions in a 4-cube
         assert sizes == {9, 10, 12, 16}
 

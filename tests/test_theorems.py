@@ -160,6 +160,21 @@ class TestSmallWindow:
         with pytest.raises(ValueError):
             verify_small_window(k)
 
+    def test_window_comes_from_the_constructions(self, monkeypatch):
+        # the bottom value's map built with the middle's sign counts: the
+        # constructions then reach 126 and 128 only, and the sweep adds 126
+        single_row_map = theorems._single_row_map
+
+        def wrong(k, sc):
+            bottom = SignCount(4, 1, k - 5)
+            return single_row_map(k, SignCount(5, 3, k - 8) if sc == bottom else sc)
+
+        monkeypatch.setattr(theorems, "_single_row_map", wrong)
+        details = {c.name: c for c in verify_small_window(8).checks}
+        assert not details["window altogether"].passed
+        assert details["window altogether"].details["window"] == [126, 128]
+        assert details["strict interior of the window"].passed
+
 
 # Broken chain partitions for the antichain proof: two_element_step breaks
 # only the one-element steps, a_subset_twice only the cover, split_the_longest
@@ -305,19 +320,17 @@ class TestIntsWindow:
 
 class TestHnWindow:
     def test_values_n8_n10(self):
-        sizes8, _ = h_n_window(8)
-        assert sizes8.sizes == (64, 70, 80, 96, 128, 256)
-        sizes10, _ = h_n_window(10)
-        assert sizes10.sizes == (256, 280, 320, 384, 512, 1024)
+        assert tuple(sorted(h_n_window(8))) == (64, 70, 80, 96, 128, 256)
+        assert tuple(sorted(h_n_window(10))) == (256, 280, 320, 384, 512, 1024)
 
     def test_witnesses_verified(self):
-        _, witnesses = h_n_window(9)
+        witnesses = h_n_window(9)
         for size, witness in witnesses.items():
             assert intersection_size(witness) == size
 
     def test_formula_matches(self):
         for n in range(8, 14):
-            assert h_n_window(n)[0].sizes == expected_h_n_window(n)
+            assert tuple(sorted(h_n_window(n))) == expected_h_n_window(n)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
@@ -345,9 +358,9 @@ class TestOracleCrossChecks:
         from cubeint.search import EXHAUSTIVE_LARGE, SearchConfig, bfs_search
 
         result = bfs_search(SearchConfig(EXHAUSTIVE_LARGE, 4, max_edges=2))
-        via_search = {16} | result.all_values_scaled(4, max_depth=2)
+        via_search = {16} | result.all_values_scaled(max_depth=2)
         via_oracle = set(
-            oracle_enumerate(4, 2, (-1, 0, 1), keep_above=Fraction(1, 2)).sizes
+            oracle_enumerate(4, 2, (-1, 0, 1), keep_above=Fraction(1, 2))
         )
         assert via_search == via_oracle
 
@@ -357,17 +370,17 @@ class TestOracleCrossChecks:
         result = bfs_search(SearchConfig(EXHAUSTIVE_LARGE, 5, max_edges=3))
         for m in (1, 2, 3):
             via_oracle = set(
-                oracle_enumerate(5, m, (-1, 0, 1), keep_above=Fraction(1, 2)).sizes
+                oracle_enumerate(5, m, (-1, 0, 1), keep_above=Fraction(1, 2))
             )
-            via_search = {32} | result.all_values_scaled(5, max_depth=m)
+            via_search = {32} | result.all_values_scaled(max_depth=m)
             assert via_search == via_oracle
 
     def test_full_star_value_needs_four_conditions(self):
         from cubeint.search import EXHAUSTIVE_LARGE, SearchConfig, bfs_search
 
         result = bfs_search(SearchConfig(EXHAUSTIVE_LARGE, 5, max_edges=4))
-        assert 17 not in result.all_values_scaled(5, max_depth=3)
-        assert 17 in result.all_values_scaled(5, max_depth=4)
+        assert 17 not in result.all_values_scaled(max_depth=3)
+        assert 17 in result.all_values_scaled(max_depth=4)
 
     def test_small_sweep_matches_oracle(self):
         # the redundancy skip never loses an achievable value: the cumulative
@@ -380,9 +393,9 @@ class TestOracleCrossChecks:
                 via_oracle = set(
                     oracle_enumerate(
                         k, m, (-1, 0, 1), keep_above=Fraction(15, 32)
-                    ).sizes
+                    )
                 )
-                via_search = {1 << k} | result.all_values_scaled(k, max_depth=m)
+                via_search = {1 << k} | result.all_values_scaled(max_depth=m)
                 assert via_search == via_oracle
 
 
