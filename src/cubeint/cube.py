@@ -10,17 +10,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 # One bit per cube vertex; beyond this the masks no longer fit a sane budget.
 MAX_DIMENSION = 24
 
-# Most steps each stage of the oracle may take, about a second or two: building
-# a row mask costs 2^k steps, and an intersection of two 2^k-bit masks in the
-# closure max(1, 2^k // 256).  oracle --k 5 --m 3 needs 4.2 million
-# intersections at one step each; --k 6 --m 3 and --k 8 --m 2 far more.
+# Most steps each stage of the oracle may take, about a second or two: the row
+# masks are charged 2^k steps per row, and an intersection of two 2^k-bit masks
+# in the closure max(1, 2^k // 256).  The row charge is what building one row
+# alone costs; row_masks shares each prefix's level sets between rows, so it
+# spends less, but the charge, and with it every refusal, stays.  oracle --k 5
+# --m 3 needs 4.2 million intersections at one step each; --k 6 --m 3 and
+# --k 8 --m 2 far more.
 ORACLE_WORK_BUDGET = 5_000_000
 
 
@@ -88,21 +90,27 @@ class LinearMap:
         return lm
 
 
+def _grow(levels: dict[int, int], c: int, width: int) -> dict[int, int]:
+    """Level sets over the first 2*width points from those over the first
+    width: the new coefficient c adds c to the points with the new bit set,
+    which are the points seen so far shifted up by width."""
+    grown = dict(levels)
+    for value, mask in levels.items():
+        grown[value + c] = grown.get(value + c, 0) | mask << width
+    return grown
+
+
 @lru_cache(maxsize=None)
 def row_mask(coeffs: tuple[int, ...], unit: int) -> int:
     """Bitmask of points whose scaled row value lies in {0, unit}.
 
-    Built by level sets: each value maps to the mask of the points taking it.
-    Coefficient i adds c to the points with bit i set, which are the points
-    seen so far shifted up by 2^i, so each coefficient doubles the width.
+    Built by level sets: each value maps to the mask of the points taking it,
+    and each coefficient doubles the width (_grow).
     """
     levels = {0: 1}
     width = 1
     for c in coeffs:
-        grown = dict(levels)
-        for value, mask in levels.items():
-            grown[value + c] = grown.get(value + c, 0) | mask << width
-        levels = grown
+        levels = _grow(levels, c, width)
         width <<= 1
     return levels.get(0, 0) | levels.get(unit, 0)
 
@@ -121,9 +129,32 @@ def row_masks(k: int, entries: Iterable) -> Iterator[tuple[tuple, int]]:
 
     Entries are ints or Fractions; the mask has bit x set iff the row's value
     at point x lies in {0, 1}.  Rows with equal masks are all yielded.
+
+    One depth-first walk over the rows: the entries are scaled once by their
+    common denominator L, and each prefix's level sets are grown once, for
+    every row under it.  L*v lies in {0, L} exactly when v lies in {0, 1}, so
+    a row's mask is its level sets at 0 and L, as row_mask builds it.  Those
+    two sets of a row ending in c read four of its prefix's, since _grow sets
+    level v to levels[v] | levels[v - c] << width, so the last entry builds
+    no level sets.  k must be at least 1.
     """
-    for row in product(entries, repeat=k):
-        yield row, row_mask(*_scaled_row(row))
+    if k < 1:
+        raise ValueError(f"rows need at least one entry, not k={k}")
+    entries = tuple(entries)
+    unit = lcm(*(e.denominator for e in entries))
+    scaled = [(e, e.numerator * (unit // e.denominator)) for e in entries]
+
+    def walk(prefix: tuple, levels: dict[int, int], width: int):
+        if len(prefix) < k - 1:
+            for entry, c in scaled:
+                yield from walk(prefix + (entry,), _grow(levels, c, width), width << 1)
+            return
+        low = levels.get(0, 0) | levels.get(unit, 0)
+        for entry, c in scaled:
+            high = levels.get(-c, 0) | levels.get(unit - c, 0)
+            yield prefix + (entry,), low | high << width
+
+    yield from walk((), {0: 1}, 1)
 
 
 def intersection_closure(

@@ -48,7 +48,7 @@ from math import comb
 
 from .codim1 import support_size_bound
 from .cube import MAX_DIMENSION
-from .shapes import Shape, canonical_form, intersection_value_set, max_intersection
+from .shapes import Shape, canonical_form, intersection_value_set
 
 MINIMAL_LARGE = "minimal-large"
 NON_REDUNDANT_SMALL = "non-redundant-small"
@@ -106,7 +106,7 @@ class ShapeRecord:
     """A surviving state: canonical shape plus everything the round measured.
 
     ``values`` are its sizes above the threshold, ascending, and ``max_size``
-    the best admissible one; max_intersection(shape) gives a witness.
+    the best admissible one; shapes.max_intersection gives a witness.
     ``keys`` distinguishes the inequivalent ways the state was produced (size
     of the added edge plus its overlap profile with the parent's edges); each
     counts as one raw survivor, which is how the historical raw counts arise.
@@ -219,15 +219,13 @@ def _count_vectors(sizes: list[int], total: int):
 
 def _dead_pairs(config: SearchConfig) -> frozenset:
     """(|e|, |new|, |e & new|) of every two-edge shape of at most k vertices
-    whose best size is at or below the threshold; computed once per search."""
-    num, den = config.threshold.numerator, config.threshold.denominator
+    with no size above the threshold; computed once per search."""
     dead = set()
     for a in range(2, config.max_edge_size + 1):
         for b in range(2, a + 1):
             for x in range(max(0, a + b - config.k), b + 1):
                 pair = Shape.from_edges([range(1, a + 1), range(a - x + 1, a - x + b + 1)])
-                best, _ = max_intersection(pair)
-                if best * den <= num << pair.vertex_count:
+                if not intersection_value_set(pair, floor=config.threshold):
                     dead.add((a, b, x))
     return frozenset(dead)
 

@@ -404,6 +404,23 @@ def antichain_bound_check(ell: int) -> Report:
 INTEGRALITY_ENTRIES = tuple(map(Fraction, ("-2", "-1", "-1/2", "0", "1/2", "1", "2")))
 
 
+def _pure_and_bad_masks(k: int) -> tuple[set[int], set[int]]:
+    """The masks of the rows over INTEGRALITY_ENTRIES with every entry in
+    {-1, 0, 1}, and of those with another entry, from one row_masks walk.
+
+    An entry is a unit when its denominator is 1 and its numerator lies in
+    -1..1, so ints classify as Fractions do and no entry is hashed.
+    """
+    pure_masks: set[int] = set()
+    bad_masks: set[int] = set()
+    for row, mask in row_masks(k, INTEGRALITY_ENTRIES):
+        if all(e.denominator == 1 and -1 <= e.numerator <= 1 for e in row):
+            pure_masks.add(mask)
+        else:
+            bad_masks.add(mask)
+    return pure_masks, bad_masks
+
+
 def ints_window_check(k: int) -> Report:
     """Maps over INTEGRALITY_ENTRIES with an entry outside {-1,0,1} never land
     strictly between 15/16 * 2^(k-1) and 2^(k-1), nor above 2^(k-1) except at
@@ -416,18 +433,14 @@ def ints_window_check(k: int) -> Report:
     closure of the bad masks under all row masks (intersection_closure, no
     depth bound) reaches it.  The check passes when every mask reached has
     exactly 2^(k-1) points.
+
+    The masks of all 7^k rows come from one row_masks walk, sorted into pure
+    and bad by _pure_and_bad_masks.
     """
     if not 1 <= k <= 5:
         raise ValueError("the integrality sweep covers k in 1..5")
     report = Report(f"entry integrality window, k={k}")
-    pure_masks: set[int] = set()
-    bad_masks: set[int] = set()
-    for row, mask in row_masks(k, INTEGRALITY_ENTRIES):
-        if set(row) <= {-1, 0, 1}:
-            pure_masks.add(mask)
-        else:
-            bad_masks.add(mask)
-
+    pure_masks, bad_masks = _pure_and_bad_masks(k)
     half = 1 << (k - 1)
     reached = intersection_closure(bad_masks, pure_masks | bad_masks, (15 * half) // 16)
     failures = [

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from cubeint.codim1 import SignCount, binomial
-from cubeint.cube import LinearMap, evaluate_pattern, row_mask
+from cubeint.cube import LinearMap, _scaled_row, evaluate_pattern, row_mask
 from cubeint.search import EXHAUSTIVE_LARGE, MINIMAL_LARGE, SearchConfig
 from cubeint.shapes import Edge, Shape, _edge_key, max_intersection
 
@@ -18,6 +18,12 @@ def reference_row_mask(coeffs: tuple[int, ...], unit: int) -> int:
         if value in (0, unit):
             mask |= 1 << x
     return mask
+
+
+def per_row_masks(k: int, entries) -> list[tuple[tuple, int]]:
+    """cube.row_masks one row at a time, each row scaled by its own common
+    denominator and built by cube.row_mask."""
+    return [(row, row_mask(*_scaled_row(row))) for row in product(entries, repeat=k)]
 
 
 def level_count(sc: SignCount, level: int) -> int:
@@ -109,6 +115,21 @@ def shape_fraction(shape: Shape) -> Fraction:
     """Best achievable size divided by the covered cube's size."""
     best, _ = max_intersection(shape)
     return Fraction(best, 1 << shape.vertex_count)
+
+
+def walked_dead_pairs(config: SearchConfig) -> frozenset:
+    """search._dead_pairs by the branch-and-bound walk: a pair is dead when
+    max_intersection's best size is at or below threshold * 2^|V|."""
+    num, den = config.threshold.numerator, config.threshold.denominator
+    dead = set()
+    for a in range(2, config.max_edge_size + 1):
+        for b in range(2, a + 1):
+            for x in range(max(0, a + b - config.k), b + 1):
+                pair = Shape.from_edges([range(1, a + 1), range(a - x + 1, a - x + b + 1)])
+                best, _ = max_intersection(pair)
+                if best * den <= num << pair.vertex_count:
+                    dead.add((a, b, x))
+    return frozenset(dead)
 
 
 def brute_canonical_form(shape: Shape) -> Shape:

@@ -23,7 +23,7 @@ from cubeint.cube import (
 )
 
 from lemmas import fix_coordinate_count, restrict, support
-from oracles import reference_row_mask
+from oracles import per_row_masks, reference_row_mask
 
 
 def lm(k, rows):
@@ -310,6 +310,32 @@ def test_row_mask_matches_point_by_point_reference():
         for _ in range(10):
             coeffs = tuple(rng.choice((-1, 0, 1)) for _ in range(k))
             assert row_mask(coeffs, 1) == reference_row_mask(coeffs, 1)
+
+
+@pytest.mark.parametrize(
+    "entries, max_k",
+    [
+        (INTEGRALITY_ENTRIES, 5),
+        ((-1, 0, 1), 7),
+        ((Fraction(-2, 3), Fraction(1, 3), Fraction(1, 2), 1), 4),
+        ((0,), 6),
+        ((5,), 6),
+    ],
+    ids=["integrality", "units", "thirds-halves", "zero", "five"],
+)
+def test_row_masks_match_per_row_reference(entries, max_k):
+    for k in range(1, max_k + 1):
+        got = list(row_masks(k, iter(entries)))
+        want = per_row_masks(k, entries)
+        assert len(got) == len(want) == len(entries) ** k
+        for (row, mask), (want_row, want_mask) in zip(got, want):
+            assert len(row) == k and all(a is b for a, b in zip(row, want_row))
+            assert mask == want_mask, (row, k)
+
+
+def test_row_masks_rejects_empty_rows():
+    with pytest.raises(ValueError):
+        next(row_masks(0, (0, 1)))
 
 
 class TestSerialization:

@@ -31,6 +31,7 @@ from oracles import (
     brute_frontier,
     labelled_children,
     shape_fraction,
+    walked_dead_pairs,
 )
 
 
@@ -205,6 +206,15 @@ class TestBound:
                     assert intersection_value_set(canon, floor=config.threshold) == ()
         # from k = 5 on every one of these searches has children to rule out
         assert ruled or config.k < 5
+
+    @pytest.mark.parametrize(
+        "config",
+        [SearchConfig(EXHAUSTIVE_LARGE, k) for k in range(6, 13)]
+        + [SearchConfig(NON_REDUNDANT_SMALL, k) for k in range(8, 12)],
+        ids=lambda c: f"{c.mode}-{c.k}",
+    )
+    def test_dead_pairs_match_the_max_walk(self, config):
+        assert _dead_pairs(config) == walked_dead_pairs(config)
 
     def test_pair_bound_table(self):
         # (|e|, |new|, |e & new|): two disjoint triples keep 36/64 > 1/2 and

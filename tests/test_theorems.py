@@ -40,7 +40,7 @@ from lemmas import (
     fix_coordinate_count,
     sum_of_powers_members,
 )
-from oracles import pairwise_ints_masks
+from oracles import pairwise_ints_masks, per_row_masks
 
 
 def lm(k, rows):
@@ -292,6 +292,19 @@ class TestIntsWindow:
         for k in (0, -1):
             with pytest.raises(ValueError):
                 ints_window_check(k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_classification_matches_entry_sets(self, k):
+        pure, bad = set(), set()
+        for row, mask in per_row_masks(k, theorems.INTEGRALITY_ENTRIES):
+            (pure if set(row) <= {-1, 0, 1} else bad).add(mask)
+        assert theorems._pure_and_bad_masks(k) == (pure, bad)
+
+    def test_k5_report_counts(self):
+        report = ints_window_check(5)
+        assert report.passed
+        details = report.checks[0].details
+        assert (details["pure_rows"], details["bad_rows"]) == (238, 6967)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_two_row_closure_matches_pair_sweep(self, k):
