@@ -225,77 +225,83 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact hypercube/subspace intersection-size toolkit",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    # every verb writes its report to --out, or to stdout without one
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
 
     p_sizes = sub.add_parser("sizes", help="closed-form size tables")
     sizes_sub = p_sizes.add_subparsers(dest="table", required=True)
-    p_codim1 = sizes_sub.add_parser("codim1", help="single-condition (a,b,t) table")
-    p_codim1.add_argument("--out")
+    p_codim1 = sizes_sub.add_parser(
+        "codim1", help="single-condition (a,b,t) table", parents=[out]
+    )
     p_codim1.set_defaults(func=_cmd_sizes)
-    p_large = sizes_sub.add_parser("large", help="above-half single-condition sizes")
+    p_large = sizes_sub.add_parser(
+        "large", help="above-half single-condition sizes", parents=[out]
+    )
     p_large.add_argument("--k", type=int, required=True)
-    p_large.add_argument("--out")
     p_large.set_defaults(func=_cmd_sizes)
 
-    p_search = sub.add_parser("search", help="breadth-first shape search")
+    p_search = sub.add_parser(
+        "search", help="breadth-first shape search", parents=[out]
+    )
     p_search.add_argument("--mode", choices=SEARCH_MODES, required=True)
     p_search.add_argument("--k", type=int, required=True)
     p_search.add_argument("--threshold", type=_fraction, default=None)
     p_search.add_argument("--max-edges", type=int, default=None)
-    p_search.add_argument("--out")
     p_search.set_defaults(func=_cmd_search)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     verify_sub = p_verify.add_subparsers(dest="what", required=True)
-    v_large = verify_sub.add_parser("large")
+    v_large = verify_sub.add_parser("large", parents=[out])
     v_large.add_argument("--k", type=int, required=True)
-    v_large.add_argument("--out")
     v_large.set_defaults(func=_cmd_verify)
-    v_small = verify_sub.add_parser("small")
+    v_small = verify_sub.add_parser("small", parents=[out])
     v_small.add_argument("--k", type=int, default=8)
-    v_small.add_argument("--out")
     v_small.set_defaults(func=_cmd_verify)
-    v_anti = verify_sub.add_parser("antichain")
+    v_anti = verify_sub.add_parser("antichain", parents=[out])
     v_anti.add_argument("--ell", type=int, required=True)
-    v_anti.add_argument("--out")
     v_anti.set_defaults(func=_cmd_verify)
-    v_ints = verify_sub.add_parser("ints")
+    v_ints = verify_sub.add_parser("ints", parents=[out])
     v_ints.add_argument("--k", type=int, required=True)
     v_ints.add_argument("--seed", type=int, default=0)
-    v_ints.add_argument("--out")
     v_ints.set_defaults(func=_cmd_verify)
 
     p_window = sub.add_parser("window", help="whole-cube top-quarter window")
     window_sub = p_window.add_subparsers(dest="which", required=True)
-    w_hn = window_sub.add_parser("hn")
+    w_hn = window_sub.add_parser("hn", parents=[out])
     w_hn.add_argument("--n", type=int, required=True)
-    w_hn.add_argument("--out")
     w_hn.set_defaults(func=_cmd_window)
 
-    p_oracle = sub.add_parser("oracle", help="brute-force size enumeration")
+    p_oracle = sub.add_parser(
+        "oracle", help="brute-force size enumeration", parents=[out]
+    )
     p_oracle.add_argument("--k", type=int, required=True)
     p_oracle.add_argument("--m", type=int, required=True)
     p_oracle.add_argument("--entries", default="-1,0,1")
     p_oracle.add_argument("--keep-above", type=_fraction, default=Fraction(0))
-    p_oracle.add_argument("--out")
     p_oracle.set_defaults(func=_cmd_oracle)
 
-    p_shape = sub.add_parser("shape", help="inspect one shape")
+    p_shape = sub.add_parser("shape", help="inspect one shape", parents=[out])
     shape_input = p_shape.add_mutually_exclusive_group(required=True)
     shape_input.add_argument("--edges", help='edges as "1,2;1,3"')
     shape_input.add_argument("--json", help="shape as JSON")
-    p_shape.add_argument("--out")
     p_shape.set_defaults(func=_cmd_shape)
 
-    p_map = sub.add_parser("map", help="evaluate one map")
+    p_map = sub.add_parser("map", help="evaluate one map", parents=[out])
     p_map.add_argument("--json", required=True)
-    p_map.add_argument("--out")
     p_map.set_defaults(func=_cmd_map)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
+    parser = build_parser()
+    args = parser.parse_args(sys.argv[1:] if argv is None else argv)
+    # argparse reads "--opt=--" as an empty list of values; every option here
+    # takes exactly one
+    for name, value in vars(args).items():
+        if value == []:
+            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
         return args.func(args)
     except (

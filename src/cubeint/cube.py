@@ -100,19 +100,39 @@ def _grow(levels: dict[int, int], c: int, width: int) -> dict[int, int]:
     return grown
 
 
+# row_mask builds level sets over at most this many coefficients (2^12
+# points): a row of (-2)^i has a level set for each of its 2^k points, which
+# at k = 16 took 300 MB.
+LEVEL_SET_BITS = 12
+
+
 @lru_cache(maxsize=None)
 def row_mask(coeffs: tuple[int, ...], unit: int) -> int:
     """Bitmask of points whose scaled row value lies in {0, unit}.
 
-    Built by level sets: each value maps to the mask of the points taking it,
-    and each coefficient doubles the width (_grow).
+    Built by level sets over the first LEVEL_SET_BITS coefficients: each
+    value maps to the mask of the points taking it, and each coefficient
+    doubles the width (_grow).  Each setting of the remaining coefficients
+    adds one offset v to the value of every point in its block of that
+    width, so the block's mask is levels[-v] | levels[unit - v]; the blocks
+    are joined in order as bytes.
     """
     levels = {0: 1}
     width = 1
-    for c in coeffs:
+    for c in coeffs[:LEVEL_SET_BITS]:
         levels = _grow(levels, c, width)
         width <<= 1
-    return levels.get(0, 0) | levels.get(unit, 0)
+    tail = coeffs[LEVEL_SET_BITS:]
+    if not tail:
+        return levels.get(0, 0) | levels.get(unit, 0)
+    offsets = [0]
+    for c in tail:
+        offsets += [v + c for v in offsets]
+    blocks = {
+        v: (levels.get(-v, 0) | levels.get(unit - v, 0)).to_bytes(width // 8, "little")
+        for v in set(offsets)
+    }
+    return int.from_bytes(b"".join(blocks[v] for v in offsets), "little")
 
 
 # The former name, through which certbench reads the cache statistics.

@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, Sequence
 
-from .cube import row_mask
+from .cube import MAX_DIMENSION, row_mask
 
 Edge = tuple[int, ...]
 
@@ -39,7 +39,8 @@ class Shape:
     @staticmethod
     def from_edges(edges: Iterable[Iterable[int]]) -> "Shape":
         """Build a shape from arbitrary labels, compressing them to 1..k;
-        no edges, or an edge of < 2 distinct vertices, is a ValueError."""
+        no edges, an edge of < 2 distinct vertices, or more than
+        MAX_DIMENSION vertices is a ValueError."""
         raw = [tuple(sorted(set(e))) for e in edges]
         if not raw:
             raise ValueError("a shape needs at least one edge")
@@ -51,6 +52,10 @@ class Shape:
             for v in edge:
                 if v not in labels:
                     labels[v] = len(labels) + 1
+        if len(labels) > MAX_DIMENSION:
+            raise ValueError(
+                f"a shape has at most {MAX_DIMENSION} vertices, not {len(labels)}"
+            )
         relabelled = tuple(
             tuple(sorted(labels[v] for v in edge)) for edge in raw
         )

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .codim1 import SignCount, binomial, closed_form_large_sizes
+from .codim1 import SignCount, binomial
 from .cube import (
     MAX_DIMENSION,
     LinearMap,
@@ -22,7 +22,6 @@ from .search import (
     EXHAUSTIVE_LARGE,
     NON_REDUNDANT_SMALL,
     SearchConfig,
-    SearchResult,
     bfs_search,
 )
 from .shapes import Shape, canonical_form, intersection_value_set
@@ -60,20 +59,10 @@ class Report:
             "title": self.title,
             "passed": self.passed,
             "checks": [
-                {"name": c.name, "passed": c.passed, "details": _jsonable(c.details)}
+                {"name": c.name, "passed": c.passed, "details": c.details}
                 for c in self.checks
             ],
         }
-
-
-def _jsonable(value):
-    """Check details with every dict key as a string, so that json.dumps sorts
-    the keys as text (it would sort int keys by value)."""
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -114,18 +103,14 @@ def _padded(rows: list[list[int]], k: int, m: int) -> LinearMap:
 # ---------------------------------------------------------------------------
 
 
-def claimed_large_sizes(k: int, extra_rows: int) -> set[int]:
-    """The predicted achievable sizes above half the cube for n = k + extra_rows."""
-    sizes = set(closed_form_large_sizes(k))
-    if extra_rows >= 2:
-        sizes.add((1 << (k - 1)) + (1 << (k - 4)))
-    for j in range(3, min(extra_rows, k - 1) + 1):
-        sizes.add((1 << (k - 1)) + (1 << (k - j - 1)))
-    return sizes
-
-
 def large_membership_witnesses(k: int, extra_rows: int) -> dict[int, LinearMap]:
-    """Explicit maps with exactly extra_rows conditions for every claimed size."""
+    """The claimed large chain for n = k + extra_rows: its keys are every
+    size above half the cube that maps with extra_rows conditions achieve,
+    and each value is a map with exactly extra_rows conditions giving it.
+
+    verify_large_sets checks each map by enumeration and the key set against
+    the exhaustive search; no other list of the chain exists.
+    """
     witnesses: dict[int, LinearMap] = {}
     m = extra_rows
 
@@ -148,12 +133,6 @@ def large_membership_witnesses(k: int, extra_rows: int) -> dict[int, LinearMap]:
     return witnesses
 
 
-def computed_large_sizes(result: SearchResult, k: int, extra_rows: int) -> set[int]:
-    sizes = {1 << k}
-    sizes.update(result.all_values_scaled(max_depth=extra_rows))
-    return sizes
-
-
 def verify_large_sets(k: int) -> Report:
     """Exact computation of the above-half size sets for n = k+1 .. 2k.
 
@@ -167,26 +146,24 @@ def verify_large_sets(k: int) -> Report:
     report = Report(f"large intersection sizes, k={k}")
     result = bfs_search(SearchConfig(EXHAUSTIVE_LARGE, k))
 
+    pairs = {}
     for extra in range(1, k + 1):
-        claimed = claimed_large_sizes(k, extra)
-        computed = computed_large_sizes(result, k, extra)
+        witnesses = large_membership_witnesses(k, extra)
+        claimed = sorted(witnesses)
+        computed = sorted({1 << k} | result.all_values_scaled(max_depth=extra))
+        pairs[extra] = (claimed, computed)
         report.add(
             f"H+({k + extra},{k}) matches",
             computed == claimed,
             n=k + extra,
-            computed=sorted(computed),
-            claimed=sorted(claimed),
+            computed=computed,
+            claimed=claimed,
         )
-        witnesses = large_membership_witnesses(k, extra)
         bad = {}
-        for size in sorted(claimed):
-            wit = witnesses.get(size)
-            if wit is None:
-                bad[size] = "no construction"
-                continue
+        for size, wit in sorted(witnesses.items()):
             actual = intersection_size(wit)
             if actual != size or wit.m != extra or wit.k != k:
-                bad[size] = f"construction gives {actual}"
+                bad[str(size)] = f"construction gives {actual}"
         report.add(
             f"witnesses for n={k + extra}",
             not bad,
@@ -194,8 +171,7 @@ def verify_large_sets(k: int) -> Report:
         )
     report.add(
         "sizes stall between two and three extra conditions",
-        claimed_large_sizes(k, 2) == claimed_large_sizes(k, 3)
-        and computed_large_sizes(result, k, 2) == computed_large_sizes(result, k, 3),
+        pairs[2] == pairs[3],
     )
     return report
 
@@ -257,7 +233,7 @@ def verify_small_window(k: int = 8) -> Report:
         half: _single_row_map(k, SignCount(0, 1, k - 1)),
     }
     evaluated = {size: intersection_size(m) for size, m in memberships.items()}
-    wrong = {size: actual for size, actual in evaluated.items() if actual != size}
+    wrong = {str(size): actual for size, actual in evaluated.items() if actual != size}
     report.add("claimed window values constructed", not wrong, failures=wrong)
 
     result = bfs_search(SearchConfig(NON_REDUNDANT_SMALL, k))

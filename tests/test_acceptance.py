@@ -10,7 +10,7 @@ from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
-from cubeint.codim1 import closed_form_large_sizes, codim1_table, large_codim1_sizes
+from cubeint.codim1 import codim1_table, large_codim1_sizes
 from cubeint.cube import LinearMap, intersection_size, row_masks
 from cubeint.search import MINIMAL_LARGE, NON_REDUNDANT_SMALL, SearchConfig, bfs_search
 from cubeint.shapes import (
@@ -29,6 +29,7 @@ from cubeint.theorems import (
     expected_small_families,
     h_n_window,
     ints_window_check,
+    large_membership_witnesses,
     verify_large_sets,
     verify_small_window,
 )
@@ -82,11 +83,11 @@ def test_criterion_01_codim1_table(capsys):
 def test_criterion_02_single_condition_large_sizes():
     start = time.time()
     ok = True
-    for k in range(6, 13):
+    for k in range(6, 25):
         sizes = large_codim1_sizes(k)
-        ok = ok and sizes == closed_form_large_sizes(k)
+        ok = ok and sizes == tuple(sorted(large_membership_witnesses(k, 1)))
     ok = ok and large_codim1_sizes(6) == (35, 40, 48, 64)
-    report(2, ok, "one extra condition: large sizes for k=6..12", time.time() - start)
+    report(2, ok, "one extra condition: large sizes for k=6..24", time.time() - start)
 
 
 def test_criterion_03_large_search_structure():

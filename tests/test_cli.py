@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -7,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cubeint
 from cubeint import cli, shapes, theorems
 from cubeint.cli import build_parser, main
 
@@ -329,8 +334,8 @@ class TestExitContract:
         assert "Traceback" not in err
 
     # limits that live in the library, and flags that exclude each other; the
-    # first two ran out of memory or time, and the last for 5 s, before
-    # anything rejected them
+    # first two ran out of memory or time, as did the 25-vertex shapes, and
+    # the last for 5 s, before anything rejected them
     @pytest.mark.parametrize(
         "argv",
         [
@@ -347,6 +352,10 @@ class TestExitContract:
             ["oracle", "--k", "0", "--m", "1"],
             ["shape", "--json", '{"edges":[[true,2]]}'],
             ["shape", "--edges", "1,2", "--json", '{"edges":[[1,2]]}'],
+            ["oracle", "--k", "3", "--m", "1", "--entries=--"],
+            ["verify", "large", "--k=--"],
+            ["shape", "--edges", ",".join(map(str, range(1, 26)))],
+            ["shape", "--json", json.dumps({"edges": [list(range(1, 26))]})],
             ["oracle", "--k", "11", "--m", "2", "--entries", "0,1"],
             ["oracle", "--k", "7", "--m", "3"],
         ],
@@ -372,6 +381,64 @@ class TestExitContract:
         assert code == 1
         assert json.loads(captured.out)["result"]["match"] is False
         assert captured.err == ""
+
+    def failed_large_checks(self, capsys):
+        code = main(["verify", "large", "--k", "6"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        checks = json.loads(captured.out)["result"]["checks"]
+        return {c["name"]: c["details"] for c in checks if not c["passed"]}
+
+    def test_dropped_large_size_exits_one_with_a_report(self, capsys, monkeypatch):
+        witnesses = theorems.large_membership_witnesses
+
+        def without_35(k, extra_rows):
+            claimed = witnesses(k, extra_rows)
+            del claimed[35 << (k - 6)]
+            return claimed
+
+        monkeypatch.setattr(theorems, "large_membership_witnesses", without_35)
+        failed = self.failed_large_checks(capsys)
+        assert list(failed) == [f"H+({6 + extra},6) matches" for extra in range(1, 7)]
+        for details in failed.values():
+            assert 35 in details["computed"] and 35 not in details["claimed"]
+
+    def test_wrong_large_witness_exits_one_with_a_report(self, capsys, monkeypatch):
+        witnesses = theorems.large_membership_witnesses
+
+        def wrong_48(k, extra_rows):
+            # the map for 48 of 64 points replaced by the one for 40
+            claimed = witnesses(k, extra_rows)
+            claimed[3 << (k - 2)] = claimed[5 << (k - 3)]
+            return claimed
+
+        monkeypatch.setattr(theorems, "large_membership_witnesses", wrong_48)
+        failed = self.failed_large_checks(capsys)
+        assert list(failed) == [f"witnesses for n={6 + extra}" for extra in range(1, 7)]
+        for details in failed.values():
+            assert details["failures"] == {"48": "construction gives 40"}
+
+    def test_alternating_power_row_maps_in_512_mb(self):
+        # a row of (-2)^i takes a distinct value at each of its 2^k points, so
+        # level sets over the whole row once ran out of memory here
+        row = [str((-2) ** i) for i in range(20)]
+        text = json.dumps({"k": 20, "entries": [row]})
+        src = os.path.dirname(os.path.dirname(cubeint.__file__))
+        cap = 512 << 20
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "cubeint.cli", "map", "--json", text],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+            preexec_fn=limit_address_space,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["result"]["size"] == 2
 
     def test_ten_edge_star_exits_zero(self, capsys):
         edges = ";".join(f"1,{v}" for v in range(2, 12))

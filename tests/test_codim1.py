@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 from cubeint.codim1 import (
     SignCount,
     binomial,
-    closed_form_large_sizes,
     codim1_size,
     codim1_table,
     large_codim1_sizes,
     support_size_bound,
 )
 from cubeint.cube import LinearMap, intersection_size
+from cubeint.theorems import large_membership_witnesses
 from lemmas import central_ratio, central_ratio_nonincreasing
 from oracles import level_count
 
@@ -88,8 +88,11 @@ class TestLargeSizes:
         assert large_codim1_sizes(k) == expected
 
     def test_closed_form_consistency(self):
-        for k in range(6, 13):
-            assert large_codim1_sizes(k) == closed_form_large_sizes(k)
+        # the enumeration agrees with the large chain's one-row witnesses
+        # over the whole range it accepts
+        for k in range(6, 25):
+            one_row = tuple(sorted(large_membership_witnesses(k, 1)))
+            assert large_codim1_sizes(k) == one_row
 
     def test_rejects_small_k(self):
         with pytest.raises(ValueError):

@@ -310,6 +310,15 @@ def test_row_mask_matches_point_by_point_reference():
         for _ in range(10):
             coeffs = tuple(rng.choice((-1, 0, 1)) for _ in range(k))
             assert row_mask(coeffs, 1) == reference_row_mask(coeffs, 1)
+    # past LEVEL_SET_BITS coefficients the mask is joined block by block
+    for k in (13, 14, 15, 16):
+        rows = [(tuple((-2) ** i for i in range(k)), 1)]
+        rows += [
+            (tuple(rng.randint(-3, 3) for _ in range(k)), rng.randint(1, 3))
+            for _ in range(2)
+        ]
+        for coeffs, unit in rows:
+            assert row_mask(coeffs, unit) == reference_row_mask(coeffs, unit)
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,6 @@ from cubeint.theorems import (
     antichain_bound_check,
     antichain_expression,
     build_21_star_map,
-    claimed_large_sizes,
     count_subset_sums_in,
     expected_h_n_window,
     h_n_window,
@@ -104,17 +103,21 @@ class TestConstructions:
                     assert intersection_size(dropped) == t // 2
 
 
+def claimed(k, extra_rows):
+    return sorted(large_membership_witnesses(k, extra_rows))
+
+
 class TestLargeChain:
     def test_claimed_sets_k6(self):
-        assert claimed_large_sizes(6, 1) == {35, 40, 48, 64}
-        assert claimed_large_sizes(6, 2) == {35, 36, 40, 48, 64}
-        assert claimed_large_sizes(6, 3) == {35, 36, 40, 48, 64}
-        assert claimed_large_sizes(6, 4) == {34, 35, 36, 40, 48, 64}
-        assert claimed_large_sizes(6, 5) == {33, 34, 35, 36, 40, 48, 64}
-        assert claimed_large_sizes(6, 9) == claimed_large_sizes(6, 5)
+        assert claimed(6, 1) == [35, 40, 48, 64]
+        assert claimed(6, 2) == [35, 36, 40, 48, 64]
+        assert claimed(6, 3) == [35, 36, 40, 48, 64]
+        assert claimed(6, 4) == [34, 35, 36, 40, 48, 64]
+        assert claimed(6, 5) == [33, 34, 35, 36, 40, 48, 64]
+        assert claimed(6, 9) == claimed(6, 5)
 
     def test_claimed_sets_k7(self):
-        assert claimed_large_sizes(7, 1) == {70, 80, 96, 128}
+        assert claimed(7, 1) == [70, 80, 96, 128]
 
     def test_witnesses_have_exact_row_counts(self):
         for extra in (1, 2, 4):
