@@ -64,7 +64,7 @@ def large_codim1_sizes(k: int) -> tuple[int, ...]:
     one-row sizes, the keys of theorems.large_membership_witnesses(k, 1).
     """
     if not 6 <= k <= MAX_DIMENSION:
-        raise ValueError(f"closed form checked for k in 6..{MAX_DIMENSION}")
+        raise ValueError(f"single-row large sizes are listed for k in 6..{MAX_DIMENSION}")
     half = 1 << (k - 1)
     found = set()
     for plus in range(k + 1):

@@ -29,16 +29,26 @@ subset, therefore loses nothing, and the multiplicity prod C(|class|, count)
 keeps ``pruned_count`` and the raw survivor counts equal to a subset-by-subset
 enumeration's.
 
-A child is ruled out before it is labelled when one of two upper bounds on
-its best size is at or below the threshold:
+A child is ruled out before it is built or labelled when one of three upper
+bounds on its best size is at or below the threshold:
 
 * ``max(parent.values) * C(f+1, floor((f+1)/2))`` for f fresh vertices: over
   any parent point, the new condition a.x + b.y in {0, 1} with b in {-1, 1}^f
   keeps two adjacent levels of y, at most C(f, j) + C(f, j+1) <= that
   binomial points; a parent assignment at or below the threshold stays there,
   since the binomial is at most 2^f.
-* the best fraction of the two-edge shape (e, new) for each parent edge e:
-  the child's intersection lies inside that shape's, times a free cube.
+* the best fraction of the two-edge shape (e, new) for each parent edge e.
+* the best fraction of the three-edge shape (a, b, new) for each pair of
+  parent edges, a before b.
+
+The last two rest on one fact: adding a condition can only shrink the
+pattern, so for every sign choice the child's pattern lies inside that of any
+of its sub-shapes, times a free cube over the vertices outside it, and a
+sub-shape with no size above the threshold kills the child (the downward
+closure of Agrawal & Srikant's Apriori).  A three-edge type (|new|, |a|, |b|,
+|new & a|, |new & b|, |a & b|, |new & a & b|) fixes the seven Venn-region
+counts, and so the shape up to isomorphism; one table per search, filled as
+the search asks, holds whether each type is dead.
 """
 from __future__ import annotations
 
@@ -156,8 +166,9 @@ class SearchResult:
 
 
 def _raw_children(shape: Shape, config: SearchConfig):
-    """Every admissible one-edge extension, once per vertex-class choice, as
-    (child shape, key, multiplicity) triples.
+    """Every admissible new edge, once per vertex-class choice, as
+    (new edge, key, multiplicity) triples; shape.with_edge(new edge) is the
+    child.
 
     The new edge takes some current vertices plus a run of fresh ones; its
     size may not exceed the smallest existing edge, which realises the
@@ -170,12 +181,14 @@ def _raw_children(shape: Shape, config: SearchConfig):
     its multiplicity prod C(|class|, count), the number of labelled subsets it
     stands for.
 
-    Both bounds of _bound then read only the fresh count and the key, which
-    every member of a class shares:
+    The three bounds of _bound read only the fresh count, the key and
+    |new & a & b| for pairs of edges (a, b), which every member of a class
+    shares, since a class's vertices lie in the same edges:
     * f fresh vertices multiply any parent size by at most
       C(f+1, floor((f+1)/2)), the two adjacent levels of one +-1 row over them;
     * the child's intersection lies inside that of each two-edge shape
-      (e, new), so it is at most that shape's best fraction.
+      (e, new) and each three-edge shape (a, b, new), times a free cube, so it
+      is at most either shape's best fraction.
     """
     n = shape.vertex_count
     incident: dict[int, list[int]] = {}
@@ -193,8 +206,8 @@ def _raw_children(shape: Shape, config: SearchConfig):
             fresh_verts = tuple(range(n + 1, n + 1 + new_size - used))
             for counts in _count_vectors(sizes, used):
                 chosen = [v for m, c in zip(members, counts) for v in m[:c]]
-                child = shape.with_edge(tuple(sorted(chosen)) + fresh_verts)
-                if config.mode == MINIMAL_LARGE and not child.is_minimal():
+                edge = tuple(sorted(chosen)) + fresh_verts
+                if config.mode == MINIMAL_LARGE and not shape.with_edge(edge).is_minimal():
                     continue
                 vec = [0] * len(shape.edges)
                 multiplicity = 1
@@ -202,7 +215,7 @@ def _raw_children(shape: Shape, config: SearchConfig):
                     for i in edges:
                         vec[i] += c
                     multiplicity *= comb(size, c)
-                yield child, (new_size, tuple(vec)), multiplicity
+                yield edge, (new_size, tuple(vec)), multiplicity
 
 
 def _count_vectors(sizes: list[int], total: int):
@@ -230,11 +243,40 @@ def _dead_pairs(config: SearchConfig) -> frozenset:
     return frozenset(dead)
 
 
-def _bound(parent: ShapeRecord, config: SearchConfig, dead_pairs: frozenset):
-    """ruled_out(child, key) for the children of parent: whether either bound
-    of the module docstring puts every size of the child at or below the
-    threshold.  The fresh-vertex ratio C(f+1, floor((f+1)/2)) / 2^f does not
-    grow with f, so one least dead f, found per parent, serves every child.
+def _dead_triple(triple: tuple, config: SearchConfig) -> bool:
+    """Whether the three-edge shape (a, b, new) of the type (|new|, |a|, |b|,
+    |new & a|, |new & b|, |a & b|, |new & a & b|) has no size above the
+    threshold.  The shape is built from the type's seven Venn-region counts."""
+    n, a, b, na, nb, ab, nab = triple
+    regions = (
+        ((0, 1, 2), nab),
+        ((0, 2), na - nab),
+        ((1, 2), nb - nab),
+        ((0, 1), ab - nab),
+        ((2,), n - na - nb + nab),
+        ((0,), a - na - ab + nab),
+        ((1,), b - nb - ab + nab),
+    )
+    edges: tuple[list[int], ...] = ([], [], [])
+    label = 0
+    for inside, count in regions:
+        for label in range(label + 1, label + 1 + count):
+            for e in inside:
+                edges[e].append(label)
+    shape = Shape.from_edges(edges)
+    return not intersection_value_set(shape, floor=config.threshold)
+
+
+def _bound(
+    parent: ShapeRecord, config: SearchConfig, dead_pairs: frozenset, dead_triples: dict
+):
+    """ruled_out(new edge, key) for the children of parent: whether one of
+    the three bounds of the module docstring puts every size of the child at
+    or below the threshold.  The fresh-vertex ratio C(f+1, floor((f+1)/2)) /
+    2^f does not grow with f, so one least dead f, found per parent, serves
+    every child.  The pairs of parent edges (a, b), a before b, and |a & b|
+    are found once per parent; dead_triples, one per search, caches each
+    triple type's verdict the first time it is asked for.
     """
     n = parent.shape.vertex_count
     top = max(parent.values)
@@ -244,13 +286,31 @@ def _bound(parent: ShapeRecord, config: SearchConfig, dead_pairs: frozenset):
          if top * comb(f + 1, (f + 1) // 2) * den <= num << (n + f)),
         config.k - n + 1,
     )
-    edge_sizes = [len(e) for e in parent.shape.edges]
+    edges = parent.shape.edges
+    edge_sizes = [len(e) for e in edges]
+    # (i, j, |a|, |b|, |a & b|, a & b as a vertex bitmask) for a = edges[i],
+    # b = edges[j], i < j
+    pairs = []
+    for j, b in enumerate(edges):
+        for i in range(j):
+            common = set(edges[i]) & set(b)
+            pairs.append((i, j, edge_sizes[i], len(b), len(common), sum(1 << v for v in common)))
 
-    def ruled_out(child: Shape, key: tuple) -> bool:
+    def ruled_out(edge: tuple, key: tuple) -> bool:
         new_size, vec = key
-        return child.vertex_count - n >= least_dead or any(
+        if max(edge[-1] - n, 0) >= least_dead or any(
             (a, new_size, x) in dead_pairs for a, x in zip(edge_sizes, vec)
-        )
+        ):
+            return True
+        new = sum(1 << v for v in edge)
+        for i, j, a, b, ab, both in pairs:
+            triple = (new_size, a, b, vec[i], vec[j], ab, (new & both).bit_count())
+            dead = dead_triples.get(triple)
+            if dead is None:
+                dead = dead_triples[triple] = _dead_triple(triple, config)
+            if dead:
+                return True
+        return False
 
     return ruled_out
 
@@ -272,16 +332,17 @@ def bfs_search(config: SearchConfig) -> SearchResult:
         )
     result.depths.append(_sorted_records(frontier))
     dead_pairs = _dead_pairs(config)
+    dead_triples: dict[tuple, bool] = {}
 
     for _depth in range(2, config.max_edges + 1):
         new_frontier: dict[tuple, ShapeRecord] = {}
         for parent in frontier.values():
-            ruled_out = _bound(parent, config, dead_pairs)
-            for child, key, multiplicity in _raw_children(parent.shape, config):
-                if ruled_out(child, key):
+            ruled_out = _bound(parent, config, dead_pairs, dead_triples)
+            for edge, key, multiplicity in _raw_children(parent.shape, config):
+                if ruled_out(edge, key):
                     result.pruned_count += multiplicity
                     continue
-                canon = canonical_form(child)
+                canon = canonical_form(parent.shape.with_edge(edge))
                 values = intersection_value_set(canon, floor=config.threshold)
                 if config.mode == NON_REDUNDANT_SMALL:
                     fresh = canon.vertex_count - parent.shape.vertex_count

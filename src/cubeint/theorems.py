@@ -27,9 +27,10 @@ from .search import (
 from .shapes import Shape, canonical_form, intersection_value_set
 
 # Largest k that verify_large_sets and verify_small_window accept: the slower
-# of the two, verify_large_sets(12), takes about 8 s in a fresh process on a
-# 2-vCPU host (verify_small_window(12) about 5 s), and each step of k
-# multiplies that by 1.6 to 1.8.
+# of the two, verify_small_window(12), takes about 3.4 s in a fresh process on
+# a 2-vCPU host (verify_large_sets(12) about 1.8 s); the step from k = 11 to
+# 12 multiplies the small certificate's time by about 3 and the large one's by
+# about 1.6.
 MAX_CERTIFIED_K = 12
 
 

@@ -132,6 +132,47 @@ def walked_dead_pairs(config: SearchConfig) -> frozenset:
     return frozenset(dead)
 
 
+def triple_types(config: SearchConfig):
+    """Every (|new|, |a|, |b|, |new & a|, |new & b|, |a & b|, |new & a & b|)
+    of three edges over at most k vertices with |a| >= |b| >= |new|, all at
+    most max_edge_size: the types of search._bound's three-edge shapes."""
+    sizes = range(2, config.max_edge_size + 1)
+    for a, b, n in product(sizes, repeat=3):
+        if not a >= b >= n:
+            continue
+        for na, nb, ab in product(range(n + 1), range(n + 1), range(b + 1)):
+            for nab in range(min(na, nb, ab) + 1):
+                alone = (n - na - nb + nab, a - na - ab + nab, b - nb - ab + nab)
+                if min(alone) >= 0 and n + a + b - na - nb - ab + nab <= config.k:
+                    yield (n, a, b, na, nb, ab, nab)
+
+
+def walked_dead_triples(config: SearchConfig) -> frozenset:
+    """The dead types among triple_types(config), by the branch-and-bound
+    walk: a type is dead when max_intersection's best size on its shape is at
+    or below threshold * 2^|V|.  The shape puts a, b and new on vertex sets
+    cut from one run of labels, region by region."""
+    num, den = config.threshold.numerator, config.threshold.denominator
+    dead = set()
+    for triple in triple_types(config):
+        n, a, b, na, nb, ab, nab = triple
+        labels = iter(range(1, config.k + 1))
+
+        def take(count):
+            return {next(labels) for _ in range(count)}
+
+        core = take(nab)
+        new_a, new_b, a_b = take(na - nab), take(nb - nab), take(ab - nab)
+        new = core | new_a | new_b | take(n - na - nb + nab)
+        edge_a = core | new_a | a_b | take(a - na - ab + nab)
+        edge_b = core | new_b | a_b | take(b - nb - ab + nab)
+        shape = Shape.from_edges([edge_a, edge_b, new])
+        best, _ = max_intersection(shape)
+        if best * den <= num << shape.vertex_count:
+            dead.add(triple)
+    return frozenset(dead)
+
+
 def brute_canonical_form(shape: Shape) -> Shape:
     """Canonical representative by brute force over edge orderings.
 
@@ -263,13 +304,13 @@ def reference_value_set(shape: Shape, floor=0) -> dict[int, tuple]:
 
 
 def labelled_children(shape: Shape, config: SearchConfig):
-    """All admissible one-edge extensions, as (child shape, key) pairs, one per
-    labelled subset of the current vertices.
+    """All admissible one-edge extensions, as (child shape, key, new edge)
+    triples, one per labelled subset of the current vertices.
 
-    The new edge is a subset of the current vertices plus a run of fresh ones;
-    its size may not exceed the smallest existing edge, which realises the
-    non-increasing addition order.  The key records the new size and the
-    overlap profile with the existing edges.
+    The new edge is a subset of the current vertices (the chosen ones) plus a
+    run of fresh ones; its size may not exceed the smallest existing edge,
+    which realises the non-increasing addition order.  The key records the new
+    size and the overlap profile with the existing edges.
     """
     verts = list(range(1, shape.vertex_count + 1))
     smallest = len(shape.edges[-1])
@@ -285,7 +326,7 @@ def labelled_children(shape: Shape, config: SearchConfig):
                 if config.mode == MINIMAL_LARGE and not child.is_minimal():
                     continue
                 vec = tuple(len(set(chosen) & set(e)) for e in shape.edges)
-                yield child, (new_size, vec)
+                yield child, (new_size, vec), new_edge
 
 
 def brute_frontier(k: int) -> list[set[tuple]]:

@@ -358,6 +358,7 @@ class TestExitContract:
             ["shape", "--json", json.dumps({"edges": [list(range(1, 26))]})],
             ["oracle", "--k", "11", "--m", "2", "--entries", "0,1"],
             ["oracle", "--k", "7", "--m", "3"],
+            ["sizes", "large", "--k", "5"],
         ],
     )
     def test_refusal_is_one_line_and_prompt(self, argv):
@@ -367,6 +368,8 @@ class TestExitContract:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        if argv[:2] == ["sizes", "large"]:
+            assert err == "error: single-row large sizes are listed for k in 6..24\n"
 
     def test_wrong_window_witness_exits_one_with_a_report(self, capsys, monkeypatch):
         padded = theorems._padded

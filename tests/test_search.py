@@ -12,6 +12,7 @@ from cubeint.search import (
     SearchConfig,
     _bound,
     _dead_pairs,
+    _dead_triple,
     _raw_children,
     bfs_search,
 )
@@ -31,13 +32,15 @@ from oracles import (
     brute_frontier,
     labelled_children,
     shape_fraction,
+    triple_types,
     walked_dead_pairs,
+    walked_dead_triples,
 )
 
 
 def canonical_children(shape, config):
     """Canonical children of one survivor (one added condition), deduplicated."""
-    return {canonical_form(c) for c, _ in labelled_children(shape, config)}
+    return {canonical_form(c) for c, _key, _edge in labelled_children(shape, config)}
 
 
 @lru_cache(maxsize=None)
@@ -168,10 +171,11 @@ class TestClassGenerator:
             for rec in frontier_parents(config):
                 labelled = Counter(
                     (canonical_form(child).edges, key)
-                    for child, key in labelled_children(rec.shape, config)
+                    for child, key, _edge in labelled_children(rec.shape, config)
                 )
                 weighted = Counter()
-                for child, key, multiplicity in _raw_children(rec.shape, config):
+                for edge, key, multiplicity in _raw_children(rec.shape, config):
+                    child = rec.shape.with_edge(edge)
                     weighted[canonical_form(child).edges, key] += multiplicity
                 assert weighted == labelled, (mode, k, rec.shape.edges)
 
@@ -195,12 +199,12 @@ class TestBound:
         "config", SOUNDNESS_CONFIGS, ids=lambda c: f"{c.mode}-{c.k}-{c.threshold}"
     )
     def test_ruled_out_children_have_no_value_above_threshold(self, config):
-        dead_pairs = _dead_pairs(config)
+        dead_pairs, dead_triples = _dead_pairs(config), {}
         ruled = 0
         for rec in frontier_parents(config):
-            ruled_out = _bound(rec, config, dead_pairs)
-            for child, key in labelled_children(rec.shape, config):
-                if ruled_out(child, key):
+            ruled_out = _bound(rec, config, dead_pairs, dead_triples)
+            for child, key, edge in labelled_children(rec.shape, config):
+                if ruled_out(edge, key):
                     ruled += 1
                     canon = canonical_form(child)
                     assert intersection_value_set(canon, floor=config.threshold) == ()
@@ -215,6 +219,42 @@ class TestBound:
     )
     def test_dead_pairs_match_the_max_walk(self, config):
         assert _dead_pairs(config) == walked_dead_pairs(config)
+
+    @pytest.mark.parametrize(
+        "config",
+        [SearchConfig(EXHAUSTIVE_LARGE, k) for k in range(6, 9)]
+        + [SearchConfig(NON_REDUNDANT_SMALL, k) for k in range(8, 10)],
+        ids=lambda c: f"{c.mode}-{c.k}",
+    )
+    def test_dead_triples_match_the_max_walk(self, config):
+        walked = walked_dead_triples(config)
+        types = set(triple_types(config))
+        assert walked and {t for t in types if _dead_triple(t, config)} == walked
+        # the lazy table a search fills asks only for these types
+        dead_pairs, dead_triples = _dead_pairs(config), {}
+        for rec in frontier_parents(config):
+            ruled_out = _bound(rec, config, dead_pairs, dead_triples)
+            for edge, key, _multiplicity in _raw_children(rec.shape, config):
+                ruled_out(edge, key)
+        assert dead_triples and set(dead_triples) <= types
+        assert {t for t, dead in dead_triples.items() if dead} == walked & set(dead_triples)
+
+    @pytest.mark.parametrize("k", [6, 7, 8])
+    def test_large_search_labels_no_dead_child(self, k):
+        # every child the exhaustive-large search labels has a size above the
+        # threshold: the three bounds rule out all the others first
+        config = SearchConfig(EXHAUSTIVE_LARGE, k)
+        dead_pairs, dead_triples = _dead_pairs(config), {}
+        labelled = 0
+        for records in searched(config).depths[: config.max_edges - 1]:
+            for rec in records:
+                ruled_out = _bound(rec, config, dead_pairs, dead_triples)
+                for edge, key, _multiplicity in _raw_children(rec.shape, config):
+                    if not ruled_out(edge, key):
+                        labelled += 1
+                        canon = canonical_form(rec.shape.with_edge(edge))
+                        assert intersection_value_set(canon, floor=config.threshold)
+        assert labelled
 
     def test_pair_bound_table(self):
         # (|e|, |new|, |e & new|): two disjoint triples keep 36/64 > 1/2 and
@@ -236,6 +276,27 @@ class TestBound:
     def test_golden_pruned_counts(self, mode, pruned):
         # one per labelled child, as the subset-by-subset generator counted
         assert [searched(SearchConfig(mode, k)).pruned_count for k in (5, 6, 7, 8)] == pruned
+
+
+class TestSmallerSearches:
+    @pytest.mark.parametrize(
+        "mode, k, big",
+        [(EXHAUSTIVE_LARGE, 6, 8), (EXHAUSTIVE_LARGE, 7, 8), (NON_REDUNDANT_SMALL, 8, 9)],
+    )
+    def test_search_is_the_larger_search_restricted(self, mode, k, big):
+        # a shape's parents have no more vertices than it, so the search of k
+        # is the search of big cut down to shapes of at most k vertices
+        def view(records):
+            return [(r.shape.edges, r.values, r.max_size, r.keys) for r in records]
+
+        small = searched(SearchConfig(mode, k)).depths
+        large = searched(SearchConfig(mode, big)).depths
+        for depth in range(k):
+            restricted = [
+                r for r in (large[depth] if depth < len(large) else [])
+                if r.shape.vertex_count <= k
+            ]
+            assert view(small[depth] if depth < len(small) else []) == view(restricted)
 
 
 class TestFrontierCompleteness:

@@ -260,7 +260,7 @@ def search_inputs(max_k=6):
             for records in result.depths:
                 for rec in records:
                     yield rec.shape
-                    for child, _key in labelled_children(rec.shape, config):
+                    for child, _key, _edge in labelled_children(rec.shape, config):
                         yield child
 
 
