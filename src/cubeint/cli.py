@@ -18,7 +18,6 @@ from .cube import (
 )
 from .search import (
     EXHAUSTIVE_LARGE,
-    MINIMAL_LARGE,
     NON_REDUNDANT_SMALL,
     SearchBudgetError,
     SearchConfig,
@@ -38,7 +37,6 @@ USAGE_ERROR = 2
 VERIFY_FAILURE = 1
 
 SEARCH_MODES = {
-    "large": MINIMAL_LARGE,
     "small": NON_REDUNDANT_SMALL,
     "exhaustive-large": EXHAUSTIVE_LARGE,
 }

@@ -5,10 +5,8 @@ size order.  A state survives a round when it still admits a sign assignment
 whose covered fraction beats the threshold; since adding a condition can only
 shrink the pattern, pruned states can never spawn useful descendants.
 
-Three modes:
+Two modes:
 
-* ``minimal-large``    -- only expansions that keep every edge a private
-                          vertex; used for the structural star results.
 * ``non-redundant-small`` -- duplicates allowed; when scoring a child, any
                           assignment at least as large as the parent's
                           recorded best (scaled for fresh vertices) is skipped,
@@ -19,6 +17,9 @@ Three modes:
 * ``exhaustive-large`` -- duplicates allowed, no redundancy skip; every state
                           keeps its full list of above-threshold values, which
                           is what the large-size verification consumes.
+                          Its survivors on which Shape.is_minimal holds (every
+                          edge keeps a private vertex) are the minimal large
+                          shapes that the paper's star lemma is about.
 
 Children are generated once per vertex class, with a multiplicity.  Vertices
 with the same incident edges (one edge's private run, twin shared vertices)
@@ -60,10 +61,9 @@ from .codim1 import support_size_bound
 from .cube import MAX_DIMENSION
 from .shapes import Shape, canonical_form, intersection_value_set
 
-MINIMAL_LARGE = "minimal-large"
 NON_REDUNDANT_SMALL = "non-redundant-small"
 EXHAUSTIVE_LARGE = "exhaustive-large"
-MODES = (MINIMAL_LARGE, NON_REDUNDANT_SMALL, EXHAUSTIVE_LARGE)
+MODES = (NON_REDUNDANT_SMALL, EXHAUSTIVE_LARGE)
 
 # Most canonical states one depth may hold; the k <= 12 certificates need at
 # most 421.
@@ -78,11 +78,11 @@ class SearchBudgetError(RuntimeError):
 class SearchConfig:
     """One search run over k coordinates.
 
-    threshold defaults to 1/2 in the large modes and 15/32 in the small one;
-    max_edges defaults to k - 1 in minimal-large mode, k in exhaustive-large
-    mode and k + 1 in the small one, the first depth its search must find
-    empty.  The largest useful edge, min(support_size_bound(threshold), k), is
-    derived here once; the vertex budget is k, at most MAX_DIMENSION.
+    threshold defaults to 1/2 in the large mode and 15/32 in the small one;
+    max_edges defaults to k in the large mode and k + 1 in the small one, the
+    first depth its search must find empty.  The largest useful edge,
+    min(support_size_bound(threshold), k), is derived here once; the vertex
+    budget is k, at most MAX_DIMENSION.
     """
 
     mode: str
@@ -96,13 +96,12 @@ class SearchConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.k > MAX_DIMENSION:
             raise ValueError(f"search dimension k={self.k} exceeds {MAX_DIMENSION}")
+        small = self.mode == NON_REDUNDANT_SMALL
         if self.threshold is None:
-            small = self.mode == NON_REDUNDANT_SMALL
             threshold = Fraction(15, 32) if small else Fraction(1, 2)
             object.__setattr__(self, "threshold", threshold)
         if self.max_edges is None:
-            extra = {MINIMAL_LARGE: -1, EXHAUSTIVE_LARGE: 0, NON_REDUNDANT_SMALL: 1}
-            object.__setattr__(self, "max_edges", self.k + extra[self.mode])
+            object.__setattr__(self, "max_edges", self.k + small)
         if self.max_edges < 1:
             raise ValueError("max_edges must be at least 1")
         max_edge_size = min(support_size_bound(self.threshold), self.k)
@@ -207,8 +206,6 @@ def _raw_children(shape: Shape, config: SearchConfig):
             for counts in _count_vectors(sizes, used):
                 chosen = [v for m, c in zip(members, counts) for v in m[:c]]
                 edge = tuple(sorted(chosen)) + fresh_verts
-                if config.mode == MINIMAL_LARGE and not shape.with_edge(edge).is_minimal():
-                    continue
                 vec = [0] * len(shape.edges)
                 multiplicity = 1
                 for edges, size, c in zip(classes, sizes, counts):

@@ -22,9 +22,17 @@ from .search import (
     EXHAUSTIVE_LARGE,
     NON_REDUNDANT_SMALL,
     SearchConfig,
+    SearchResult,
     bfs_search,
 )
-from .shapes import Shape, canonical_form, intersection_value_set
+from .shapes import (
+    STAR21,
+    STAR32,
+    Shape,
+    canonical_form,
+    classify_star,
+    intersection_value_set,
+)
 
 # Largest k that verify_large_sets and verify_small_window accept: the slower
 # of the two, verify_small_window(12), takes about 3.4 s in a fresh process on
@@ -140,7 +148,8 @@ def verify_large_sets(k: int) -> Report:
     Membership is witnessed by explicit maps (each re-verified by enumeration);
     exclusion comes from the exhaustive large-mode shape search, whose
     above-threshold value lists are complete for every map with the given
-    number of conditions.
+    number of conditions.  The same search's minimal survivors certify the
+    star lemma (_check_minimal_stars).
     """
     if not 6 <= k <= MAX_CERTIFIED_K:
         raise ValueError(f"the large chain is certified for k in 6..{MAX_CERTIFIED_K}")
@@ -174,7 +183,46 @@ def verify_large_sets(k: int) -> Report:
         "sizes stall between two and three extra conditions",
         pairs[2] == pairs[3],
     )
+    _check_minimal_stars(report, result)
     return report
+
+
+def _check_minimal_stars(report: Report, result: SearchResult) -> None:
+    """The paper's structural step, read off the exhaustive large search: a
+    survivor of three or more edges in which every edge keeps a private vertex
+    is a 2-1 star with maximum half + 1 or a 3-2 star with maximum half + 2.
+
+    The search holds every shape above half, so its minimal survivors are all
+    the minimal large shapes.  The 2-1 star of d edges has d + 1 vertices and
+    the 3-2 star d + 2, so in dimension k they appear at every depth 3..k-1 and
+    3..k-2; the details list those depths, which no representative choice
+    moves.
+    """
+    k = result.config.k
+    excess = {STAR21: 1, STAR32: 2}
+    found = {STAR21: [], STAR32: []}
+    failures = []
+    for depth, records in enumerate(result.depths[2:], start=3):
+        for rec in records:
+            if not rec.shape.is_minimal():
+                continue
+            family = classify_star(rec.shape)
+            half = 1 << (rec.shape.vertex_count - 1)
+            if family in excess and rec.max_size == half + excess[family]:
+                found[family].append(depth)
+            else:
+                failures.append(
+                    {"shape": rec.shape.to_json_dict(), "family": family, "max": rec.max_size}
+                )
+    report.add(
+        "minimal survivors of three or more conditions are the 2-1 and 3-2 stars",
+        not failures
+        and found[STAR21] == list(range(3, k))
+        and found[STAR32] == list(range(3, k - 1)),
+        star21_depths=found[STAR21],
+        star32_depths=found[STAR32],
+        failures=failures,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from itertools import combinations, permutations, product
 
 from cubeint.codim1 import SignCount, binomial
 from cubeint.cube import LinearMap, _scaled_row, evaluate_pattern, row_mask
-from cubeint.search import EXHAUSTIVE_LARGE, MINIMAL_LARGE, SearchConfig
+from cubeint.search import EXHAUSTIVE_LARGE, SearchConfig
 from cubeint.shapes import Edge, Shape, _edge_key, max_intersection
 
 
@@ -323,8 +323,6 @@ def labelled_children(shape: Shape, config: SearchConfig):
             for chosen in combinations(verts, used):
                 new_edge = tuple(sorted(chosen + fresh_verts))
                 child = shape.with_edge(new_edge)
-                if config.mode == MINIMAL_LARGE and not child.is_minimal():
-                    continue
                 vec = tuple(len(set(chosen) & set(e)) for e in shape.edges)
                 yield child, (new_size, vec), new_edge
 

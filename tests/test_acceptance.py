@@ -12,7 +12,7 @@ import pytest
 
 from cubeint.codim1 import codim1_table, large_codim1_sizes
 from cubeint.cube import LinearMap, intersection_size, row_masks
-from cubeint.search import MINIMAL_LARGE, NON_REDUNDANT_SMALL, SearchConfig, bfs_search
+from cubeint.search import EXHAUSTIVE_LARGE, NON_REDUNDANT_SMALL, SearchConfig, bfs_search
 from cubeint.shapes import (
     STAR21,
     STAR32,
@@ -92,22 +92,26 @@ def test_criterion_02_single_condition_large_sizes():
 
 def test_criterion_03_large_search_structure():
     start = time.time()
-    result = bfs_search(SearchConfig(MINIMAL_LARGE, 12, max_edges=3))
-    ok = all(rec.shape.vertex_count <= 6 for rec in result.survivors(2))
-    for rec in result.survivors(3):
+
+    def minimal(k):
+        # the survivors of one to three edges in which every edge keeps a
+        # private vertex
+        result = bfs_search(SearchConfig(EXHAUSTIVE_LARGE, k, max_edges=3))
+        return [[r for r in records if r.shape.is_minimal()] for records in result.depths]
+
+    _singles, pairs, triples = minimal(12)
+    ok = all(rec.shape.vertex_count <= 6 for rec in pairs)
+    for rec in triples:
         family = classify_star(rec.shape)
         ok = ok and family in (STAR21, STAR32)
         half = 1 << (rec.shape.vertex_count - 1)
         ok = ok and rec.max_size == half + (1 if family == STAR21 else 2)
     # survivor structure is k-independent once k >= 7
-    smaller = bfs_search(SearchConfig(MINIMAL_LARGE, 7, max_edges=3))
-    ok = ok and [r.shape.edges for r in smaller.survivors(3)] == [
-        r.shape.edges for r in result.survivors(3)
-    ]
+    ok = ok and [r.shape.edges for r in minimal(7)[2]] == [r.shape.edges for r in triples]
     report(
         3,
         ok,
-        "minimal search: pair unions <= 6, triples are the two stars",
+        "minimal survivors: pair unions <= 6, triples are the two stars",
         time.time() - start,
     )
 

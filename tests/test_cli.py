@@ -62,6 +62,7 @@ class TestParsing:
             ["shape"],
             ["verify", "large", "--k", "6", "--n-max", "6"],
             ["sizes", "codim1", "--format", "json"],
+            ["search", "--mode", "large", "--k", "6"],
         ],
     )
     def test_usage_error_is_one_line(self, capsys, argv):
@@ -96,8 +97,9 @@ class TestTables:
 
 class TestDeterminism:
     def test_byte_identical_runs(self, capsys):
-        _, first = run(capsys, "search", "--mode", "large", "--k", "6", "--max-edges", "2")
-        _, second = run(capsys, "search", "--mode", "large", "--k", "6", "--max-edges", "2")
+        argv = ["search", "--mode", "exhaustive-large", "--k", "6", "--max-edges", "2"]
+        _, first = run(capsys, *argv)
+        _, second = run(capsys, *argv)
         assert first == second
 
     # content hashes of the size-list and window payloads; a change to their
@@ -226,7 +228,7 @@ class TestCommands:
         assert config["max_edge_size"] == 6  # support bound capped by k
 
     def test_search_k_range_guard(self, capsys):
-        assert main(["search", "--mode", "large", "--k", "30"]) == 2
+        assert main(["search", "--mode", "exhaustive-large", "--k", "30"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_search_output_schema(self, capsys):
@@ -309,7 +311,7 @@ class TestExitContract:
             ["map", "--json", "[1]"],
             ["map", "--json", '{"k":2,"entries":[1]}'],
             ["shape", "--json", "{}"],
-            ["search", "--mode", "large", "--k", "6", "--threshold", "1/100"],
+            ["search", "--mode", "exhaustive-large", "--k", "6", "--threshold", "1/100"],
             ["window", "hn", "--n", "8", "--out", "{missing_dir}/report.json"],
             ["verify", "antichain", "--ell", "3"],
             ["verify", "antichain", "--ell", "17"],
@@ -318,7 +320,7 @@ class TestExitContract:
             ["oracle", "--k", "2", "--m", "1", "--entries", "1/0"],
             ["oracle", "--k", "2", "--m", "0"],
             ["oracle", "--k", "2", "--m", "-1"],
-            ["search", "--mode", "large", "--k", "6", "--max-edges", "0"],
+            ["search", "--mode", "exhaustive-large", "--k", "6", "--max-edges", "0"],
             ["oracle", "--k", "6", "--m", "3"],
             ["oracle", "--k", "8", "--m", "1", "--entries=-1,0,1,2"],
             ["oracle", "--k", "8", "--m", "100000000"],
@@ -348,7 +350,7 @@ class TestExitContract:
             ["verify", "small", "--k", "13"],
             ["verify", "small", "--k", "7"],
             ["verify", "ints", "--k", "0"],
-            ["search", "--mode", "large", "--k", "30"],
+            ["search", "--mode", "exhaustive-large", "--k", "30"],
             ["oracle", "--k", "0", "--m", "1"],
             ["shape", "--json", '{"edges":[[true,2]]}'],
             ["shape", "--edges", "1,2", "--json", '{"edges":[[1,2]]}'],
@@ -420,6 +422,24 @@ class TestExitContract:
         assert list(failed) == [f"witnesses for n={6 + extra}" for extra in range(1, 7)]
         for details in failed.values():
             assert details["failures"] == {"48": "construction gives 40"}
+
+    def test_missed_star_exits_one_with_a_report(self, capsys, monkeypatch):
+        classify = theorems.classify_star
+
+        def no_star32(shape):
+            # every 3-2 star taken for some other minimal shape
+            family = classify(shape)
+            return shapes.OTHER if family == shapes.STAR32 else family
+
+        monkeypatch.setattr(theorems, "classify_star", no_star32)
+        failed = self.failed_large_checks(capsys)
+        name = "minimal survivors of three or more conditions are the 2-1 and 3-2 stars"
+        assert list(failed) == [name]
+        details = failed[name]
+        assert details["star21_depths"] == [3, 4, 5] and details["star32_depths"] == []
+        assert [(f["family"], f["max"]) for f in details["failures"]] == [
+            ("other", 18), ("other", 34)
+        ]
 
     def test_alternating_power_row_maps_in_512_mb(self):
         # a row of (-2)^i takes a distinct value at each of its 2^k points, so

@@ -6,7 +6,6 @@ import pytest
 
 from cubeint.search import (
     EXHAUSTIVE_LARGE,
-    MINIMAL_LARGE,
     MODES,
     NON_REDUNDANT_SMALL,
     SearchConfig,
@@ -53,9 +52,14 @@ def frontier_parents(config):
     return [rec for records in searched(config).depths for rec in records]
 
 
+def minimal_depths(result):
+    """The survivors on which Shape.is_minimal holds, one list per depth."""
+    return [[rec for rec in records if rec.shape.is_minimal()] for records in result.depths]
+
+
 @pytest.fixture(scope="module")
 def large8():
-    return bfs_search(SearchConfig(MINIMAL_LARGE, 8, max_edges=3))
+    return minimal_depths(searched(SearchConfig(EXHAUSTIVE_LARGE, 8)))
 
 
 @pytest.fixture(scope="module")
@@ -65,13 +69,15 @@ def small8():
 
 class TestExpand:
     def test_single_pair_edge_children(self):
-        config = SearchConfig(MINIMAL_LARGE, 6)
+        config = SearchConfig(EXHAUSTIVE_LARGE, 6)
         children = canonical_children(Shape.from_edges([(1, 2)]), config)
-        child_edge_sets = {c.edges for c in children}
+        minimal = {c for c in children if c.is_minimal()}
+        child_edge_sets = {c.edges for c in minimal}
         assert canonical_form(Shape.from_edges([(1, 2), (2, 3)])).edges in child_edge_sets
         assert canonical_form(Shape.from_edges([(1, 2), (3, 4)])).edges in child_edge_sets
-        # duplicates break minimality in large mode
-        assert all(len(set(c.edges)) == len(c.edges) for c in children)
+        # duplicates break minimality
+        assert Shape.from_edges([(1, 2), (1, 2)]) in children - minimal
+        assert all(len(set(c.edges)) == len(c.edges) for c in minimal)
 
     def test_small_mode_allows_duplicates(self):
         config = SearchConfig(NON_REDUNDANT_SMALL, 8)
@@ -86,8 +92,20 @@ class TestExpand:
 
 
 class TestLargeSearch:
+    @pytest.mark.parametrize(
+        "k, counts",
+        [(6, [5, 7, 2, 2, 1]), (7, [6, 7, 2, 2, 2, 1]), (8, [6, 7, 2, 2, 2, 2, 1])],
+    )
+    def test_minimal_survivor_counts(self, k, counts):
+        # the per-depth counts of the minimal survivors, raw and canonical; a
+        # minimal shape of k edges has k private vertices and a shared one,
+        # so none fits in k vertices
+        minimal = minimal_depths(searched(SearchConfig(EXHAUSTIVE_LARGE, k)))
+        assert [len(records) for records in minimal] == counts + [0]
+        assert [sum(rec.raw_count() for rec in records) for records in minimal] == counts + [0]
+
     def test_depth_two_unions_bounded(self, large8):
-        for rec in large8.survivors(2):
+        for rec in large8[1]:
             assert rec.shape.vertex_count <= 6
 
     def test_depth_two_exactly_the_seven_pairs(self, large8):
@@ -97,7 +115,7 @@ class TestLargeSearch:
                 len(rec.shape.edges[1]),
                 len(set(rec.shape.edges[0]) & set(rec.shape.edges[1])),
             )
-            for rec in large8.survivors(2)
+            for rec in large8[1]
         )
         assert profiles == [
             (2, 2, 0),
@@ -110,22 +128,22 @@ class TestLargeSearch:
         ]
 
     def test_depth_three_stars_only(self, large8):
-        classes = {classify_star(rec.shape) for rec in large8.survivors(3)}
+        classes = {classify_star(rec.shape) for rec in large8[2]}
         assert classes == {STAR21, STAR32}
-        for rec in large8.survivors(3):
+        for rec in large8[2]:
             half = 1 << (rec.shape.vertex_count - 1)
             expected = half + (1 if classify_star(rec.shape) == STAR21 else 2)
             assert rec.max_size == expected
 
     def test_witnesses_reproduce_maxima(self, large8):
-        for depth in (1, 2, 3):
-            for rec in large8.survivors(depth):
+        for records in large8[:3]:
+            for rec in records:
                 witness = max_intersection(rec.shape)[1]
                 assert assignment_intersection(rec.shape, witness) == rec.max_size
 
     def test_fractions_beat_threshold(self, large8):
-        for depth in (1, 2, 3):
-            for rec in large8.survivors(depth):
+        for records in large8[:3]:
+            for rec in records:
                 assert rec.fraction > Fraction(1, 2)
 
 
@@ -149,7 +167,7 @@ class TestSmallSearch:
 class TestExhaustiveSearch:
     def test_nonminimal_values_captured(self):
         result = bfs_search(SearchConfig(EXHAUSTIVE_LARGE, 4, max_edges=2))
-        # the nested pair keeps an above-half value that minimal mode drops
+        # the nested pair is not minimal, and keeps an above-half value
         nested = canonical_form(Shape.from_edges([(1, 2, 3), (1, 2)]))
         nested_records = [
             rec for rec in result.survivors(2) if rec.shape == nested
@@ -268,7 +286,6 @@ class TestBound:
     @pytest.mark.parametrize(
         "mode, pruned",
         [
-            (MINIMAL_LARGE, [24, 91, 219, 434]),
             (NON_REDUNDANT_SMALL, [550, 1139, 1795, 2684]),
             (EXHAUSTIVE_LARGE, [812, 2574, 5775, 9879]),
         ],
@@ -333,10 +350,10 @@ class TestDeterminism:
         with pytest.raises(ValueError):
             SearchConfig("bogus", 8, max_edges=3)
         with pytest.raises(ValueError):
-            SearchConfig(MINIMAL_LARGE, 8, threshold=Fraction(3, 2), max_edges=3)
+            SearchConfig(EXHAUSTIVE_LARGE, 8, threshold=Fraction(3, 2), max_edges=3)
         # a 3/4 bar leaves only single-vertex edges, so the derived size is 1
         with pytest.raises(ValueError):
-            SearchConfig(MINIMAL_LARGE, 8, threshold=Fraction(3, 4), max_edges=3)
+            SearchConfig(EXHAUSTIVE_LARGE, 8, threshold=Fraction(3, 4), max_edges=3)
         for max_edges in (0, -1):
             with pytest.raises(ValueError):
                 SearchConfig(NON_REDUNDANT_SMALL, 8, max_edges=max_edges)
@@ -344,10 +361,9 @@ class TestDeterminism:
     def test_rejects_k_past_max_dimension(self):
         for k in (25, 10**9):
             with pytest.raises(ValueError, match="exceeds 24"):
-                SearchConfig(MINIMAL_LARGE, k)
+                SearchConfig(EXHAUSTIVE_LARGE, k)
 
     def test_default_depths(self):
-        assert SearchConfig(MINIMAL_LARGE, 8).max_edges == 7
         assert SearchConfig(EXHAUSTIVE_LARGE, 8).max_edges == 8
         assert SearchConfig(NON_REDUNDANT_SMALL, 8).max_edges == 9
 
@@ -356,4 +372,10 @@ class TestDeterminism:
         assert result.terminated_naturally and len(result.depths) == 8
 
     def test_mode_constants_distinct(self):
-        assert MINIMAL_LARGE != EXHAUSTIVE_LARGE
+        assert len(set(MODES)) == len(MODES) == 2
+        assert NON_REDUNDANT_SMALL != EXHAUSTIVE_LARGE
+
+    def test_minimal_large_mode_is_gone(self):
+        # minimal large shapes are read off the exhaustive-large survivors
+        with pytest.raises(ValueError, match="unknown mode"):
+            SearchConfig("minimal-large", 8)

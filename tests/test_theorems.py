@@ -133,6 +133,17 @@ class TestLargeChain:
         with pytest.raises(ValueError):
             verify_large_sets(13)
 
+    @pytest.mark.parametrize("k", [7, 8, 10])
+    def test_star_lemma_depths(self, k):
+        # the 2-1 star of d edges has d + 1 vertices and the 3-2 star d + 2,
+        # so in dimension k they survive at depths 3..k-1 and 3..k-2
+        report = verify_large_sets(k)
+        name = "minimal survivors of three or more conditions are the 2-1 and 3-2 stars"
+        (check,) = [c for c in report.checks if c.name == name]
+        assert check.passed and check.details["failures"] == []
+        assert check.details["star21_depths"] == list(range(3, k))
+        assert check.details["star32_depths"] == list(range(3, k - 1))
+
 
 class TestSmallWindow:
     def test_window_values(self):
