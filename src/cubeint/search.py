@@ -30,26 +30,16 @@ subset, therefore loses nothing, and the multiplicity prod C(|class|, count)
 keeps ``pruned_count`` and the raw survivor counts equal to a subset-by-subset
 enumeration's.
 
-A child is ruled out before it is built or labelled when one of three upper
-bounds on its best size is at or below the threshold:
-
-* ``max(parent.values) * C(f+1, floor((f+1)/2))`` for f fresh vertices: over
-  any parent point, the new condition a.x + b.y in {0, 1} with b in {-1, 1}^f
-  keeps two adjacent levels of y, at most C(f, j) + C(f, j+1) <= that
-  binomial points; a parent assignment at or below the threshold stays there,
-  since the binomial is at most 2^f.
-* the best fraction of the two-edge shape (e, new) for each parent edge e.
-* the best fraction of the three-edge shape (a, b, new) for each pair of
-  parent edges, a before b.
-
-The last two rest on one fact: adding a condition can only shrink the
-pattern, so for every sign choice the child's pattern lies inside that of any
-of its sub-shapes, times a free cube over the vertices outside it, and a
-sub-shape with no size above the threshold kills the child (the downward
-closure of Agrawal & Srikant's Apriori).  A three-edge type (|new|, |a|, |b|,
-|new & a|, |new & b|, |a & b|, |new & a & b|) fixes the seven Venn-region
-counts, and so the shape up to isomorphism; one table per search, filled as
-the search asks, holds whether each type is dead.
+A child is ruled out before it is built or labelled when one of its
+sub-shapes, made of the new edge and one or two parent edges, has no size
+above the threshold.  Adding a condition can only shrink the pattern, so for
+every sign choice the child's pattern lies inside that of any of its
+sub-shapes, times a free cube over the vertices outside it, and a dead
+sub-shape kills the child (the downward closure of Agrawal & Srikant's
+Apriori).  A two-edge type (|e|, |new|, |e & new|) or a three-edge type
+(|new|, |a|, |b|, |new & a|, |new & b|, |a & b|, |new & a & b|) fixes the
+Venn-region counts of its edges, and so the sub-shape up to isomorphism; one
+table per search, filled as the search asks, holds whether each type is dead.
 """
 from __future__ import annotations
 
@@ -180,14 +170,9 @@ def _raw_children(shape: Shape, config: SearchConfig):
     its multiplicity prod C(|class|, count), the number of labelled subsets it
     stands for.
 
-    The three bounds of _bound read only the fresh count, the key and
-    |new & a & b| for pairs of edges (a, b), which every member of a class
-    shares, since a class's vertices lie in the same edges:
-    * f fresh vertices multiply any parent size by at most
-      C(f+1, floor((f+1)/2)), the two adjacent levels of one +-1 row over them;
-    * the child's intersection lies inside that of each two-edge shape
-      (e, new) and each three-edge shape (a, b, new), times a free cube, so it
-      is at most either shape's best fraction.
+    The sub-shape types of _bound read only the key and |new & a & b| for
+    pairs of edges (a, b), which every member of a class shares, since a
+    class's vertices lie in the same edges.
     """
     n = shape.vertex_count
     incident: dict[int, list[int]] = {}
@@ -227,62 +212,43 @@ def _count_vectors(sizes: list[int], total: int):
             yield (c,) + tail
 
 
-def _dead_pairs(config: SearchConfig) -> frozenset:
-    """(|e|, |new|, |e & new|) of every two-edge shape of at most k vertices
-    with no size above the threshold; computed once per search."""
-    dead = set()
-    for a in range(2, config.max_edge_size + 1):
-        for b in range(2, a + 1):
-            for x in range(max(0, a + b - config.k), b + 1):
-                pair = Shape.from_edges([range(1, a + 1), range(a - x + 1, a - x + b + 1)])
-                if not intersection_value_set(pair, floor=config.threshold):
-                    dead.add((a, b, x))
-    return frozenset(dead)
-
-
-def _dead_triple(triple: tuple, config: SearchConfig) -> bool:
-    """Whether the three-edge shape (a, b, new) of the type (|new|, |a|, |b|,
-    |new & a|, |new & b|, |a & b|, |new & a & b|) has no size above the
-    threshold.  The shape is built from the type's seven Venn-region counts."""
-    n, a, b, na, nb, ab, nab = triple
-    regions = (
-        ((0, 1, 2), nab),
-        ((0, 2), na - nab),
-        ((1, 2), nb - nab),
-        ((0, 1), ab - nab),
-        ((2,), n - na - nb + nab),
-        ((0,), a - na - ab + nab),
-        ((1,), b - nb - ab + nab),
-    )
-    edges: tuple[list[int], ...] = ([], [], [])
+def _dead_sub_shape(sub_type: tuple, config: SearchConfig) -> bool:
+    """Whether the sub-shape of a two-edge type (|e|, |new|, |e & new|) or a
+    three-edge type (|new|, |a|, |b|, |new & a|, |new & b|, |a & b|,
+    |new & a & b|) has no size above the threshold.  The shape is built from
+    the type's Venn-region counts."""
+    if len(sub_type) == 3:
+        e, n, x = sub_type
+        regions = (((0, 1), x), ((0,), e - x), ((1,), n - x))
+        edges: tuple[list[int], ...] = ([], [])
+    else:
+        n, a, b, na, nb, ab, nab = sub_type
+        regions = (
+            ((0, 1, 2), nab),
+            ((0, 2), na - nab),
+            ((1, 2), nb - nab),
+            ((0, 1), ab - nab),
+            ((2,), n - na - nb + nab),
+            ((0,), a - na - ab + nab),
+            ((1,), b - nb - ab + nab),
+        )
+        edges = ([], [], [])
     label = 0
     for inside, count in regions:
         for label in range(label + 1, label + 1 + count):
-            for e in inside:
-                edges[e].append(label)
+            for i in inside:
+                edges[i].append(label)
     shape = Shape.from_edges(edges)
     return not intersection_value_set(shape, floor=config.threshold)
 
 
-def _bound(
-    parent: ShapeRecord, config: SearchConfig, dead_pairs: frozenset, dead_triples: dict
-):
-    """ruled_out(new edge, key) for the children of parent: whether one of
-    the three bounds of the module docstring puts every size of the child at
-    or below the threshold.  The fresh-vertex ratio C(f+1, floor((f+1)/2)) /
-    2^f does not grow with f, so one least dead f, found per parent, serves
-    every child.  The pairs of parent edges (a, b), a before b, and |a & b|
-    are found once per parent; dead_triples, one per search, caches each
-    triple type's verdict the first time it is asked for.
+def _bound(parent: ShapeRecord, config: SearchConfig, dead: dict):
+    """ruled_out(new edge, key) for the children of parent: whether some
+    sub-shape made of the new edge and one or two parent edges is dead.  The
+    pairs of parent edges (a, b), a before b, and |a & b| are found once per
+    parent; dead, one per search, caches each sub-shape type's verdict the
+    first time it is asked for.
     """
-    n = parent.shape.vertex_count
-    top = max(parent.values)
-    num, den = config.threshold.numerator, config.threshold.denominator
-    least_dead = next(
-        (f for f in range(config.k - n + 1)
-         if top * comb(f + 1, (f + 1) // 2) * den <= num << (n + f)),
-        config.k - n + 1,
-    )
     edges = parent.shape.edges
     edge_sizes = [len(e) for e in edges]
     # (i, j, |a|, |b|, |a & b|, a & b as a vertex bitmask) for a = edges[i],
@@ -295,17 +261,20 @@ def _bound(
 
     def ruled_out(edge: tuple, key: tuple) -> bool:
         new_size, vec = key
-        if max(edge[-1] - n, 0) >= least_dead or any(
-            (a, new_size, x) in dead_pairs for a, x in zip(edge_sizes, vec)
-        ):
-            return True
+        for e, x in zip(edge_sizes, vec):
+            sub_type = (e, new_size, x)
+            verdict = dead.get(sub_type)
+            if verdict is None:
+                verdict = dead[sub_type] = _dead_sub_shape(sub_type, config)
+            if verdict:
+                return True
         new = sum(1 << v for v in edge)
         for i, j, a, b, ab, both in pairs:
-            triple = (new_size, a, b, vec[i], vec[j], ab, (new & both).bit_count())
-            dead = dead_triples.get(triple)
-            if dead is None:
-                dead = dead_triples[triple] = _dead_triple(triple, config)
-            if dead:
+            sub_type = (new_size, a, b, vec[i], vec[j], ab, (new & both).bit_count())
+            verdict = dead.get(sub_type)
+            if verdict is None:
+                verdict = dead[sub_type] = _dead_sub_shape(sub_type, config)
+            if verdict:
                 return True
         return False
 
@@ -318,9 +287,6 @@ def bfs_search(config: SearchConfig) -> SearchResult:
     for size in range(2, config.max_edge_size + 1):
         shape = Shape((tuple(range(1, size + 1)),))
         values = intersection_value_set(shape, floor=config.threshold)
-        if not values:
-            result.pruned_count += 1
-            continue
         frontier[shape.edges] = ShapeRecord(
             shape=shape,
             max_size=max(values),
@@ -328,13 +294,12 @@ def bfs_search(config: SearchConfig) -> SearchResult:
             keys=((size, ()),),
         )
     result.depths.append(_sorted_records(frontier))
-    dead_pairs = _dead_pairs(config)
-    dead_triples: dict[tuple, bool] = {}
+    dead: dict[tuple, bool] = {}
 
     for _depth in range(2, config.max_edges + 1):
         new_frontier: dict[tuple, ShapeRecord] = {}
         for parent in frontier.values():
-            ruled_out = _bound(parent, config, dead_pairs, dead_triples)
+            ruled_out = _bound(parent, config, dead)
             for edge, key, multiplicity in _raw_children(parent.shape, config):
                 if ruled_out(edge, key):
                     result.pruned_count += multiplicity

@@ -117,18 +117,27 @@ def shape_fraction(shape: Shape) -> Fraction:
     return Fraction(best, 1 << shape.vertex_count)
 
 
-def walked_dead_pairs(config: SearchConfig) -> frozenset:
-    """search._dead_pairs by the branch-and-bound walk: a pair is dead when
-    max_intersection's best size is at or below threshold * 2^|V|."""
-    num, den = config.threshold.numerator, config.threshold.denominator
-    dead = set()
+def pair_types(config: SearchConfig):
+    """Every (|e|, |new|, |e & new|) of two edges over at most k vertices with
+    |e| >= |new|, both at most max_edge_size: the types of search._bound's
+    two-edge shapes."""
     for a in range(2, config.max_edge_size + 1):
         for b in range(2, a + 1):
             for x in range(max(0, a + b - config.k), b + 1):
-                pair = Shape.from_edges([range(1, a + 1), range(a - x + 1, a - x + b + 1)])
-                best, _ = max_intersection(pair)
-                if best * den <= num << pair.vertex_count:
-                    dead.add((a, b, x))
+                yield (a, b, x)
+
+
+def walked_dead_pairs(config: SearchConfig) -> frozenset:
+    """The dead types among pair_types(config), by the branch-and-bound walk:
+    a pair is dead when max_intersection's best size is at or below
+    threshold * 2^|V|."""
+    num, den = config.threshold.numerator, config.threshold.denominator
+    dead = set()
+    for a, b, x in pair_types(config):
+        pair = Shape.from_edges([range(1, a + 1), range(a - x + 1, a - x + b + 1)])
+        best, _ = max_intersection(pair)
+        if best * den <= num << pair.vertex_count:
+            dead.add((a, b, x))
     return frozenset(dead)
 
 

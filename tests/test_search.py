@@ -10,8 +10,7 @@ from cubeint.search import (
     NON_REDUNDANT_SMALL,
     SearchConfig,
     _bound,
-    _dead_pairs,
-    _dead_triple,
+    _dead_sub_shape,
     _raw_children,
     bfs_search,
 )
@@ -30,6 +29,7 @@ from oracles import (
     brute_canonical_form,
     brute_frontier,
     labelled_children,
+    pair_types,
     shape_fraction,
     triple_types,
     walked_dead_pairs,
@@ -217,10 +217,10 @@ class TestBound:
         "config", SOUNDNESS_CONFIGS, ids=lambda c: f"{c.mode}-{c.k}-{c.threshold}"
     )
     def test_ruled_out_children_have_no_value_above_threshold(self, config):
-        dead_pairs, dead_triples = _dead_pairs(config), {}
+        dead = {}
         ruled = 0
         for rec in frontier_parents(config):
-            ruled_out = _bound(rec, config, dead_pairs, dead_triples)
+            ruled_out = _bound(rec, config, dead)
             for child, key, edge in labelled_children(rec.shape, config):
                 if ruled_out(edge, key):
                     ruled += 1
@@ -236,7 +236,8 @@ class TestBound:
         ids=lambda c: f"{c.mode}-{c.k}",
     )
     def test_dead_pairs_match_the_max_walk(self, config):
-        assert _dead_pairs(config) == walked_dead_pairs(config)
+        dead = {t for t in pair_types(config) if _dead_sub_shape(t, config)}
+        assert dead == walked_dead_pairs(config)
 
     @pytest.mark.parametrize(
         "config",
@@ -247,26 +248,29 @@ class TestBound:
     def test_dead_triples_match_the_max_walk(self, config):
         walked = walked_dead_triples(config)
         types = set(triple_types(config))
-        assert walked and {t for t in types if _dead_triple(t, config)} == walked
+        assert walked and {t for t in types if _dead_sub_shape(t, config)} == walked
         # the lazy table a search fills asks only for these types
-        dead_pairs, dead_triples = _dead_pairs(config), {}
+        dead = {}
         for rec in frontier_parents(config):
-            ruled_out = _bound(rec, config, dead_pairs, dead_triples)
+            ruled_out = _bound(rec, config, dead)
             for edge, key, _multiplicity in _raw_children(rec.shape, config):
                 ruled_out(edge, key)
-        assert dead_triples and set(dead_triples) <= types
-        assert {t for t, dead in dead_triples.items() if dead} == walked & set(dead_triples)
+        asked = {t for t in dead if len(t) == 7}
+        assert asked and asked <= types
+        assert {t for t in dead if len(t) == 3} <= set(pair_types(config))
+        walked |= walked_dead_pairs(config)
+        assert {t for t, verdict in dead.items() if verdict} == walked & set(dead)
 
     @pytest.mark.parametrize("k", [6, 7, 8])
     def test_large_search_labels_no_dead_child(self, k):
         # every child the exhaustive-large search labels has a size above the
-        # threshold: the three bounds rule out all the others first
+        # threshold: its dead sub-shapes rule out all the others first
         config = SearchConfig(EXHAUSTIVE_LARGE, k)
-        dead_pairs, dead_triples = _dead_pairs(config), {}
+        dead = {}
         labelled = 0
         for records in searched(config).depths[: config.max_edges - 1]:
             for rec in records:
-                ruled_out = _bound(rec, config, dead_pairs, dead_triples)
+                ruled_out = _bound(rec, config, dead)
                 for edge, key, _multiplicity in _raw_children(rec.shape, config):
                     if not ruled_out(edge, key):
                         labelled += 1
@@ -274,11 +278,36 @@ class TestBound:
                         assert intersection_value_set(canon, floor=config.threshold)
         assert labelled
 
+    @pytest.mark.parametrize(
+        "mode, labelled",
+        [
+            (NON_REDUNDANT_SMALL, {8: 362, 9: 401}),
+            (EXHAUSTIVE_LARGE, {6: 290, 7: 470, 8: 711}),
+        ],
+    )
+    def test_golden_labelled_counts(self, mode, labelled, monkeypatch):
+        # bfs_search labels (canonicalises) each child it does not rule out,
+        # one per vertex-class choice; a weaker bound labels more
+        calls = []
+
+        def counted(shape):
+            calls.append(shape)
+            return canonical_form(shape)
+
+        monkeypatch.setattr("cubeint.search.canonical_form", counted)
+        counts = {}
+        for k in labelled:
+            calls.clear()
+            bfs_search(SearchConfig(mode, k))
+            counts[k] = len(calls)
+        assert counts == labelled
+
     def test_pair_bound_table(self):
         # (|e|, |new|, |e & new|): two disjoint triples keep 36/64 > 1/2 and
         # a repeated 4-edge keeps 10/16, but a 4-edge beside a disjoint pair
         # keeps only 30/64
-        dead = _dead_pairs(SearchConfig(EXHAUSTIVE_LARGE, 8))
+        config = SearchConfig(EXHAUSTIVE_LARGE, 8)
+        dead = {t for t in pair_types(config) if _dead_sub_shape(t, config)}
         assert (3, 3, 0) not in dead and (4, 4, 4) not in dead
         assert (4, 2, 0) in dead
         assert not any(a <= 3 for a, _b, _x in dead)
