@@ -38,8 +38,10 @@ sub-shapes, times a free cube over the vertices outside it, and a dead
 sub-shape kills the child (the downward closure of Agrawal & Srikant's
 Apriori).  A two-edge type (|e|, |new|, |e & new|) or a three-edge type
 (|new|, |a|, |b|, |new & a|, |new & b|, |a & b|, |new & a & b|) fixes the
-Venn-region counts of its edges, and so the sub-shape up to isomorphism; one
-table per search, filled as the search asks, holds whether each type is dead.
+Venn-region counts of its edges, and so the sub-shape up to isomorphism.  One
+table per search, keyed by type, holds whether each type is dead: the first
+edges met with a type are built into its sub-shape, and their verdict holds
+for every later child of that type.
 """
 from __future__ import annotations
 
@@ -131,17 +133,6 @@ class SearchResult:
     pruned_count: int = 0
     terminated_naturally: bool = False
 
-    def survivors(self, depth: int) -> list[ShapeRecord]:
-        if depth < 1 or depth > len(self.depths):
-            raise ValueError(f"search did not run to depth {depth}")
-        return self.depths[depth - 1]
-
-    def raw_survivor_count(self, depth: int) -> int:
-        return sum(rec.raw_count() for rec in self.survivors(depth))
-
-    def canonical_survivor_count(self, depth: int) -> int:
-        return len(self.survivors(depth))
-
     def all_values_scaled(self, max_depth: int | None = None) -> set[int]:
         """Above-threshold values of every survivor, padded with isolated
         coordinates up to dimension config.k."""
@@ -165,16 +156,19 @@ def _raw_children(shape: Shape, config: SearchConfig):
     overlap vector (|chosen & e| for every edge e).  A vertex class is the set
     of vertices with the same incident edge indices.  Swapping two vertices of
     one class fixes every edge, so the labelled subsets that take the same
-    count from every class give isomorphic children with one key.  Each count
-    vector is yielded once, on the lowest-labelled members of each class, with
-    its multiplicity prod C(|class|, count), the number of labelled subsets it
-    stands for.
+    count from every class give isomorphic children with one key.  The count
+    vectors are built in one pass, class by class, keeping only those that
+    take at most as many vertices as the largest new edge; each one's chosen
+    vertices (the lowest-labelled members of each class), overlap vector and
+    multiplicity prod C(|class|, count), the number of labelled subsets it
+    stands for, are built once and shared by every new size it allows.
 
     The sub-shape types of _bound read only the key and |new & a & b| for
     pairs of edges (a, b), which every member of a class shares, since a
     class's vertices lie in the same edges.
     """
     n = shape.vertex_count
+    largest = min(len(shape.edges[-1]), config.max_edge_size)
     incident: dict[int, list[int]] = {}
     for i, edge in enumerate(shape.edges):
         for v in edge:
@@ -182,72 +176,37 @@ def _raw_children(shape: Shape, config: SearchConfig):
     classes: dict[tuple[int, ...], list[int]] = {}
     for v in range(1, n + 1):
         classes.setdefault(tuple(incident[v]), []).append(v)
-    members = list(classes.values())
-    sizes = [len(m) for m in members]
-    smallest = len(shape.edges[-1])
-    for new_size in range(2, min(smallest, config.max_edge_size) + 1):
-        for used in range(max(0, new_size - (config.k - n)), min(new_size, n) + 1):
-            fresh_verts = tuple(range(n + 1, n + 1 + new_size - used))
-            for counts in _count_vectors(sizes, used):
-                chosen = [v for m, c in zip(members, counts) for v in m[:c]]
-                edge = tuple(sorted(chosen)) + fresh_verts
-                vec = [0] * len(shape.edges)
-                multiplicity = 1
-                for edges, size, c in zip(classes, sizes, counts):
-                    for i in edges:
-                        vec[i] += c
-                    multiplicity *= comb(size, c)
-                yield edge, (new_size, tuple(vec)), multiplicity
-
-
-def _count_vectors(sizes: list[int], total: int):
-    """Every tuple of counts 0 <= c_i <= sizes[i] summing to total, in
-    lexicographic order."""
-    if not sizes:
-        yield ()
-        return
-    rest = sum(sizes) - sizes[0]
-    for c in range(max(0, total - rest), min(sizes[0], total) + 1):
-        for tail in _count_vectors(sizes[1:], total - c):
-            yield (c,) + tail
-
-
-def _dead_sub_shape(sub_type: tuple, config: SearchConfig) -> bool:
-    """Whether the sub-shape of a two-edge type (|e|, |new|, |e & new|) or a
-    three-edge type (|new|, |a|, |b|, |new & a|, |new & b|, |a & b|,
-    |new & a & b|) has no size above the threshold.  The shape is built from
-    the type's Venn-region counts."""
-    if len(sub_type) == 3:
-        e, n, x = sub_type
-        regions = (((0, 1), x), ((0,), e - x), ((1,), n - x))
-        edges: tuple[list[int], ...] = ([], [])
-    else:
-        n, a, b, na, nb, ab, nab = sub_type
-        regions = (
-            ((0, 1, 2), nab),
-            ((0, 2), na - nab),
-            ((1, 2), nb - nab),
-            ((0, 1), ab - nab),
-            ((2,), n - na - nb + nab),
-            ((0,), a - na - ab + nab),
-            ((1,), b - nb - ab + nab),
-        )
-        edges = ([], [], [])
-    label = 0
-    for inside, count in regions:
-        for label in range(label + 1, label + 1 + count):
-            for i in inside:
-                edges[i].append(label)
-    shape = Shape.from_edges(edges)
-    return not intersection_value_set(shape, floor=config.threshold)
+    # every count vector taking at most `largest` vertices in all, built one
+    # class at a time beside its running total
+    vectors = [((), 0)]
+    for members in classes.values():
+        vectors = [
+            (counts + (c,), used + c)
+            for counts, used in vectors
+            for c in range(min(len(members), largest - used) + 1)
+        ]
+    for counts, used in vectors:
+        chosen = []
+        vec = [0] * len(shape.edges)
+        multiplicity = 1
+        for (edges, members), c in zip(classes.items(), counts):
+            chosen += members[:c]
+            for i in edges:
+                vec[i] += c
+            multiplicity *= comb(len(members), c)
+        chosen, overlap = tuple(sorted(chosen)), tuple(vec)
+        for new_size in range(max(2, used), min(largest, used + config.k - n) + 1):
+            edge = chosen + tuple(range(n + 1, n + 1 + new_size - used))
+            yield edge, (new_size, overlap), multiplicity
 
 
 def _bound(parent: ShapeRecord, config: SearchConfig, dead: dict):
     """ruled_out(new edge, key) for the children of parent: whether some
     sub-shape made of the new edge and one or two parent edges is dead.  The
     pairs of parent edges (a, b), a before b, and |a & b| are found once per
-    parent; dead, one per search, caches each sub-shape type's verdict the
-    first time it is asked for.
+    parent; dead, one per search, maps each sub-shape type to its verdict.
+    The first time a type is asked for, its sub-shape is built from the edges
+    in hand and its value set above the threshold decides the verdict.
     """
     edges = parent.shape.edges
     edge_sizes = [len(e) for e in edges]
@@ -261,11 +220,12 @@ def _bound(parent: ShapeRecord, config: SearchConfig, dead: dict):
 
     def ruled_out(edge: tuple, key: tuple) -> bool:
         new_size, vec = key
-        for e, x in zip(edge_sizes, vec):
-            sub_type = (e, new_size, x)
+        for e, size, x in zip(edges, edge_sizes, vec):
+            sub_type = (size, new_size, x)
             verdict = dead.get(sub_type)
             if verdict is None:
-                verdict = dead[sub_type] = _dead_sub_shape(sub_type, config)
+                sub = Shape.from_edges((e, edge))
+                verdict = dead[sub_type] = not intersection_value_set(sub, floor=config.threshold)
             if verdict:
                 return True
         new = sum(1 << v for v in edge)
@@ -273,7 +233,8 @@ def _bound(parent: ShapeRecord, config: SearchConfig, dead: dict):
             sub_type = (new_size, a, b, vec[i], vec[j], ab, (new & both).bit_count())
             verdict = dead.get(sub_type)
             if verdict is None:
-                verdict = dead[sub_type] = _dead_sub_shape(sub_type, config)
+                sub = Shape.from_edges((edges[i], edges[j], edge))
+                verdict = dead[sub_type] = not intersection_value_set(sub, floor=config.threshold)
             if verdict:
                 return True
         return False

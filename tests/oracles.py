@@ -156,14 +156,14 @@ def triple_types(config: SearchConfig):
                     yield (n, a, b, na, nb, ab, nab)
 
 
-def walked_dead_triples(config: SearchConfig) -> frozenset:
-    """The dead types among triple_types(config), by the branch-and-bound
-    walk: a type is dead when max_intersection's best size on its shape is at
-    or below threshold * 2^|V|.  The shape puts a, b and new on vertex sets
-    cut from one run of labels, region by region."""
+def walked_dead_triples(config: SearchConfig, types) -> frozenset:
+    """The dead types among types, a subset of triple_types(config), by the
+    branch-and-bound walk: a type is dead when max_intersection's best size on
+    its shape is at or below threshold * 2^|V|.  The shape puts a, b and new
+    on vertex sets cut from one run of labels, region by region."""
     num, den = config.threshold.numerator, config.threshold.denominator
     dead = set()
-    for triple in triple_types(config):
+    for triple in types:
         n, a, b, na, nb, ab, nab = triple
         labels = iter(range(1, config.k + 1))
 

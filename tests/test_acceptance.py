@@ -131,10 +131,10 @@ def test_criterion_04_large_chain(k):
 def test_criterion_05_small_search_and_window():
     start = time.time()
     search = bfs_search(SearchConfig(NON_REDUNDANT_SMALL, 8, max_edges=4))
-    families = sorted((r.shape for r in search.survivors(4)), key=lambda s: s.edges)
+    families = sorted((r.shape for r in search.depths[3]), key=lambda s: s.edges)
     ok = (
-        search.raw_survivor_count(4) == 10
-        and search.canonical_survivor_count(4) == 6
+        sum(r.raw_count() for r in search.depths[3]) == 10
+        and len(search.depths[3]) == 6
         and [s.edges for s in families]
         == [s.edges for s in expected_small_families()]
     )

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import cubeint
 from cubeint import cli, shapes, theorems
 from cubeint.cli import build_parser, main
+from cubeint.search import SearchConfig
 
 
 def run(capsys, *argv):
@@ -440,6 +441,29 @@ class TestExitContract:
         assert [(f["family"], f["max"]) for f in details["failures"]] == [
             ("other", 18), ("other", 34)
         ]
+
+    def test_small_search_stopped_early_fails_depth_four(self, capsys, monkeypatch):
+        search = theorems.bfs_search
+
+        def three_deep(config):
+            return search(SearchConfig(config.mode, config.k, max_edges=3))
+
+        monkeypatch.setattr(theorems, "bfs_search", three_deep)
+        code = main(["verify", "small", "--k", "8"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        checks = json.loads(captured.out)["result"]["checks"]
+        four = [c for c in checks if c["name"] == "four-condition survivors"]
+        assert len(four) == 1 and four[0]["passed"] is False
+        assert four[0]["details"]["raw"] == 0 and four[0]["details"]["canonical"] == 0
+
+    def test_search_budget_exits_two_with_one_line(self, capsys, monkeypatch):
+        monkeypatch.setattr("cubeint.search.MAX_FRONTIER_STATES", 5)
+        code = main(["search", "--mode", "exhaustive-large", "--k", "6"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: frontier exceeded 5 states\n"
+        assert captured.out == ""
 
     def test_alternating_power_row_maps_in_512_mb(self):
         # a row of (-2)^i takes a distinct value at each of its 2^k points, so

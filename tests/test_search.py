@@ -10,7 +10,6 @@ from cubeint.search import (
     NON_REDUNDANT_SMALL,
     SearchConfig,
     _bound,
-    _dead_sub_shape,
     _raw_children,
     bfs_search,
 )
@@ -50,6 +49,18 @@ def searched(config):
 def frontier_parents(config):
     """Every record of every depth of the search of config."""
     return [rec for records in searched(config).depths for rec in records]
+
+
+@lru_cache(maxsize=None)
+def filled_table(config):
+    """The dead table of _bound after it is asked about every child of every
+    record of the search of config: sub-shape type -> verdict."""
+    dead = {}
+    for rec in frontier_parents(config):
+        ruled_out = _bound(rec, config, dead)
+        for edge, key, _multiplicity in _raw_children(rec.shape, config):
+            ruled_out(edge, key)
+    return dead
 
 
 def minimal_depths(result):
@@ -150,17 +161,17 @@ class TestLargeSearch:
 class TestSmallSearch:
     def test_eighteen_pair_options(self, small8):
         pairs = [
-            rec for rec in small8.survivors(2) if len(set(rec.shape.edges)) == 2
+            rec for rec in small8.depths[1] if len(set(rec.shape.edges)) == 2
         ]
         assert len(pairs) == 18
         assert all(rec.shape.vertex_count <= 6 for rec in pairs)
 
     def test_depth_four_counts(self, small8):
-        assert small8.raw_survivor_count(4) == 10
-        assert small8.canonical_survivor_count(4) == 6
+        assert sum(rec.raw_count() for rec in small8.depths[3]) == 10
+        assert len(small8.depths[3]) == 6
 
     def test_depth_four_families(self, small8):
-        got = sorted((rec.shape for rec in small8.survivors(4)), key=lambda s: s.edges)
+        got = sorted((rec.shape for rec in small8.depths[3]), key=lambda s: s.edges)
         assert [s.edges for s in got] == [s.edges for s in expected_small_families()]
 
 
@@ -170,7 +181,7 @@ class TestExhaustiveSearch:
         # the nested pair is not minimal, and keeps an above-half value
         nested = canonical_form(Shape.from_edges([(1, 2, 3), (1, 2)]))
         nested_records = [
-            rec for rec in result.survivors(2) if rec.shape == nested
+            rec for rec in result.depths[1] if rec.shape == nested
         ]
         assert nested_records and 5 in nested_records[0].values
 
@@ -236,8 +247,11 @@ class TestBound:
         ids=lambda c: f"{c.mode}-{c.k}",
     )
     def test_dead_pairs_match_the_max_walk(self, config):
-        dead = {t for t in pair_types(config) if _dead_sub_shape(t, config)}
-        assert dead == walked_dead_pairs(config)
+        # the search asks for every pair type, so each verdict is checked
+        dead = filled_table(config)
+        pairs = {t for t in dead if len(t) == 3}
+        assert pairs == set(pair_types(config))
+        assert {t for t in pairs if dead[t]} == walked_dead_pairs(config)
 
     @pytest.mark.parametrize(
         "config",
@@ -246,20 +260,13 @@ class TestBound:
         ids=lambda c: f"{c.mode}-{c.k}",
     )
     def test_dead_triples_match_the_max_walk(self, config):
-        walked = walked_dead_triples(config)
-        types = set(triple_types(config))
-        assert walked and {t for t in types if _dead_sub_shape(t, config)} == walked
-        # the lazy table a search fills asks only for these types
-        dead = {}
-        for rec in frontier_parents(config):
-            ruled_out = _bound(rec, config, dead)
-            for edge, key, _multiplicity in _raw_children(rec.shape, config):
-                ruled_out(edge, key)
+        # the table a search fills asks only for these types; a type no search
+        # asks for cannot reach a result
+        dead = filled_table(config)
         asked = {t for t in dead if len(t) == 7}
-        assert asked and asked <= types
-        assert {t for t in dead if len(t) == 3} <= set(pair_types(config))
-        walked |= walked_dead_pairs(config)
-        assert {t for t, verdict in dead.items() if verdict} == walked & set(dead)
+        assert asked <= set(triple_types(config))
+        walked = walked_dead_triples(config, asked)
+        assert walked and {t for t in asked if dead[t]} == walked
 
     @pytest.mark.parametrize("k", [6, 7, 8])
     def test_large_search_labels_no_dead_child(self, k):
@@ -306,11 +313,10 @@ class TestBound:
         # (|e|, |new|, |e & new|): two disjoint triples keep 36/64 > 1/2 and
         # a repeated 4-edge keeps 10/16, but a 4-edge beside a disjoint pair
         # keeps only 30/64
-        config = SearchConfig(EXHAUSTIVE_LARGE, 8)
-        dead = {t for t in pair_types(config) if _dead_sub_shape(t, config)}
-        assert (3, 3, 0) not in dead and (4, 4, 4) not in dead
-        assert (4, 2, 0) in dead
-        assert not any(a <= 3 for a, _b, _x in dead)
+        dead = filled_table(SearchConfig(EXHAUSTIVE_LARGE, 8))
+        assert dead[3, 3, 0] is False and dead[4, 4, 4] is False
+        assert dead[4, 2, 0] is True
+        assert not any(verdict and len(t) == 3 and t[0] <= 3 for t, verdict in dead.items())
 
     @pytest.mark.parametrize(
         "mode, pruned",
