@@ -100,39 +100,46 @@ def _grow(levels: dict[int, int], c: int, width: int) -> dict[int, int]:
     return grown
 
 
-# row_mask builds level sets over at most this many coefficients (2^12
+# row_mask(s) build level sets over at most this many coefficients (2^12
 # points): a row of (-2)^i has a level set for each of its 2^k points, which
 # at k = 16 took 300 MB.
 LEVEL_SET_BITS = 12
 
 
-@lru_cache(maxsize=None)
-def row_mask(coeffs: tuple[int, ...], unit: int) -> int:
-    """Bitmask of points whose scaled row value lies in {0, unit}.
+def _step(state: tuple, c: int, v: int) -> tuple:
+    """(levels, width, offsets) once coordinate v takes coefficient c: the
+    first LEVEL_SET_BITS coordinates grow the level sets (_grow), each later
+    one doubles the offsets that its settings add to the blocks of width
+    points (None before)."""
+    levels, width, offsets = state
+    if v <= LEVEL_SET_BITS:
+        return _grow(levels, c, width), width << 1, None
+    offsets = offsets or [0]
+    return levels, width, offsets + [o + c for o in offsets]
 
-    Built by level sets over the first LEVEL_SET_BITS coefficients: each
-    value maps to the mask of the points taking it, and each coefficient
-    doubles the width (_grow).  Each setting of the remaining coefficients
-    adds one offset v to the value of every point in its block of that
-    width, so the block's mask is levels[-v] | levels[unit - v]; the blocks
-    are joined in order as bytes.
-    """
-    levels = {0: 1}
-    width = 1
-    for c in coeffs[:LEVEL_SET_BITS]:
-        levels = _grow(levels, c, width)
-        width <<= 1
-    tail = coeffs[LEVEL_SET_BITS:]
-    if not tail:
+
+def _mask(state: tuple, unit: int) -> int:
+    """The points whose value lies in {0, unit}: block v's are levels[-v] |
+    levels[unit - v], and the blocks are joined in order as bytes."""
+    levels, width, offsets = state
+    if offsets is None:
         return levels.get(0, 0) | levels.get(unit, 0)
-    offsets = [0]
-    for c in tail:
-        offsets += [v + c for v in offsets]
     blocks = {
         v: (levels.get(-v, 0) | levels.get(unit - v, 0)).to_bytes(width // 8, "little")
         for v in set(offsets)
     }
     return int.from_bytes(b"".join(blocks[v] for v in offsets), "little")
+
+
+@lru_cache(maxsize=None)
+def row_mask(coeffs: tuple[int, ...], unit: int) -> int:
+    """Bitmask of points whose scaled row value lies in {0, unit}, built by
+    level sets (each value maps to the mask of the points taking it) over
+    the first LEVEL_SET_BITS coefficients and offsets over the rest."""
+    state = ({0: 1}, 1, None)
+    for v, c in enumerate(coeffs, 1):
+        state = _step(state, c, v)
+    return _mask(state, unit)
 
 
 # The former name, through which certbench reads the cache statistics.
@@ -144,37 +151,86 @@ def _scaled_row(row: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     return tuple(f.numerator * (unit // f.denominator) for f in row), unit
 
 
-def row_masks(k: int, entries: Iterable) -> Iterator[tuple[tuple, int]]:
-    """(row, mask) for every row in product(entries, repeat=k), in that order.
+def _tile(mask: int, bits: int, k: int) -> int:
+    """A mask over `bits` coordinates, repeated over k of them."""
+    for b in range(bits, k):
+        mask |= mask << (1 << b)
+    return mask
 
-    Entries are ints or Fractions; the mask has bit x set iff the row's value
-    at point x lies in {0, 1}.  Rows with equal masks are all yielded.
 
-    One depth-first walk over the rows: the entries are scaled once by their
-    common denominator L, and each prefix's level sets are grown once, for
-    every row under it.  L*v lies in {0, L} exactly when v lies in {0, 1}, so
-    a row's mask is its level sets at 0 and L, as row_mask builds it.  Those
-    two sets of a row ending in c read four of its prefix's, since _grow sets
-    level v to levels[v] | levels[v - c] << width, so the last entry builds
-    no level sets.  k must be at least 1.
+def row_masks(
+    k: int,
+    entries: Iterable,
+    support: Sequence[int] | None = None,
+    groups: Iterable[Sequence[int]] = (),
+) -> Iterator[tuple[tuple, int]]:
+    """(row, mask) for every row in product(entries, repeat=len(support)), in
+    that order: a row puts its entries on support (ascending, 1..k by
+    default) and 0 elsewhere, and its mask has bit x set iff its value at
+    point x lies in {0, 1}; equal masks are all yielded.  Entries are ints
+    or Fractions.  Along each group (disjoint coordinates of support) a
+    row's entries never come earlier in entries, so only the first row of
+    each orbit under permutations within the groups is yielded.
+
+    One depth-first walk on an explicit stack, over entries scaled by their
+    common denominator L (L*v lies in {0, L} iff v lies in {0, 1}): each
+    prefix's state (_step) is built once for every row under it, and a last
+    coordinate c within LEVEL_SET_BITS reads four of its prefix's level sets,
+    since _grow sets level v to levels[v] | levels[v - c] << width.  Zero
+    coordinates above the support repeat the mask (_tile).  k must be at
+    least 1.
     """
     if k < 1:
         raise ValueError(f"rows need at least one entry, not k={k}")
     entries = tuple(entries)
     unit = lcm(*(e.denominator for e in entries))
     scaled = [(e, e.numerator * (unit // e.denominator)) for e in entries]
-
-    def walk(prefix: tuple, levels: dict[int, int], width: int):
-        if len(prefix) < k - 1:
-            for entry, c in scaled:
-                yield from walk(prefix + (entry,), _grow(levels, c, width), width << 1)
-            return
-        low = levels.get(0, 0) | levels.get(unit, 0)
-        for entry, c in scaled:
-            high = levels.get(-c, 0) | levels.get(unit - c, 0)
-            yield prefix + (entry,), low | high << width
-
-    yield from walk((), {0: 1}, 1)
+    support = tuple(range(1, k + 1)) if support is None else tuple(support)
+    rank = {e: r for r, e in enumerate(entries)}
+    # the support position whose entry bounds each position's from below
+    follows: list[int | None] = [None] * len(support)
+    position = {v: i for i, v in enumerate(support)}
+    for group in groups:
+        for a, b in zip(group, group[1:]):
+            follows[position[b]] = position[a]
+    last = len(support) - 1
+    top = support[-1]
+    state = ({0: 1}, 1, None)
+    for v in range(1, support[0]):
+        state = _step(state, 0, v)
+    # (position, row, state, choices left) of each open prefix above node
+    stack = []
+    node = (0, (), state)
+    while node:
+        i, row, state = node
+        bound = follows[i]
+        choices = scaled if bound is None else scaled[rank[row[bound]]:]
+        v = support[i]
+        if i < last:
+            stack.append((i, row, state, iter(choices)))
+        elif v <= LEVEL_SET_BITS:
+            levels, width, _ = state
+            low = levels.get(0, 0) | levels.get(unit, 0)
+            for entry, c in choices:
+                high = levels.get(-c, 0) | levels.get(unit - c, 0)
+                mask = low | high << width
+                yield row + (entry,), mask if top == k else _tile(mask, top, k)
+        else:
+            for entry, c in choices:
+                mask = _mask(_step(state, c, v), unit)
+                yield row + (entry,), mask if top == k else _tile(mask, top, k)
+        node = None
+        while stack and node is None:
+            i, row, state, left = stack[-1]
+            step = next(left, None)
+            if step is None:
+                stack.pop()
+                continue
+            entry, c = step
+            child = _step(state, c, support[i])
+            for zero in range(support[i] + 1, support[i + 1]):
+                child = _step(child, 0, zero)
+            node = (i + 1, row + (entry,), child)
 
 
 def intersection_closure(

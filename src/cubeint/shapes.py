@@ -13,10 +13,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .cube import MAX_DIMENSION, row_mask
+from .cube import MAX_DIMENSION, row_masks
 
 Edge = tuple[int, ...]
 
@@ -70,10 +69,6 @@ class Shape:
         for edge in self.edges:
             deg.update(edge)
         return deg
-
-    def shared_vertices(self) -> tuple[int, ...]:
-        deg = self.degrees()
-        return tuple(sorted(v for v, d in deg.items() if d >= 2))
 
     def with_edge(self, edge: Edge) -> "Shape":
         """This shape with one more edge, kept in (size desc, lex) order; the
@@ -173,22 +168,24 @@ def canonical_form(shape: Shape) -> Shape:
 
     best = None
     leaves = 0
-
-    def search(colours: list[int]) -> None:
-        nonlocal best, leaves
-        colours = refine(colours)
+    # the individualisation tree, depth first on an explicit stack
+    stack = [weights]
+    while stack:
+        colours = refine(stack.pop())
         sizes = Counter(colours)
         tied = [colour for colour, size in sizes.items() if size > 1]
         if tied:
             target = min(tied)
-            for chosen, colour in enumerate(colours):
-                if colour == target:
-                    # the chosen vertex goes before the rest of its cell
-                    search([
-                        2 * x + (x == target and c != chosen)
-                        for c, x in enumerate(colours)
-                    ])
-            return
+            # the chosen vertex goes before the rest of its cell
+            stack.extend(
+                [
+                    2 * x + (x == target and c != chosen)
+                    for c, x in enumerate(colours)
+                ]
+                for chosen in reversed(range(len(colours)))
+                if colours[chosen] == target
+            )
+            continue
         leaves += 1
         if leaves > CANONICAL_LEAF_BUDGET:
             raise CanonicalBudgetError(
@@ -205,8 +202,6 @@ def canonical_form(shape: Shape) -> Shape:
         )
         if best is None or encoding < best:
             best = encoding
-
-    search(weights)
 
     ordered_weights, ordered_edges = best
     starts = [1]
@@ -266,51 +261,48 @@ def classify_star(shape: Shape) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _spread(edge: Edge, signs: Sequence[int], k: int) -> tuple[int, ...]:
-    coeffs = [0] * k
-    for v, s in zip(edge, signs):
-        coeffs[v - 1] = s
-    return tuple(coeffs)
-
-
 @lru_cache(maxsize=None)
 def _edge_choices(
-    k: int, edge: Edge, is_shared: tuple[bool, ...]
+    k: int, edge: Edge, groups: tuple[tuple[int, ...], ...]
 ) -> tuple[tuple[tuple[int, ...], int], ...]:
     """(signs, mask) choices for one edge of a k-vertex shape, sorted by signs.
 
-    is_shared flags each vertex of the edge as shared (in another edge too).
-    Only the count of -1s over the private coordinates is varied (they occupy
-    the low vertices first), which covers every achievable joint value because
-    private coordinates of one edge can be permuted freely.  Choices with
-    equal masks keep the least sign tuple.  Cached, as row_mask is: the
+    Each group is a vertex class (see _edge_candidates) whose first edge this
+    is: only its count of -1s varies, on its low vertices first.  Every other
+    vertex takes both signs.  Distinct signs give distinct masks, since the
+    point with only vertex v set lies in the mask iff v's sign is +1.  All
+    masks come from one cube.row_masks walk.  Cached, as row_mask is: the
     result depends only on the arguments and is shared between shapes.
     """
-    private = is_shared.count(False)
-    candidates = []
-    for shared_signs in product((-1, 1), repeat=len(edge) - private):
-        for minus in range(private + 1):
-            fill = iter(shared_signs), iter([-1] * minus + [1] * (private - minus))
-            # from a list: a generator here raised verify small's peak RSS 0.3 MB
-            signs_t = tuple([next(fill[not flag]) for flag in is_shared])
-            candidates.append((signs_t, row_mask(_spread(edge, signs_t, k), 1)))
-    candidates.sort()
-    masks: set[int] = set()
-    ordered = []
-    for signs_t, mask in candidates:
-        if mask not in masks:
-            masks.add(mask)
-            ordered.append((signs_t, mask))
-    return tuple(ordered)
+    return tuple(row_masks(k, (-1, 1), edge, groups))
 
 
 def _edge_candidates(shape: Shape) -> list[tuple[tuple[tuple[int, ...], int], ...]]:
-    """The cached _edge_choices of every edge, in edge order."""
+    """The cached _edge_choices of every edge, in edge order.
+
+    A vertex class is a set of vertices with the same incident edges, and
+    its first edge is the first edge that holds it.  A permutation within a
+    class fixes every edge as a set, and the signs of every edge before the
+    class's first edge, so signs packed on each class at its first edge
+    (-1s on its low vertices) reach every size, and the first assignment in
+    ascending sign order that reaches a size is already packed.  An edge's
+    private vertices are one such class; a class of one vertex is no group.
+    """
+    incident: dict[int, list[int]] = {}
+    for j, edge in enumerate(shape.edges):
+        for v in edge:
+            incident.setdefault(v, []).append(j)
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for v in sorted(incident):
+        classes.setdefault(tuple(incident[v]), []).append(v)
+    groups: list[list[tuple[int, ...]]] = [[] for _ in shape.edges]
+    for edges, members in classes.items():
+        if len(members) > 1:
+            groups[edges[0]].append(tuple(members))
     k = shape.vertex_count
-    shared = set(shape.shared_vertices())
     return [
-        _edge_choices(k, edge, tuple([v in shared for v in edge]))
-        for edge in shape.edges
+        _edge_choices(k, edge, tuple(edge_groups))
+        for edge, edge_groups in zip(shape.edges, groups)
     ]
 
 
@@ -344,26 +336,33 @@ def max_intersection(shape: Shape) -> tuple[int, tuple | None]:
     """Best achievable size over sign assignments, with a deterministic witness.
 
     The witness holds one sign row per edge: row i gives the +-1 on the
-    vertices of edge i, ascending.  One branch-and-bound walk over the cached
-    edge choices in ascending sign order (reduced private placements, -1
-    before +1); the witness is recorded whenever the best size rises, so it is
-    the first assignment in that order reaching the maximum.  Returns
-    (0, None) when every assignment gives the empty set.
+    vertices of edge i, ascending.  One branch-and-bound walk, on an explicit
+    stack, over the cached edge choices in ascending sign order (signs packed
+    on each vertex class at its first edge, -1 before +1); the witness is
+    recorded whenever the best size rises, so it is the first assignment in
+    that order reaching the maximum, which is also the first over every sign
+    assignment (_edge_candidates).  Returns (0, None) when every assignment
+    gives the empty set.
     """
     cands = _edge_candidates(shape)
     best = 0
     witness: tuple | None = None
-
-    def walk(idx: int, mask: int, chosen: tuple):
-        nonlocal best, witness
-        count = mask.bit_count()
+    full = (1 << (1 << shape.vertex_count)) - 1
+    # one (mask, chosen, remaining choices of the next edge) per open edge
+    stack = [(full, (), iter(cands[0]))]
+    while stack:
+        mask, chosen, choices = stack[-1]
+        step = next(choices, None)
+        if step is None:
+            stack.pop()
+            continue
+        signs_t, cand_mask = step
+        child = mask & cand_mask
+        count = child.bit_count()
         if count <= best:
-            return
-        if idx == len(cands):
-            best, witness = count, chosen
-            return
-        for signs_t, cand_mask in cands[idx]:
-            walk(idx + 1, mask & cand_mask, chosen + (signs_t,))
-
-    walk(0, (1 << (1 << shape.vertex_count)) - 1, ())
+            continue
+        if len(stack) == len(cands):
+            best, witness = count, chosen + (signs_t,)
+        else:
+            stack.append((child, chosen + (signs_t,), iter(cands[len(stack)])))
     return best, witness

@@ -32,6 +32,11 @@ def level_count(sc: SignCount, level: int) -> int:
     return (1 << sc.zero) * binomial(sc.plus + sc.minus, sc.minus + level)
 
 
+def shared_vertices(shape: Shape) -> tuple[int, ...]:
+    """The vertices in two or more edges (counted with multiplicity), ascending."""
+    return tuple(sorted(v for v, d in shape.degrees().items() if d >= 2))
+
+
 def assert_normal_shape(shape: Shape) -> None:
     """The normal form Shape trusts its caller for, checked in full: at least
     one edge, each of two or more sorted distinct vertices, the vertices
@@ -78,7 +83,7 @@ def assignment_intersection(shape: Shape, signs) -> int:
         len(row) != len(edge) for edge, row in zip(shape.edges, signs)
     ):
         raise ValueError("assignment does not belong to this shape")
-    shared = shape.shared_vertices()
+    shared = shared_vertices(shape)
     shared_index = {v: i for i, v in enumerate(shared)}
     per_edge = []
     for edge, row in zip(shape.edges, signs):
@@ -261,7 +266,7 @@ def reference_edge_candidates(shape: Shape) -> list[list[tuple[tuple[int, ...], 
     sign tuple is kept.  Only the count of -1s over an edge's private
     coordinates varies, on the low private vertices first."""
     k = shape.vertex_count
-    shared = set(shape.shared_vertices())
+    shared = set(shared_vertices(shape))
     per_edge = []
     for edge in shape.edges:
         private = sum(v not in shared for v in edge)

@@ -342,6 +342,43 @@ def test_row_masks_match_per_row_reference(entries, max_k):
             assert mask == want_mask, (row, k)
 
 
+@pytest.mark.parametrize(
+    "k, support, groups, entries",
+    [
+        (5, (1, 2, 4), ((1, 4),), (-1, 0, 2)),
+        (6, (2, 3, 5), ((2, 3, 5),), (Fraction(-1, 2), 1, Fraction(1, 2))),
+        (8, (1, 2, 3, 4, 5, 6, 7, 8), ((1, 2, 3), (4, 8)), (-1, 1)),
+        (13, (11, 12, 13), (), (-1, 1)),
+        (13, (12, 13), ((12, 13),), (-1, 0, 1)),
+        (14, (3, 12, 13), ((3, 12, 13),), (-1, 1)),
+        (14, (2, 5), ((2, 5),), (-1, 1)),
+        (14, (13, 14), (), (-1, 1)),
+    ],
+    ids=["gap", "fractions", "two-groups", "crossing", "crossing-group",
+         "crossing-below-k", "below-k", "tail-only"],
+)
+def test_row_masks_on_a_support_match_point_by_point_reference(k, support, groups, entries):
+    # rows put their entries on the support and 0 elsewhere, and never take an
+    # earlier entry than the one before in a group; k = 13 and 14 cross the
+    # LEVEL_SET_BITS boundary, some with their top coordinate below k
+    rank = {e: r for r, e in enumerate(entries)}
+    at = {v: i for i, v in enumerate(support)}
+    want = []
+    for row in product(entries, repeat=len(support)):
+        if any(
+            rank[row[at[a]]] > rank[row[at[b]]]
+            for group in groups
+            for a, b in zip(group, group[1:])
+        ):
+            continue
+        coeffs = [0] * k
+        for v, e in zip(support, row):
+            coeffs[v - 1] = e
+        scaled, unit = _scaled_row(coeffs)
+        want.append((row, reference_row_mask(scaled, unit)))
+    assert list(row_masks(k, entries, support, groups)) == want
+
+
 def test_row_masks_rejects_empty_rows():
     with pytest.raises(ValueError):
         next(row_masks(0, (0, 1)))

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -6,8 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cubeint.cube import evaluate_pattern
-from cubeint.search import MODES, SearchConfig, bfs_search
+from cubeint.cube import evaluate_pattern, row_masks
+from cubeint.search import (
+    EXHAUSTIVE_LARGE,
+    MODES,
+    NON_REDUNDANT_SMALL,
+    SearchConfig,
+    bfs_search,
+)
 from cubeint.shapes import (
     CANONICAL_LEAF_BUDGET,
     OTHER,
@@ -33,6 +40,7 @@ from oracles import (
     reference_edge_candidates,
     reference_value_set,
     shape_fraction,
+    shared_vertices,
 )
 
 
@@ -190,7 +198,7 @@ class TestMaxIntersection:
         best, witness = max_intersection(s)
         assert best == 10
         # the witness agrees in sign across the shared pair
-        for v in s.shared_vertices():
+        for v in shared_vertices(s):
             first, second = s.edges[0], s.edges[1]
             assert witness[0][first.index(v)] == witness[1][second.index(v)]
 
@@ -323,12 +331,41 @@ class TestCanonicalAgainstBruteForce:
 FLOORS = (Fraction(0), Fraction(15, 32), Fraction(1, 2))
 
 
+def first_edge_classes(s):
+    """(first edge index, ascending members) of every vertex class: the
+    vertices with the same incident edges, in order of their least vertex."""
+    classes = {}
+    for v in range(1, s.vertex_count + 1):
+        incident = tuple(j for j, edge in enumerate(s.edges) if v in edge)
+        classes.setdefault(incident, []).append(v)
+    return [(incident[0], tuple(members)) for incident, members in classes.items()]
+
+
+def packed_reference_candidates(s):
+    """The reference's choices of every edge whose signs are non-decreasing
+    (-1s first) on every vertex class whose first edge it is."""
+    classes = first_edge_classes(s)
+    return [
+        [
+            (signs, mask)
+            for signs, mask in choices
+            if all(
+                (row := [signs[edge.index(v)] for v in members]) == sorted(row)
+                for first, members in classes
+                if first == j
+            )
+        ]
+        for j, (edge, choices) in enumerate(zip(s.edges, reference_edge_candidates(s)))
+    ]
+
+
 def assert_value_sets_match_reference(shapes, floors=FLOORS):
-    """The cached per-edge choices equal a fresh per-shape build, and
-    intersection_value_set gives the reference walk's values at every floor,
-    each value proven achievable by a reference witness that scores it."""
+    """The cached per-edge choices are the packed part of a fresh unreduced
+    build, in its order, and intersection_value_set gives the unreduced
+    reference walk's values at every floor, each value proven achievable by
+    a reference witness that scores it."""
     for s in shapes:
-        assert [list(c) for c in _edge_candidates(s)] == reference_edge_candidates(s)
+        assert [list(c) for c in _edge_candidates(s)] == packed_reference_candidates(s)
         for floor in floors:
             reference = reference_value_set(s, floor)
             assert intersection_value_set(s, floor) == tuple(reference)
@@ -348,9 +385,11 @@ class TestValueSetAgainstReference:
 
     def test_edge_choices_equal_a_fresh_build(self):
         for s in small_shapes(5, 3):
-            shared = set(s.shared_vertices())
-            for edge in s.edges:
-                key = (s.vertex_count, edge, tuple(v in shared for v in edge))
+            classes = first_edge_classes(s)
+            for j, (edge, choices) in enumerate(zip(s.edges, _edge_candidates(s))):
+                groups = tuple(m for first, m in classes if first == j and len(m) > 1)
+                key = (s.vertex_count, edge, groups)
+                assert _edge_choices(*key) is choices
                 assert _edge_choices(*key) == _edge_choices.__wrapped__(*key)
 
     def test_extreme_floors(self):
@@ -359,6 +398,59 @@ class TestValueSetAgainstReference:
         assert sorted(intersection_value_set(s, Fraction(-1, 3))) == sorted(
             reference_value_set(s, Fraction(-1, 3))
         )
+
+
+def assert_max_is_the_first_reference_witness(shapes):
+    """max_intersection gives the unreduced reference's largest value M with
+    its first witness, or (0, None) where the reference is empty.  The
+    reference walks above (M - 1) / 2^k: that floor only drops partial
+    intersections of M - 1 points or fewer, which hold no assignment of
+    value M or more, so the first witness of M and any larger value stay."""
+    for s in shapes:
+        best, witness = max_intersection(s)
+        reference = reference_value_set(s, Fraction(max(best - 1, 0), 1 << s.vertex_count))
+        if not reference:
+            assert (best, witness) == (0, None), s
+            continue
+        top = max(reference)
+        assert (best, witness) == (top, reference[top]), s
+
+
+class TestMaxWitnessAgainstReference:
+    def test_small_shape_inputs(self):
+        assert_max_is_the_first_reference_witness(small_shape_inputs(5, 3))
+
+    @pytest.mark.parametrize(
+        "mode, k", [(EXHAUSTIVE_LARGE, 6), (NON_REDUNDANT_SMALL, 8)]
+    )
+    def test_search_survivors(self, mode, k):
+        result = bfs_search(SearchConfig(mode, k))
+        assert_max_is_the_first_reference_witness(
+            rec.shape for records in result.depths for rec in records
+        )
+
+
+# a nested function that calls itself holds itself through its closure cell,
+# so every call of a walk written that way leaves a cycle for the collector
+CYCLE = Shape.from_edges([(v, v % 6 + 1) for v in range(1, 7)])
+FRESH_CALLS = {
+    "canonical_form": lambda: canonical_form.__wrapped__(CYCLE),
+    "max_intersection": lambda: max_intersection(
+        Shape.from_edges([(1, 2, 3, 4), (3, 4, 5), (1, 5, 6, 7), (2, 6)])
+    ),
+    "row_masks": lambda: list(row_masks(4, (-1, Fraction(1, 2), 1), (1, 2, 4), ((1, 4),))),
+}
+
+
+@pytest.mark.parametrize("name", FRESH_CALLS)
+def test_walks_leave_no_garbage(name):
+    gc.collect()
+    gc.disable()
+    try:
+        FRESH_CALLS[name]()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestAgainstBruteForce:
