@@ -9,7 +9,6 @@ from .cube import (
     oracle_enumerate,
 )
 from .codim1 import (
-    SignCount,
     codim1_size,
     codim1_table,
     large_codim1_sizes,
@@ -31,7 +30,6 @@ from .search import (
 __all__ = [
     "CanonicalBudgetError",
     "LinearMap",
-    "SignCount",
     "Shape",
     "SearchConfig",
     "SearchResult",

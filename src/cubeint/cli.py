@@ -12,6 +12,7 @@ from .codim1 import codim1_table, large_codim1_sizes
 from .cube import (
     EnumerationBudgetError,
     LinearMap,
+    as_fraction,
     evaluate_pattern,
     intersection_size,
     oracle_enumerate,
@@ -44,8 +45,8 @@ SEARCH_MODES = {
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        return as_fraction(text)
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
@@ -199,7 +200,8 @@ def _cmd_shape(args) -> int:
 
 
 def _cmd_map(args) -> int:
-    linear_map = LinearMap.from_json_dict(json.loads(args.json))
+    # decimals are read exactly from their text, not through a binary float
+    linear_map = LinearMap.from_json_dict(json.loads(args.json, parse_float=as_fraction))
     mask = evaluate_pattern(linear_map)
     payload = {
         "map": linear_map.to_json_dict(),

@@ -6,7 +6,6 @@ codimension-1 theory reduces to exact integer arithmetic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -20,26 +19,10 @@ def binomial(n: int, r: int) -> int:
     return comb(n, r)
 
 
-@dataclass(frozen=True)
-class SignCount:
-    """Counts of +1, -1 and 0 entries of a single row."""
-
-    plus: int
-    minus: int
-    zero: int
-
-    def __post_init__(self):
-        if min(self.plus, self.minus, self.zero) < 0:
-            raise ValueError("sign counts must be nonnegative")
-
-    @property
-    def k(self) -> int:
-        return self.plus + self.minus + self.zero
-
-
-def codim1_size(sc: SignCount) -> int:
-    """Intersection size of the single-row map with the given sign counts."""
-    return (1 << sc.zero) * binomial(sc.plus + sc.minus + 1, sc.minus + 1)
+def codim1_size(plus: int, minus: int, zero: int) -> int:
+    """Intersection size of the single-row map with plus +1s, minus -1s and
+    zero 0s."""
+    return (1 << zero) * binomial(plus + minus + 1, minus + 1)
 
 
 def codim1_table() -> list[tuple[int, int, int]]:
@@ -49,7 +32,7 @@ def codim1_table() -> list[tuple[int, int, int]]:
     for total in range(2, 8):
         for minus in range(total + 1):
             plus = total - minus
-            size = codim1_size(SignCount(plus, minus, 0))
+            size = codim1_size(plus, minus, 0)
             if size > 1 << (total - 1):
                 rows.append((plus, minus, size))
     rows.sort()
@@ -69,7 +52,7 @@ def large_codim1_sizes(k: int) -> tuple[int, ...]:
     found = set()
     for plus in range(k + 1):
         for minus in range(k + 1 - plus):
-            size = codim1_size(SignCount(plus, minus, k - plus - minus))
+            size = codim1_size(plus, minus, k - plus - minus)
             if size > half:
                 found.add(size)
     return tuple(sorted(found))

@@ -7,6 +7,7 @@ membership test is never subject to rounding.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -30,9 +31,22 @@ class EnumerationBudgetError(RuntimeError):
     """An exhaustive enumeration would exceed its configured budget."""
 
 
-def _as_fraction(value) -> Fraction:
+# Largest decimal exponent a rational's text may carry, int()'s own limit on
+# the digits of an integer's text: Fraction("1e999999999") would first build
+# a billion-digit power of ten, which takes hours.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e\s*([-+]?[\d_]+)\s*$", re.IGNORECASE)
+
+
+def as_fraction(value) -> Fraction:
+    """The exact rational of a number or of a text such as "1/3", "0.1" or
+    "5e-3"; a text that names no rational, or whose exponent is past
+    MAX_EXPONENT, is a ValueError."""
     if isinstance(value, Fraction):
         return value
+    exponent = _EXPONENT.search(value) if isinstance(value, str) else None
+    if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
+        raise ValueError(f"exponent past {MAX_EXPONENT}: {value!r}")
     try:
         return Fraction(value)
     except ZeroDivisionError as exc:
@@ -63,7 +77,7 @@ class LinearMap:
 
     @staticmethod
     def from_rows(k: int, rows: Iterable[Iterable]) -> "LinearMap":
-        entries = tuple(tuple(_as_fraction(v) for v in row) for row in rows)
+        entries = tuple(tuple(as_fraction(v) for v in row) for row in rows)
         return LinearMap(k, entries)
 
     def to_json_dict(self) -> dict:
@@ -77,14 +91,18 @@ class LinearMap:
     def from_json_dict(data) -> "LinearMap":
         if not isinstance(data, Mapping) or not {"k", "entries"} <= data.keys():
             raise ValueError("a map is a JSON object with 'k' and 'entries'")
-        rows = data["entries"]
+        k, rows = data["k"], data["entries"]
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise ValueError("map 'entries' must be a list of rows")
+        declared_m = data.get("m", len(rows))
+        if not all(isinstance(n, int) and not isinstance(n, bool) for n in (k, declared_m)):
+            raise ValueError("map 'k' and 'm' must be integers")
+        if any(isinstance(v, bool) for row in rows for v in row):
+            raise ValueError("map entries must be numbers, not booleans")
         try:
-            lm = LinearMap.from_rows(int(data["k"]), rows)
-            declared_m = int(data.get("m", lm.m))
+            lm = LinearMap.from_rows(k, rows)
         except (TypeError, OverflowError) as exc:
-            raise ValueError(f"map k, m and entries must be numbers: {exc}") from exc
+            raise ValueError(f"map entries must be numbers: {exc}") from exc
         if declared_m != lm.m:
             raise ValueError("declared m does not match entry rows")
         return lm
@@ -318,7 +336,7 @@ def oracle_enumerate(
         raise ValueError(f"oracle dimension k={k} outside 1..{MAX_DIMENSION}")
     if m < 1:
         raise ValueError("the oracle needs at least one row (m >= 1)")
-    entries = sorted(set(_as_fraction(v) for v in entry_set))
+    entries = sorted(set(as_fraction(v) for v in entry_set))
     if not entries:
         raise ValueError("entry set must be nonempty")
     if len(entries) ** k << k > ORACLE_WORK_BUDGET:
@@ -326,7 +344,7 @@ def oracle_enumerate(
             f"{len(entries)}^{k} rows of 2^{k} points exceed the work budget "
             f"{ORACLE_WORK_BUDGET}"
         )
-    keep = _as_fraction(keep_above)
+    keep = as_fraction(keep_above)
     above = (keep.numerator << k) // keep.denominator
     masks = {mask for _row, mask in row_masks(k, entries)}
     step = max(1, (1 << k) // 256)

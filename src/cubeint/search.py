@@ -21,14 +21,12 @@ Two modes:
                           edge keeps a private vertex) are the minimal large
                           shapes that the paper's star lemma is about.
 
-Children are generated once per vertex class, with a multiplicity.  Vertices
-with the same incident edges (one edge's private run, twin shared vertices)
-are interchangeable: swapping two of them is an automorphism that fixes every
-edge, so it maps a child to an isomorphic one with the same key (new size,
-overlap vector).  Choosing a count from each class, in place of a labelled
-subset, therefore loses nothing, and the multiplicity prod C(|class|, count)
-keeps ``pruned_count`` and the raw survivor counts equal to a subset-by-subset
-enumeration's.
+Children are generated once per vertex class (Shape.vertex_classes), with a
+multiplicity.  Swapping two vertices of a class maps a child to an isomorphic
+one with the same key (new size, overlap vector), so choosing a count from
+each class, in place of a labelled subset, loses nothing, and the
+multiplicity prod C(|class|, count) keeps ``pruned_count`` and the raw
+survivor counts equal to a subset-by-subset enumeration's.
 
 A child is ruled out before it is built or labelled when one of its
 sub-shapes, made of the new edge and one or two parent edges, has no size
@@ -86,8 +84,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.k > MAX_DIMENSION:
-            raise ValueError(f"search dimension k={self.k} exceeds {MAX_DIMENSION}")
+        if not 2 <= self.k <= MAX_DIMENSION:
+            raise ValueError(f"search dimension k={self.k} is outside 2..{MAX_DIMENSION}")
         small = self.mode == NON_REDUNDANT_SMALL
         if self.threshold is None:
             threshold = Fraction(15, 32) if small else Fraction(1, 2)
@@ -153,15 +151,14 @@ def _raw_children(shape: Shape, config: SearchConfig):
     The new edge takes some current vertices plus a run of fresh ones; its
     size may not exceed the smallest existing edge, which realises the
     non-increasing addition order.  The key records the new size and the
-    overlap vector (|chosen & e| for every edge e).  A vertex class is the set
-    of vertices with the same incident edge indices.  Swapping two vertices of
-    one class fixes every edge, so the labelled subsets that take the same
-    count from every class give isomorphic children with one key.  The count
-    vectors are built in one pass, class by class, keeping only those that
-    take at most as many vertices as the largest new edge; each one's chosen
-    vertices (the lowest-labelled members of each class), overlap vector and
-    multiplicity prod C(|class|, count), the number of labelled subsets it
-    stands for, are built once and shared by every new size it allows.
+    overlap vector (|chosen & e| for every edge e).  The labelled subsets
+    that take the same count from every vertex class (Shape.vertex_classes)
+    give isomorphic children with one key.  The count vectors are built in
+    one pass, class by class, keeping only those that take at most as many
+    vertices as the largest new edge; each one's chosen vertices (the
+    lowest-labelled members of each class), overlap vector and multiplicity
+    prod C(|class|, count), the number of labelled subsets it stands for,
+    are built once and shared by every new size it allows.
 
     The sub-shape types of _bound read only the key and |new & a & b| for
     pairs of edges (a, b), which every member of a class shares, since a
@@ -169,13 +166,7 @@ def _raw_children(shape: Shape, config: SearchConfig):
     """
     n = shape.vertex_count
     largest = min(len(shape.edges[-1]), config.max_edge_size)
-    incident: dict[int, list[int]] = {}
-    for i, edge in enumerate(shape.edges):
-        for v in edge:
-            incident.setdefault(v, []).append(i)
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for v in range(1, n + 1):
-        classes.setdefault(tuple(incident[v]), []).append(v)
+    classes = shape.vertex_classes()
     # every count vector taking at most `largest` vertices in all, built one
     # class at a time beside its running total
     vectors = [((), 0)]

@@ -64,11 +64,24 @@ class Shape:
     def vertex_count(self) -> int:
         return max(v for edge in self.edges for v in edge)
 
-    def degrees(self) -> Counter:
-        deg: Counter = Counter()
-        for edge in self.edges:
-            deg.update(edge)
-        return deg
+    def vertex_classes(self) -> dict[tuple[int, ...], list[int]]:
+        """Each tuple of incident edge indices, mapped to the ascending
+        vertices that lie in exactly those edges, in order of least vertex.
+
+        The vertices of one class (an edge's private run, twin shared
+        vertices) are interchangeable: swapping two of them fixes every edge
+        as a set, so it is an automorphism of the shape.  Child generation,
+        sign packing and canonical labelling each act once per class on
+        this ground.
+        """
+        incident: dict[int, list[int]] = {}
+        for j, edge in enumerate(self.edges):
+            for v in edge:
+                incident.setdefault(v, []).append(j)
+        classes: dict[tuple[int, ...], list[int]] = {}
+        for v in sorted(incident):
+            classes.setdefault(tuple(incident[v]), []).append(v)
+        return classes
 
     def with_edge(self, edge: Edge) -> "Shape":
         """This shape with one more edge, kept in (size desc, lex) order; the
@@ -76,9 +89,10 @@ class Shape:
         return Shape(tuple(sorted(self.edges + (edge,), key=_edge_key)))
 
     def is_minimal(self) -> bool:
-        """Every edge keeps a private vertex (multiset degree one)."""
-        deg = self.degrees()
-        return all(any(deg[v] == 1 for v in edge) for edge in self.edges)
+        """Every edge keeps a private vertex (multiset degree one): its
+        vertex class (j,) is not empty."""
+        classes = self.vertex_classes()
+        return all((j,) in classes for j in range(len(self.edges)))
 
     def to_json_dict(self) -> dict:
         return {"k": self.vertex_count, "edges": [list(e) for e in self.edges]}
@@ -113,38 +127,39 @@ class CanonicalBudgetError(ValueError):
 def canonical_form(shape: Shape) -> Shape:
     """Canonical representative of the isomorphism class of a shape.
 
-    The shape is first reduced to the part that symmetry can act on.  A
-    private vertex (multiset degree one) only counts towards its edge, so
-    each edge becomes (its shared vertices, its private count), and equal
-    reduced edges merge into one with a multiplicity.  Shared vertices with
-    the same incident reduced edges (twins) merge into one weighted vertex.
-    Colour refinement on the vertex-edge incidence graph then splits the
-    weighted vertices by weight and by the edges around them, and
-    individualisation (McKay & Piperno's scheme) branches only on the cells
-    that stay tied.  Every leaf orders the weighted vertices; the least
-    encoding over the leaves is canonical.  The representative lists the
-    shared vertices first, in that order, then each edge's private run.
+    The shape is first reduced to the part that symmetry can act on: each
+    vertex class (Shape.vertex_classes) in two or more edges becomes one
+    weighted vertex, and each edge becomes (the weighted vertices it holds,
+    the size of its private class), equal reduced edges merging into one
+    with a multiplicity.  Colour refinement on the vertex-edge incidence
+    graph then splits the weighted vertices by weight and by the edges
+    around them, and individualisation (McKay & Piperno's scheme) branches
+    only on the cells that stay tied.  Every leaf orders the weighted
+    vertices; the least encoding over the leaves is canonical.  The
+    representative lists the shared vertices first, in that order, then
+    each edge's private run.
 
     Raises CanonicalBudgetError past CANONICAL_LEAF_BUDGET leaves.  Cached,
     like _edge_choices: the result depends only on the shape.
     """
-    degree = Counter(v for edge in shape.edges for v in edge)
-    reduced: Counter = Counter()
-    for edge in shape.edges:
-        shared = tuple(v for v in edge if degree[v] > 1)
-        reduced[shared, len(edge) - len(shared)] += 1
-    incidence: dict[int, list[int]] = {}
-    for j, (shared, _private) in enumerate(reduced):
-        for v in shared:
-            incidence.setdefault(v, []).append(j)
-    twins = Counter(tuple(edges) for edges in incidence.values())
-    vertex_edges = list(twins)
-    weights = list(twins.values())
-    edge_members: list[list[int]] = [[] for _ in reduced]
-    for c, edges in enumerate(vertex_edges):
-        for j in edges:
-            edge_members[j].append(c)
-    edge_labels = [(private, mult) for (_shared, private), mult in reduced.items()]
+    classes = shape.vertex_classes()
+    held: list[list[int]] = [[] for _ in shape.edges]
+    weights = []
+    for edges, members in classes.items():
+        if len(edges) > 1:
+            for j in edges:
+                held[j].append(len(weights))
+            weights.append(len(members))
+    reduced = Counter(
+        (tuple(members), len(classes.get((j,), ())))
+        for j, members in enumerate(held)
+    )
+    edge_members = [members for members, _private in reduced]
+    edge_labels = [(private, mult) for (_members, private), mult in reduced.items()]
+    vertex_edges: list[list[int]] = [[] for _ in weights]
+    for j, members in enumerate(edge_members):
+        for c in members:
+            vertex_edges[c].append(j)
 
     def refine(colours: list[int]) -> list[int]:
         """Split colour classes until they are equitable.  New colours are
@@ -280,23 +295,15 @@ def _edge_choices(
 def _edge_candidates(shape: Shape) -> list[tuple[tuple[tuple[int, ...], int], ...]]:
     """The cached _edge_choices of every edge, in edge order.
 
-    A vertex class is a set of vertices with the same incident edges, and
-    its first edge is the first edge that holds it.  A permutation within a
-    class fixes every edge as a set, and the signs of every edge before the
-    class's first edge, so signs packed on each class at its first edge
-    (-1s on its low vertices) reach every size, and the first assignment in
-    ascending sign order that reaches a size is already packed.  An edge's
-    private vertices are one such class; a class of one vertex is no group.
+    A vertex class (Shape.vertex_classes) has a first edge, the first one
+    that holds it.  Its permutations fix the signs of every edge before that
+    one, so signs packed on each class at its first edge (-1s on its low
+    vertices) reach every size, and the first assignment in ascending sign
+    order that reaches a size is already packed.  A class of one vertex is
+    no group.
     """
-    incident: dict[int, list[int]] = {}
-    for j, edge in enumerate(shape.edges):
-        for v in edge:
-            incident.setdefault(v, []).append(j)
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for v in sorted(incident):
-        classes.setdefault(tuple(incident[v]), []).append(v)
     groups: list[list[tuple[int, ...]]] = [[] for _ in shape.edges]
-    for edges, members in classes.items():
+    for edges, members in shape.vertex_classes().items():
         if len(members) > 1:
             groups[edges[0]].append(tuple(members))
     k = shape.vertex_count

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .codim1 import SignCount, binomial
+from .codim1 import binomial
 from .cube import (
     MAX_DIMENSION,
     LinearMap,
@@ -93,11 +93,9 @@ def build_21_star_map(k: int) -> LinearMap:
     return LinearMap.from_rows(k + 1, rows)
 
 
-def _single_row_map(k: int, sc: SignCount) -> LinearMap:
-    if sc.k != k:
-        raise ValueError("sign counts do not sum to k")
-    row = [1] * sc.plus + [-1] * sc.minus + [0] * sc.zero
-    return LinearMap.from_rows(k, [row])
+def _single_row_map(plus: int, minus: int, zero: int) -> LinearMap:
+    row = [1] * plus + [-1] * minus + [0] * zero
+    return LinearMap.from_rows(len(row), [row])
 
 
 def _padded(rows: list[list[int]], k: int, m: int) -> LinearMap:
@@ -277,9 +275,9 @@ def verify_small_window(k: int = 8) -> Report:
     bottom, middle, half = small_window_values(k)
 
     memberships = {
-        bottom: _single_row_map(k, SignCount(4, 1, k - 5)),
-        middle: _single_row_map(k, SignCount(5, 3, k - 8)),
-        half: _single_row_map(k, SignCount(0, 1, k - 1)),
+        bottom: _single_row_map(4, 1, k - 5),
+        middle: _single_row_map(5, 3, k - 8),
+        half: _single_row_map(0, 1, k - 1),
     }
     evaluated = {size: intersection_size(m) for size, m in memberships.items()}
     wrong = {str(size): actual for size, actual in evaluated.items() if actual != size}

@@ -3,7 +3,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from cubeint.codim1 import SignCount, binomial
+from cubeint.codim1 import binomial
 from cubeint.cube import LinearMap, _scaled_row, evaluate_pattern, row_mask
 from cubeint.search import EXHAUSTIVE_LARGE, SearchConfig
 from cubeint.shapes import Edge, Shape, _edge_key, max_intersection
@@ -26,15 +26,17 @@ def per_row_masks(k: int, entries) -> list[tuple[tuple, int]]:
     return [(row, row_mask(*_scaled_row(row))) for row in product(entries, repeat=k)]
 
 
-def level_count(sc: SignCount, level: int) -> int:
-    """Number of cube points on which the row evaluates to `level`; the levels
-    0 and 1 add up to codim1.codim1_size."""
-    return (1 << sc.zero) * binomial(sc.plus + sc.minus, sc.minus + level)
+def level_count(plus: int, minus: int, zero: int, level: int) -> int:
+    """Number of cube points on which the row with plus +1s, minus -1s and
+    zero 0s evaluates to `level`; the levels 0 and 1 add up to
+    codim1.codim1_size."""
+    return (1 << zero) * binomial(plus + minus, minus + level)
 
 
 def shared_vertices(shape: Shape) -> tuple[int, ...]:
     """The vertices in two or more edges (counted with multiplicity), ascending."""
-    return tuple(sorted(v for v, d in shape.degrees().items() if d >= 2))
+    degree = Counter(v for edge in shape.edges for v in edge)
+    return tuple(sorted(v for v, d in degree.items() if d >= 2))
 
 
 def assert_normal_shape(shape: Shape) -> None:

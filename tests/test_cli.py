@@ -124,8 +124,40 @@ class TestDeterminism:
                 ["window", "hn", "--n", "24"],
                 "17b9d8862c02032e1ebf2a608e09b201c111daacaf7097e2e7b3917e41f8edb7",
             ),
+            # canonical representatives: a change to canonical_form or to
+            # child generation that moves one changes these
+            (
+                ["verify", "large", "--k", "6"],
+                "20cb6be38f78a9a2d83e8ab6317b340f6bb280d5ddf40bd176586baa5024abc4",
+            ),
+            (
+                ["verify", "small", "--k", "8"],
+                "5c4c0d2a7b64ceee2810098139561256609766c22f9614dee88ca72dce2dfa05",
+            ),
+            (
+                ["search", "--mode", "exhaustive-large", "--k", "6"],
+                "85f8bb9fddbff1171f0fcf3d9184be1e4b4758026fb6fab997b18fbf9a59c9f4",
+            ),
+            (
+                ["search", "--mode", "small", "--k", "8"],
+                "14f0e6f79b4bd65d0ad8e91b8f6573f0bc99805ae2c9bbdad651cd63f30e2415",
+            ),
+            (
+                ["shape", "--edges", "1,5;2,5,6;3,4,5,7"],
+                "b187ad7ecdceab80d954ee56d97fc331c525aded4ecf1895b992e26bd62df218",
+            ),
         ],
-        ids=["sizes_large_k6", "oracle_k4_m1", "window_n10", "window_n24"],
+        ids=[
+            "sizes_large_k6",
+            "oracle_k4_m1",
+            "window_n10",
+            "window_n24",
+            "verify_large_k6",
+            "verify_small_k8",
+            "search_large_k6",
+            "search_small_k8",
+            "shape_mixed",
+        ],
     )
     def test_golden_content_hash(self, capsys, argv, digest):
         code, out = run(capsys, *argv)
@@ -336,9 +368,47 @@ class TestExitContract:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    # each ran, as k = 2, m = 1 or an entry of 1, and exited 0 before the map
+    # reader took k and m as JSON integers only and refused booleans
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"k":2.5,"entries":[["1","-1"]]}', "'k' and 'm' must be integers"),
+            ('{"k":2,"m":1.9,"entries":[["1","-1"]]}', "'k' and 'm' must be integers"),
+            ('{"k":true,"entries":[["1"]]}', "'k' and 'm' must be integers"),
+            ('{"k":2,"m":true,"entries":[["1","-1"]]}', "'k' and 'm' must be integers"),
+            ('{"k":"2","entries":[["1","-1"]]}', "'k' and 'm' must be integers"),
+            ('{"k":2,"entries":[[true,"-1"]]}', "entries must be numbers, not booleans"),
+        ],
+    )
+    def test_map_refuses_inexact_counts_and_booleans(self, capsys, text, message):
+        code = main(["map", "--json", text])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: map {message}\n"
+
+    def test_map_reads_decimals_exactly(self, capsys):
+        # 0.1 as a binary float is 3602879701896397/2^55, and ten of them on
+        # k = 10 kept only the origin
+        sizes = {}
+        for entry in ("0.1", '"1/10"', "1e-1"):
+            text = f'{{"k":10,"entries":[[{", ".join([entry] * 10)}]]}}'
+            code, out = run(capsys, "map", "--json", text)
+            result = json.loads(out)["result"]
+            assert code == 0 and result["map"]["entries"] == [["1/10"] * 10]
+            sizes[entry] = result["size"]
+        assert set(sizes.values()) == {2}
+
+    @pytest.mark.parametrize("k", ["-3", "0", "1", "25"])
+    def test_search_names_a_k_out_of_range(self, capsys, k):
+        code = main(["search", "--mode", "exhaustive-large", "--k", k])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: search dimension k={k} is outside 2..24\n"
+
     # limits that live in the library, and flags that exclude each other; the
-    # first two ran out of memory or time, as did the 25-vertex shapes, and
-    # the last for 5 s, before anything rejected them
+    # first two ran out of memory or time, as did the 25-vertex shapes and
+    # the rationals with an exponent past 4300, and the last for 5 s, before
+    # anything rejected them
     @pytest.mark.parametrize(
         "argv",
         [
@@ -359,6 +429,10 @@ class TestExitContract:
             ["verify", "large", "--k=--"],
             ["shape", "--edges", ",".join(map(str, range(1, 26)))],
             ["shape", "--json", json.dumps({"edges": [list(range(1, 26))]})],
+            ["map", "--json", '{"k":1,"entries":[[1e999999999]]}'],
+            ["map", "--json", '{"k":1,"entries":[["1e-999_999_999"]]}'],
+            ["oracle", "--k", "1", "--m", "1", "--entries", "1E+999999999"],
+            ["search", "--mode", "small", "--k", "8", "--threshold", "1e999999999"],
             ["oracle", "--k", "11", "--m", "2", "--entries", "0,1"],
             ["oracle", "--k", "7", "--m", "3"],
             ["sizes", "large", "--k", "5"],

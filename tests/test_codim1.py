@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cubeint.codim1 import (
-    SignCount,
     binomial,
     codim1_size,
     codim1_table,
@@ -20,20 +19,19 @@ from oracles import level_count
 
 class TestLevelCount:
     def test_balanced_pair(self):
-        assert level_count(SignCount(1, 1, 0), 0) == 2
+        assert level_count(1, 1, 0, 0) == 2
 
     def test_three_two_split(self):
-        sc = SignCount(3, 2, 0)
-        assert level_count(sc, 0) == 10
-        assert level_count(sc, 1) == 10
-        assert codim1_size(sc) == 20
+        assert level_count(3, 2, 0, 0) == 10
+        assert level_count(3, 2, 0, 1) == 10
+        assert codim1_size(3, 2, 0) == 20
 
     def test_zero_map_single_level(self):
-        assert level_count(SignCount(0, 0, 5), 0) == 32
+        assert level_count(0, 0, 5, 0) == 32
 
     def test_out_of_range_levels_vanish(self):
-        assert level_count(SignCount(2, 1, 0), 5) == 0
-        assert level_count(SignCount(2, 1, 0), -4) == 0
+        assert level_count(2, 1, 0, 5) == 0
+        assert level_count(2, 1, 0, -4) == 0
 
 
 class TestCodim1Size:
@@ -42,22 +40,22 @@ class TestCodim1Size:
         [(3, 3, 35), (4, 3, 70), (2, 1, 6), (1, 1, 3), (2, 0, 3)],
     )
     def test_table_values(self, plus, minus, expected):
-        assert codim1_size(SignCount(plus, minus, 0)) == expected
+        assert codim1_size(plus, minus, 0) == expected
 
     def test_matches_level_sum(self):
         for plus in range(5):
             for minus in range(5):
-                sc = SignCount(plus, minus, 1)
-                assert codim1_size(sc) == level_count(sc, 0) + level_count(sc, 1)
+                sc = (plus, minus, 1)
+                assert codim1_size(*sc) == level_count(*sc, 0) + level_count(*sc, 1)
 
     def test_agrees_with_enumeration(self):
         for k in range(1, 13):
             for plus in range(k + 1):
                 for minus in range(k + 1 - plus):
-                    sc = SignCount(plus, minus, k - plus - minus)
-                    row = [1] * plus + [-1] * minus + [0] * sc.zero
+                    zero = k - plus - minus
+                    row = [1] * plus + [-1] * minus + [0] * zero
                     m = LinearMap.from_rows(k, [row])
-                    assert codim1_size(sc) == intersection_size(m)
+                    assert codim1_size(plus, minus, zero) == intersection_size(m)
 
 
 class TestTable:
@@ -109,7 +107,7 @@ class TestLargeSizes:
             half = 1 << (k - 1)
             for plus in range(k + 1):
                 minus = k - plus
-                assert codim1_size(SignCount(plus, minus, 0)) <= half
+                assert codim1_size(plus, minus, 0) <= half
 
 
 class TestRatios:
@@ -137,13 +135,12 @@ class TestRatios:
 
 @given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 4))
 def test_levels_cover_the_cube(plus, minus, zero):
-    sc = SignCount(plus, minus, zero)
-    total = sum(level_count(sc, j) for j in range(-minus - 1, plus + 2))
-    assert total == 1 << sc.k
+    total = sum(level_count(plus, minus, zero, j) for j in range(-minus - 1, plus + 2))
+    assert total == 1 << (plus + minus + zero)
 
 
 @given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 3), st.integers(-7, 7))
 def test_level_symmetry(plus, minus, zero, level):
-    left = level_count(SignCount(plus, minus, zero), level)
-    right = level_count(SignCount(minus, plus, zero), -level)
+    left = level_count(plus, minus, zero, level)
+    right = level_count(minus, plus, zero, -level)
     assert left == right

@@ -395,7 +395,7 @@ class TestDeterminism:
 
     def test_rejects_k_past_max_dimension(self):
         for k in (25, 10**9):
-            with pytest.raises(ValueError, match="exceeds 24"):
+            with pytest.raises(ValueError, match=f"k={k} is outside 2..24"):
                 SearchConfig(EXHAUSTIVE_LARGE, k)
 
     def test_default_depths(self):

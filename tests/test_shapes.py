@@ -1,4 +1,5 @@
 import gc
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -318,7 +319,8 @@ class TestCanonicalAgainstBruteForce:
         shuffled = Shape.from_edges([(3 * v % 11, 3 * (v % 10 + 1) % 11) for v in range(1, 11)])
         canon = canonical_form(cycle)
         assert canon == canonical_form(shuffled) != cycle
-        assert set(canon.degrees().values()) == {2} and len(canon.edges) == 10
+        assert all(len(edges) == 2 for edges in canon.vertex_classes())
+        assert len(canon.edges) == 10
         star = Shape.from_edges([(1, v) for v in range(2, 12)])
         assert canonical_form(star) == star
 
@@ -331,28 +333,38 @@ class TestCanonicalAgainstBruteForce:
 FLOORS = (Fraction(0), Fraction(15, 32), Fraction(1, 2))
 
 
-def first_edge_classes(s):
-    """(first edge index, ascending members) of every vertex class: the
-    vertices with the same incident edges, in order of their least vertex."""
+def reference_vertex_classes(s):
+    """Every vertex class as (incident edge indices, ascending members): the
+    vertices with the same incident edges, in order of their least vertex,
+    found vertex by vertex and edge by edge."""
     classes = {}
     for v in range(1, s.vertex_count + 1):
         incident = tuple(j for j, edge in enumerate(s.edges) if v in edge)
         classes.setdefault(incident, []).append(v)
-    return [(incident[0], tuple(members)) for incident, members in classes.items()]
+    return list(classes.items())
+
+
+def assert_vertex_classes_match_reference(shapes):
+    """Shape.vertex_classes gives the reference's classes in its order, and
+    is_minimal holds iff every edge has a vertex of multiset degree one."""
+    for s in shapes:
+        assert list(s.vertex_classes().items()) == reference_vertex_classes(s), s
+        degree = Counter(v for edge in s.edges for v in edge)
+        assert s.is_minimal() == all(any(degree[v] == 1 for v in e) for e in s.edges), s
 
 
 def packed_reference_candidates(s):
     """The reference's choices of every edge whose signs are non-decreasing
     (-1s first) on every vertex class whose first edge it is."""
-    classes = first_edge_classes(s)
+    classes = reference_vertex_classes(s)
     return [
         [
             (signs, mask)
             for signs, mask in choices
             if all(
                 (row := [signs[edge.index(v)] for v in members]) == sorted(row)
-                for first, members in classes
-                if first == j
+                for incident, members in classes
+                if incident[0] == j
             )
         ]
         for j, (edge, choices) in enumerate(zip(s.edges, reference_edge_candidates(s)))
@@ -381,13 +393,17 @@ class TestValueSetAgainstReference:
         # the searches' own floors: at floor 0 the unpruned reference walk
         # takes seconds on one five-edge shape
         distinct = {s.edges: s for s in search_inputs(6)}
+        assert_vertex_classes_match_reference(distinct.values())
         assert_value_sets_match_reference(distinct.values(), FLOORS[1:])
 
     def test_edge_choices_equal_a_fresh_build(self):
+        assert_vertex_classes_match_reference(small_shapes(5, 3))
         for s in small_shapes(5, 3):
-            classes = first_edge_classes(s)
+            classes = reference_vertex_classes(s)
             for j, (edge, choices) in enumerate(zip(s.edges, _edge_candidates(s))):
-                groups = tuple(m for first, m in classes if first == j and len(m) > 1)
+                groups = tuple(
+                    tuple(m) for incident, m in classes if incident[0] == j and len(m) > 1
+                )
                 key = (s.vertex_count, edge, groups)
                 assert _edge_choices(*key) is choices
                 assert _edge_choices(*key) == _edge_choices.__wrapped__(*key)

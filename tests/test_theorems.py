@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cubeint import theorems
-from cubeint.codim1 import SignCount, codim1_size
+from cubeint.codim1 import codim1_size
 from cubeint.cube import (
     LinearMap,
     full_mask,
@@ -141,8 +141,8 @@ class TestSmallWindow:
         assert small_window_values(9) == (240, 252, 256)
 
     def test_membership_values_by_formula(self):
-        assert codim1_size(SignCount(4, 1, 3)) == 120
-        assert codim1_size(SignCount(5, 3, 0)) == 126
+        assert codim1_size(4, 1, 3) == 120
+        assert codim1_size(5, 3, 0) == 126
 
     def test_verify_k9(self):
         report = verify_small_window(9)
@@ -169,9 +169,10 @@ class TestSmallWindow:
         # constructions then reach 126 and 128 only, and the sweep adds 126
         single_row_map = theorems._single_row_map
 
-        def wrong(k, sc):
-            bottom = SignCount(4, 1, k - 5)
-            return single_row_map(k, SignCount(5, 3, k - 8) if sc == bottom else sc)
+        def wrong(plus, minus, zero):
+            if (plus, minus) == (4, 1):
+                return single_row_map(5, 3, zero - 3)
+            return single_row_map(plus, minus, zero)
 
         monkeypatch.setattr(theorems, "_single_row_map", wrong)
         details = {c.name: c for c in verify_small_window(8).checks}
