@@ -264,8 +264,12 @@ def intersection_closure(
     Intersecting never adds points, so a mask at or below the bar is dropped
     with all its descendants, and a generator at or below it is never used.
     A breadth-first frontier expands each mask kept once, at the least depth
-    it is met; nothing at or below the bar is stored.  Expanding a depth costs
-    frontier x generators intersections.  EnumerationBudgetError is raised
+    it is met; nothing at or below the bar is stored.  A mask of exactly
+    above + 1 points is kept but never expanded: each of its intersections is
+    a subset of it, so the mask itself or at or below the bar.  Expanding a
+    depth is charged frontier x generators intersections, such masks
+    included, so the budget and every refusal do not depend on the rule.
+    EnumerationBudgetError is raised
     once the total would pass max_work: before a depth is expanded, and,
     while one is expanded with another still due, as soon as the next
     depth's frontier so far no longer fits; that frontier only grows, so
@@ -285,6 +289,8 @@ def intersection_closure(
         guarded = max_work is not None and (max_rows is None or depth < max_rows)
         next_frontier = []
         for mask in frontier:
+            if mask.bit_count() == above + 1:
+                continue
             for generator in generators:
                 child = mask & generator
                 if child not in reached and child.bit_count() > above:

@@ -96,7 +96,10 @@ class SearchConfig:
             raise ValueError("max_edges must be at least 1")
         max_edge_size = min(support_size_bound(self.threshold), self.k)
         if max_edge_size < 2:
-            raise ValueError("edges have at least two vertices")
+            raise ValueError(
+                f"threshold {self.threshold} leaves edges of at most {max_edge_size} "
+                "vertex, and edges have at least two vertices"
+            )
         object.__setattr__(self, "max_edge_size", max_edge_size)
 
 

@@ -424,21 +424,32 @@ def antichain_bound_check(ell: int) -> Report:
 # The entries ints_window_check sweeps: the units and the nearest non-units.
 INTEGRALITY_ENTRIES = tuple(map(Fraction, ("-2", "-1", "-1/2", "0", "1/2", "1", "2")))
 
+# The ranks in INTEGRALITY_ENTRIES of the units, the entries whose denominator
+# is 1 and whose numerator lies in -1..1.
+_UNIT_RANKS = tuple(
+    r for r, e in enumerate(INTEGRALITY_ENTRIES) if e.denominator == 1 and -1 <= e.numerator <= 1
+)
+
 
 def _pure_and_bad_masks(k: int) -> tuple[set[int], set[int]]:
     """The masks of the rows over INTEGRALITY_ENTRIES with every entry in
     {-1, 0, 1}, and of those with another entry, from one row_masks walk.
 
-    An entry is a unit when its denominator is 1 and its numerator lies in
-    -1..1, so ints classify as Fractions do and no entry is hashed.
+    A row's class is read from its position in the walk, never from its
+    entries: row_masks yields product(INTEGRALITY_ENTRIES, repeat=k) in
+    order, so the row at position i has as its base-7 digits, first
+    coordinate most significant, the ranks of its entries, and it is pure
+    when every digit is in _UNIT_RANKS.  Any row past the product is bad.
     """
+    pure_positions = {0}
+    for _ in range(k):
+        pure_positions = {
+            p * len(INTEGRALITY_ENTRIES) + r for p in pure_positions for r in _UNIT_RANKS
+        }
     pure_masks: set[int] = set()
     bad_masks: set[int] = set()
-    for row, mask in row_masks(k, INTEGRALITY_ENTRIES):
-        if all(e.denominator == 1 and -1 <= e.numerator <= 1 for e in row):
-            pure_masks.add(mask)
-        else:
-            bad_masks.add(mask)
+    for i, (_row, mask) in enumerate(row_masks(k, INTEGRALITY_ENTRIES)):
+        (pure_masks if i in pure_positions else bad_masks).add(mask)
     return pure_masks, bad_masks
 
 
@@ -456,7 +467,10 @@ def ints_window_check(k: int) -> Report:
     exactly 2^(k-1) points.
 
     The masks of all 7^k rows come from one row_masks walk, sorted into pure
-    and bad by _pure_and_bad_masks.
+    and bad by their positions in it (_pure_and_bad_masks).  The closure
+    never expands a mask one point above the bar, since each of its
+    intersections is itself or at or below the bar; at k = 5 every bad mask
+    above the bar 15 has 16 points, so no intersection is computed there.
     """
     if not 1 <= k <= 5:
         raise ValueError("the integrality sweep covers k in 1..5")

@@ -382,3 +382,21 @@ def brute_frontier(k: int) -> list[set[tuple]]:
             break
         depths.append(grown)
     return depths
+
+
+def reference_closure(start, generators, above: int, max_rows: int | None = None) -> set[int]:
+    """cube.intersection_closure by its definition: the start masks, grown a
+    round at a time by every intersection of a mask reached with a generator,
+    for max_rows - 1 rounds or, if None, until a round adds nothing; then
+    the masks with more than `above` points.  Nothing is cut at the bar
+    before the end, and no work is counted."""
+    generators = set(generators)
+    reached = set(start)
+    rounds = 0
+    while max_rows is None or rounds < max_rows - 1:
+        grown = reached | {mask & generator for mask in reached for generator in generators}
+        if grown == reached:
+            break
+        reached = grown
+        rounds += 1
+    return {mask for mask in reached if mask.bit_count() > above}

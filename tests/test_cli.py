@@ -146,6 +146,28 @@ class TestDeterminism:
                 ["shape", "--edges", "1,5;2,5,6;3,4,5,7"],
                 "b187ad7ecdceab80d954ee56d97fc331c525aded4ecf1895b992e26bd62df218",
             ),
+            # the integrality sweep and the intersection closure: a change to
+            # row_masks, the pure/bad classification or the closure rule that
+            # moves a mask changes these
+            (
+                ["verify", "ints", "--k", "4"],
+                "fc1052b20d7a80519d62375a0df22bdba6f99c26d039a74d45c2d470a8921b79",
+            ),
+            (
+                ["verify", "ints", "--k", "5"],
+                "eeff79bb9460f4c9947762918d39f1468daca791ec9e0aa2a0d9ca96037e7e9e",
+            ),
+            (
+                ["oracle", "--k", "4", "--m", "2"],
+                "2b6363c12862b2a1e092b589d1e499652ed1b4ff0ffd8fedbdb83f73c3ee0c63",
+            ),
+            (
+                [
+                    "oracle", "--k", "3", "--m", "3",
+                    "--entries=-2,-1,-1/2,0,1/2,1,2", "--keep-above", "15/32",
+                ],
+                "e531a53075785f261fcaaf7aa15787c4b49dae9e19b29efb98815f5eefd20e73",
+            ),
         ],
         ids=[
             "sizes_large_k6",
@@ -157,6 +179,10 @@ class TestDeterminism:
             "search_large_k6",
             "search_small_k8",
             "shape_mixed",
+            "verify_ints_k4",
+            "verify_ints_k5",
+            "oracle_k4_m2",
+            "oracle_k3_m3_ints_entries",
         ],
     )
     def test_golden_content_hash(self, capsys, argv, digest):
@@ -404,6 +430,17 @@ class TestExitContract:
         code = main(["search", "--mode", "exhaustive-large", "--k", k])
         assert code == 2
         assert capsys.readouterr().err == f"error: search dimension k={k} is outside 2..24\n"
+
+    # a threshold in [3/4, 1) admits no support of two coordinates, since the
+    # best two-coordinate row covers 3/4 of its square
+    @pytest.mark.parametrize("threshold", ["3/4", "7/8"])
+    def test_search_names_a_threshold_that_leaves_no_edge(self, capsys, threshold):
+        code = main(["search", "--mode", "small", "--k", "8", "--threshold", threshold])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: threshold {threshold} leaves edges of at most 1 vertex, "
+            "and edges have at least two vertices\n"
+        )
 
     # limits that live in the library, and flags that exclude each other; the
     # first two ran out of memory or time, as did the 25-vertex shapes and

@@ -23,7 +23,7 @@ from cubeint.cube import (
 )
 
 from lemmas import fix_coordinate_count, restrict, support
-from oracles import per_row_masks, reference_row_mask
+from oracles import per_row_masks, reference_closure, reference_row_mask
 
 
 def lm(k, rows):
@@ -285,6 +285,33 @@ class TestIntersectionClosure:
         assert len(count) == 3 + 9 + 3
         # no depth is due after the last one allowed, so its frontier costs nothing
         assert self.sizes(above=0, max_rows=4, max_work=21) == [1, 2, 2, 2, 4, 4, 4, 8]
+
+
+class TestClosureAgainstReference:
+    @staticmethod
+    def random_mask(rng, points, density):
+        return sum(1 << x for x in range(points) if rng.random() < density)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_matches_reference_closure_on_random_families(self, k):
+        # dense masks make long chains above every bar; each family is salted
+        # with masks of exactly above + 1 points, the ones the closure keeps
+        # but never expands, as start masks and as generators
+        points = 1 << k
+        rng = random.Random(2200 + k)
+        for _family in range(4):
+            start = [self.random_mask(rng, points, rng.choice((0.6, 0.8, 0.95))) for _ in range(3)]
+            generators = [
+                self.random_mask(rng, points, rng.choice((0.5, 0.75, 0.9, 0.95))) for _ in range(8)
+            ]
+            for above in range(points + 1):
+                salt = [
+                    sum(1 << x for x in rng.sample(range(points), above + 1))
+                    for _ in range(2 if above < points else 0)
+                ]
+                for max_rows in (None, 1, 2, 3, 4):
+                    args = (start + salt[:1], generators + salt[1:], above, max_rows)
+                    assert intersection_closure(*args) == reference_closure(*args), args
 
 
 INTEGRALITY_ENTRIES = (-2, -1, Fraction(-1, 2), 0, Fraction(1, 2), 1, 2)

@@ -336,6 +336,43 @@ class TestIntsWindow:
         assert failures[0] == {"count": 7, "pattern_hex": "fe"}
 
 
+class TestIntsClosureWork:
+    def test_k5_closure_computes_no_intersection(self, monkeypatch):
+        # Every bad mask above the bar 15 has exactly 16 points, one above it,
+        # so the closure keeps the 230 such masks and expands none, where
+        # expanding them against the 391 row masks above the bar would cost
+        # 230 x 391 = 89,930 intersections.  The row masks are ints that count
+        # each & they take part in, as in TestIntersectionClosure.
+        count = []
+
+        class Counted(int):
+            def __and__(self, other):
+                count.append(1)
+                return int(self) & int(other)
+
+            __rand__ = __and__
+
+        def counted_row_masks(k, entries):
+            for row, mask in row_masks(k, entries):
+                yield row, Counted(mask)
+
+        closures = []
+
+        def recorded_closure(start, generators, above):
+            closures.append((start, generators, above))
+            return intersection_closure(start, generators, above)
+
+        monkeypatch.setattr(theorems, "row_masks", counted_row_masks)
+        monkeypatch.setattr(theorems, "intersection_closure", recorded_closure)
+        assert ints_window_check(5).passed
+        [(start, generators, above)] = closures
+        assert above == 15
+        assert all(type(mask) is Counted for mask in generators)
+        assert sum(mask.bit_count() > above for mask in start) == 230
+        assert sum(mask.bit_count() > above for mask in generators) == 391
+        assert len(count) == 0
+
+
 class TestHnWindow:
     def test_values_n8_n10(self):
         assert tuple(sorted(h_n_window(8))) == (64, 70, 80, 96, 128, 256)
