@@ -193,7 +193,7 @@ def _cmd_shape(args) -> int:
         "classification": classify_star(canon),
         "max": best,
         "fraction": str(Fraction(best, 1 << canon.vertex_count)),
-        "witness": [list(row) for row in witness] if witness else None,
+        "witness": [list(row) for row in witness],
     }
     _emit(payload, args)
     return 0

@@ -181,74 +181,79 @@ def row_masks(
     entries: Iterable,
     support: Sequence[int] | None = None,
     groups: Iterable[Sequence[int]] = (),
-) -> Iterator[tuple[tuple, int]]:
-    """(row, mask) for every row in product(entries, repeat=len(support)), in
+) -> Iterator[int]:
+    """The mask of every row in product(entries, repeat=len(support)), in
     that order: a row puts its entries on support (ascending, 1..k by
     default) and 0 elsewhere, and its mask has bit x set iff its value at
-    point x lies in {0, 1}; equal masks are all yielded.  Entries are ints
-    or Fractions.  Along each group (disjoint coordinates of support) a
-    row's entries never come earlier in entries, so only the first row of
-    each orbit under permutations within the groups is yielded.
+    point x lies in {0, 1}; equal masks are all yielded.  Entries are
+    distinct ints or Fractions: the oracle dedups its own, and
+    theorems.INTEGRALITY_ENTRIES and shapes' signs (-1, 1) are distinct.
+    Along each group (disjoint coordinates of support) a row's entries never
+    come earlier in entries, so only the first row of each orbit under
+    permutations within the groups is yielded.  Only masks are yielded; a
+    caller that needs a mask's row takes the product's term at its position.
 
     One depth-first walk on an explicit stack, over entries scaled by their
     common denominator L (L*v lies in {0, L} iff v lies in {0, 1}): each
     prefix's state (_step) is built once for every row under it, and a last
     coordinate c within LEVEL_SET_BITS reads four of its prefix's level sets,
     since _grow sets level v to levels[v] | levels[v - c] << width.  Zero
-    coordinates above the support repeat the mask (_tile).  k must be at
-    least 1.
+    coordinates above the support repeat the mask (_tile).  A group bounds
+    a position by the rank that an earlier one took on the current path.
+    k must be at least 1.
     """
     if k < 1:
         raise ValueError(f"rows need at least one entry, not k={k}")
     entries = tuple(entries)
     unit = lcm(*(e.denominator for e in entries))
-    scaled = [(e, e.numerator * (unit // e.denominator)) for e in entries]
+    scaled = [e.numerator * (unit // e.denominator) for e in entries]
     support = tuple(range(1, k + 1)) if support is None else tuple(support)
-    rank = {e: r for r, e in enumerate(entries)}
     # the support position whose entry bounds each position's from below
     follows: list[int | None] = [None] * len(support)
     position = {v: i for i, v in enumerate(support)}
     for group in groups:
         for a, b in zip(group, group[1:]):
             follows[position[b]] = position[a]
+    # the rank of the entry that each open position took on the current path
+    ranks = [0] * len(support)
     last = len(support) - 1
     top = support[-1]
     state = ({0: 1}, 1, None)
     for v in range(1, support[0]):
         state = _step(state, 0, v)
-    # (position, row, state, choices left) of each open prefix above node
+    # (position, state, ranks left) of each open prefix above node
     stack = []
-    node = (0, (), state)
+    node = (0, state)
     while node:
-        i, row, state = node
+        i, state = node
         bound = follows[i]
-        choices = scaled if bound is None else scaled[rank[row[bound]]:]
+        first = 0 if bound is None else ranks[bound]
         v = support[i]
         if i < last:
-            stack.append((i, row, state, iter(choices)))
+            stack.append((i, state, iter(range(first, len(scaled)))))
         elif v <= LEVEL_SET_BITS:
             levels, width, _ = state
             low = levels.get(0, 0) | levels.get(unit, 0)
-            for entry, c in choices:
+            for c in scaled[first:]:
                 high = levels.get(-c, 0) | levels.get(unit - c, 0)
                 mask = low | high << width
-                yield row + (entry,), mask if top == k else _tile(mask, top, k)
+                yield mask if top == k else _tile(mask, top, k)
         else:
-            for entry, c in choices:
+            for c in scaled[first:]:
                 mask = _mask(_step(state, c, v), unit)
-                yield row + (entry,), mask if top == k else _tile(mask, top, k)
+                yield mask if top == k else _tile(mask, top, k)
         node = None
         while stack and node is None:
-            i, row, state, left = stack[-1]
-            step = next(left, None)
-            if step is None:
+            i, state, left = stack[-1]
+            r = next(left, None)
+            if r is None:
                 stack.pop()
                 continue
-            entry, c = step
-            child = _step(state, c, support[i])
+            ranks[i] = r
+            child = _step(state, scaled[r], support[i])
             for zero in range(support[i] + 1, support[i + 1]):
                 child = _step(child, 0, zero)
-            node = (i + 1, row + (entry,), child)
+            node = (i + 1, child)
 
 
 def intersection_closure(
@@ -352,7 +357,7 @@ def oracle_enumerate(
         )
     keep = as_fraction(keep_above)
     above = (keep.numerator << k) // keep.denominator
-    masks = {mask for _row, mask in row_masks(k, entries)}
+    masks = set(row_masks(k, entries))
     step = max(1, (1 << k) // 256)
     reached = intersection_closure(
         masks, masks, above, max_rows=m, max_work=ORACLE_WORK_BUDGET // step

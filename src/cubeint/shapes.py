@@ -277,22 +277,23 @@ def classify_star(shape: Shape) -> str:
 
 
 @lru_cache(maxsize=None)
-def _edge_choices(
-    k: int, edge: Edge, groups: tuple[tuple[int, ...], ...]
-) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """(signs, mask) choices for one edge of a k-vertex shape, sorted by signs.
+def _edge_choices(k: int, edge: Edge, groups: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """The masks of one edge's sign choices in a k-vertex shape, in
+    ascending sign order.
 
     Each group is a vertex class (see _edge_candidates) whose first edge this
     is: only its count of -1s varies, on its low vertices first.  Every other
-    vertex takes both signs.  Distinct signs give distinct masks, since the
-    point with only vertex v set lies in the mask iff v's sign is +1.  All
-    masks come from one cube.row_masks walk.  Cached, as row_mask is: the
-    result depends only on the arguments and is shared between shapes.
+    vertex takes both signs.  A choice is its mask: the point with only
+    vertex v set lies in the mask iff v's sign is +1, so distinct signs give
+    distinct masks and the signs are read back off the mask
+    (max_intersection).  All masks come from one cube.row_masks walk.
+    Cached, as row_mask is: the result depends only on the arguments and is
+    shared between shapes.
     """
     return tuple(row_masks(k, (-1, 1), edge, groups))
 
 
-def _edge_candidates(shape: Shape) -> list[tuple[tuple[tuple[int, ...], int], ...]]:
+def _edge_candidates(shape: Shape) -> list[tuple[int, ...]]:
     """The cached _edge_choices of every edge, in edge order.
 
     A vertex class (Shape.vertex_classes) has a first edge, the first one
@@ -333,43 +334,47 @@ def intersection_value_set(
         masks = {
             child
             for mask in masks
-            for _signs, cand_mask in choices
+            for cand_mask in choices
             if (child := mask & cand_mask).bit_count() > bar
         }
     return tuple(sorted({mask.bit_count() for mask in masks}))
 
 
-def max_intersection(shape: Shape) -> tuple[int, tuple | None]:
+def max_intersection(shape: Shape) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Best achievable size over sign assignments, with a deterministic witness.
 
     The witness holds one sign row per edge: row i gives the +-1 on the
     vertices of edge i, ascending.  One branch-and-bound walk, on an explicit
     stack, over the cached edge choices in ascending sign order (signs packed
-    on each vertex class at its first edge, -1 before +1); the witness is
-    recorded whenever the best size rises, so it is the first assignment in
-    that order reaching the maximum, which is also the first over every sign
-    assignment (_edge_candidates).  Returns (0, None) when every assignment
-    gives the empty set.
+    on each vertex class at its first edge, -1 before +1); the chosen masks
+    are recorded whenever the best size rises, so they are the first
+    assignment in that order reaching the maximum, which is also the first
+    over every sign assignment (_edge_candidates).  Every choice holds point
+    0, where each row is 0, so the first assignment already scores 1 and
+    there is always a witness.  Its signs are read off its masks once, at
+    the end (_edge_choices).
     """
     cands = _edge_candidates(shape)
     best = 0
-    witness: tuple | None = None
+    witness: tuple[int, ...] = ()
     full = (1 << (1 << shape.vertex_count)) - 1
-    # one (mask, chosen, remaining choices of the next edge) per open edge
+    # one (mask, chosen masks, remaining choices of the next edge) per open edge
     stack = [(full, (), iter(cands[0]))]
     while stack:
         mask, chosen, choices = stack[-1]
-        step = next(choices, None)
-        if step is None:
+        cand_mask = next(choices, None)
+        if cand_mask is None:
             stack.pop()
             continue
-        signs_t, cand_mask = step
         child = mask & cand_mask
         count = child.bit_count()
         if count <= best:
             continue
         if len(stack) == len(cands):
-            best, witness = count, chosen + (signs_t,)
+            best, witness = count, chosen + (cand_mask,)
         else:
-            stack.append((child, chosen + (signs_t,), iter(cands[len(stack)])))
-    return best, witness
+            stack.append((child, chosen + (cand_mask,), iter(cands[len(stack)])))
+    return best, tuple(
+        tuple(1 if edge_mask >> (1 << (v - 1)) & 1 else -1 for v in edge)
+        for edge, edge_mask in zip(shape.edges, witness)
+    )

@@ -448,7 +448,7 @@ def _pure_and_bad_masks(k: int) -> tuple[set[int], set[int]]:
         }
     pure_masks: set[int] = set()
     bad_masks: set[int] = set()
-    for i, (_row, mask) in enumerate(row_masks(k, INTEGRALITY_ENTRIES)):
+    for i, mask in enumerate(row_masks(k, INTEGRALITY_ENTRIES)):
         (pure_masks if i in pure_positions else bad_masks).add(mask)
     return pure_masks, bad_masks
 

@@ -6,7 +6,7 @@ the drop a non-redundant condition makes, the central binomial ratio, sums of
 powers of two), and the acceptance criteria and unit tests assert them.
 """
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable
 
 from cubeint.codim1 import binomial
@@ -146,7 +146,7 @@ def condition_drop_bound_sweep(max_k: int = 4, max_rows: int = 3) -> Report:
     checked = 0
     for k in range(1, max_k + 1):
         rows = {}
-        for row, mask in row_masks(k, (-1, 0, 1)):
+        for row, mask in zip(product((-1, 0, 1), repeat=k), row_masks(k, (-1, 0, 1))):
             supp = frozenset(j + 1 for j, v in enumerate(row) if v != 0)
             rows.setdefault((mask, supp), row)
         row_items = sorted(rows.items(), key=lambda kv: kv[1])
@@ -213,7 +213,7 @@ def sum_of_powers_members(k: int, exponents: Iterable[int]) -> Report:
     report = Report(f"membership of {target} for k={k}")
 
     # the zero row's mask is the full cube, so no rows at all is covered too
-    rows = {mask for _row, mask in row_masks(k, (-1, 0, 1))}
+    rows = set(row_masks(k, (-1, 0, 1)))
     reached = intersection_closure(rows, rows, target - 1, max_rows=3)
     found = target in {mask.bit_count() for mask in reached}
     report.add(

@@ -20,10 +20,25 @@ def reference_row_mask(coeffs: tuple[int, ...], unit: int) -> int:
     return mask
 
 
-def per_row_masks(k: int, entries) -> list[tuple[tuple, int]]:
+def per_row_masks(k: int, entries) -> list[int]:
     """cube.row_masks one row at a time, each row scaled by its own common
     denominator and built by cube.row_mask."""
-    return [(row, row_mask(*_scaled_row(row))) for row in product(entries, repeat=k)]
+    return [row_mask(*_scaled_row(row)) for row in product(entries, repeat=k)]
+
+
+def counting_int():
+    """A fresh int subclass and the list to which every & it takes part in,
+    on either side, appends; the & itself gives a plain int."""
+    count = []
+
+    class Counted(int):
+        def __and__(self, other):
+            count.append(1)
+            return int(self) & int(other)
+
+        __rand__ = __and__
+
+    return Counted, count
 
 
 def level_count(plus: int, minus: int, zero: int, level: int) -> int:

@@ -193,7 +193,7 @@ def test_criterion_07_oracle_equivalence():
 
     # all sign maps with k <= 3, m <= 3: restriction monotonicity
     for k in range(1, 4):
-        masks = dict(row_masks(k, (-1, 0, 1)))
+        masks = dict(zip(product((-1, 0, 1), repeat=k), row_masks(k, (-1, 0, 1))))
         rows = list(masks)
         for m in (2, 3):
             for combo in combinations_with_replacement(rows, m):

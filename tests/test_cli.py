@@ -146,6 +146,21 @@ class TestDeterminism:
                 ["shape", "--edges", "1,5;2,5,6;3,4,5,7"],
                 "b187ad7ecdceab80d954ee56d97fc331c525aded4ecf1895b992e26bd62df218",
             ),
+            # witnesses: a change to the sign choices of an edge, to their
+            # order or to how a witness's signs are read off its masks
+            # changes these; 15 vertices read a bit past LEVEL_SET_BITS
+            (
+                ["shape", "--edges", "1,2,3,4,5,6,7,8,9,10,11,12,13,14;1,15"],
+                "68058003e1e0dfa99c74ff4efbe6abcbf52a834711497d67748e16e658880810",
+            ),
+            (
+                ["shape", "--edges", "1,2,3;1,2,4;1,2,5;1,2"],
+                "5ca41b1a09a34c05781ef0a7274f33eae623290d36ee275b768d785184f0f0a6",
+            ),
+            (
+                ["shape", "--edges", ";".join(f"1,{v}" for v in range(2, 15))],
+                "1a7db3190a02ac1cefef5c882bc7268a51866cb03041af00bb7816a6b58471d9",
+            ),
             # the integrality sweep and the intersection closure: a change to
             # row_masks, the pure/bad classification or the closure rule that
             # moves a mask changes these
@@ -179,6 +194,9 @@ class TestDeterminism:
             "search_large_k6",
             "search_small_k8",
             "shape_mixed",
+            "shape_15_vertices",
+            "shape_shared_pair",
+            "shape_star21_13_edges",
             "verify_ints_k4",
             "verify_ints_k5",
             "oracle_k4_m2",

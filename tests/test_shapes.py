@@ -371,13 +371,26 @@ def packed_reference_candidates(s):
     ]
 
 
+def mask_signs(edge, mask):
+    """The signs on edge's vertices of the choice with this mask: v's is +1
+    iff the point with only v set, 2^(v-1), lies in the mask."""
+    return tuple(1 if mask >> (1 << (v - 1)) & 1 else -1 for v in edge)
+
+
 def assert_value_sets_match_reference(shapes, floors=FLOORS):
-    """The cached per-edge choices are the packed part of a fresh unreduced
-    build, in its order, and intersection_value_set gives the unreduced
-    reference walk's values at every floor, each value proven achievable by
-    a reference witness that scores it."""
+    """The cached per-edge choices are the masks of the packed part of a
+    fresh unreduced build, in its order, each mask giving back its choice's
+    signs, and intersection_value_set gives the unreduced reference walk's
+    values at every floor, each value proven achievable by a reference
+    witness that scores it."""
     for s in shapes:
-        assert [list(c) for c in _edge_candidates(s)] == packed_reference_candidates(s)
+        packed = packed_reference_candidates(s)
+        assert [list(c) for c in _edge_candidates(s)] == [
+            [mask for _signs, mask in choices] for choices in packed
+        ]
+        for edge, choices in zip(s.edges, packed):
+            for signs, mask in choices:
+                assert mask_signs(edge, mask) == signs, (s, edge)
         for floor in floors:
             reference = reference_value_set(s, floor)
             assert intersection_value_set(s, floor) == tuple(reference)
@@ -418,16 +431,14 @@ class TestValueSetAgainstReference:
 
 def assert_max_is_the_first_reference_witness(shapes):
     """max_intersection gives the unreduced reference's largest value M with
-    its first witness, or (0, None) where the reference is empty.  The
-    reference walks above (M - 1) / 2^k: that floor only drops partial
-    intersections of M - 1 points or fewer, which hold no assignment of
-    value M or more, so the first witness of M and any larger value stay."""
+    its first witness.  The reference walks above (M - 1) / 2^k: that floor
+    only drops partial intersections of M - 1 points or fewer, which hold no
+    assignment of value M or more, so the first witness of M and any larger
+    value stay."""
     for s in shapes:
         best, witness = max_intersection(s)
         reference = reference_value_set(s, Fraction(max(best - 1, 0), 1 << s.vertex_count))
-        if not reference:
-            assert (best, witness) == (0, None), s
-            continue
+        assert reference, s
         top = max(reference)
         assert (best, witness) == (top, reference[top]), s
 
@@ -435,6 +446,13 @@ def assert_max_is_the_first_reference_witness(shapes):
 class TestMaxWitnessAgainstReference:
     def test_small_shape_inputs(self):
         assert_max_is_the_first_reference_witness(small_shape_inputs(5, 3))
+
+    def test_signs_past_level_set_bits(self):
+        # vertex 15's sign is read from point 2^14, past the first
+        # LEVEL_SET_BITS coordinates
+        s = Shape.from_edges([range(1, 15), (1, 15)])
+        assert s.vertex_count == 15
+        assert_max_is_the_first_reference_witness([s])
 
     @pytest.mark.parametrize(
         "mode, k", [(EXHAUSTIVE_LARGE, 6), (NON_REDUNDANT_SMALL, 8)]

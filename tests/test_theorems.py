@@ -38,7 +38,7 @@ from lemmas import (
     fix_coordinate_count,
     sum_of_powers_members,
 )
-from oracles import pairwise_ints_masks, per_row_masks
+from oracles import counting_int, pairwise_ints_masks, per_row_masks
 
 
 def lm(k, rows):
@@ -301,7 +301,8 @@ class TestIntsWindow:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_classification_matches_entry_sets(self, k):
         pure, bad = set(), set()
-        for row, mask in per_row_masks(k, theorems.INTEGRALITY_ENTRIES):
+        entries = theorems.INTEGRALITY_ENTRIES
+        for row, mask in zip(product(entries, repeat=k), per_row_masks(k, entries)):
             (pure if set(row) <= {-1, 0, 1} else bad).add(mask)
         assert theorems._pure_and_bad_masks(k) == (pure, bad)
 
@@ -314,16 +315,16 @@ class TestIntsWindow:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_two_row_closure_matches_pair_sweep(self, k):
         pure, bad = set(), set()
-        for row, mask in row_masks(k, self.ENTRIES):
+        for row, mask in zip(product(self.ENTRIES, repeat=k), row_masks(k, self.ENTRIES)):
             (pure if set(row) <= {-1, 0, 1} else bad).add(mask)
         above = (15 << (k - 1)) // 16
         closure = intersection_closure(bad, pure | bad, above, max_rows=2)
         assert closure == pairwise_ints_masks(k, self.ENTRIES)
 
     def test_planted_stray_mask_is_reported(self, monkeypatch):
-        # a "bad" row whose pattern misses one point of the 3-cube: 7 points,
-        # above the bar 15/16 * 4 and not exactly half
-        planted = ((2, 0, 0), full_mask(3) ^ 1)
+        # a mask past the 7^3 rows, so a bad one, that misses one point of
+        # the 3-cube: 7 points, above the bar 15/16 * 4 and not exactly half
+        planted = full_mask(3) ^ 1
 
         def with_planted(k, entries):
             yield from row_masks(k, entries)
@@ -343,18 +344,11 @@ class TestIntsClosureWork:
         # expanding them against the 391 row masks above the bar would cost
         # 230 x 391 = 89,930 intersections.  The row masks are ints that count
         # each & they take part in, as in TestIntersectionClosure.
-        count = []
-
-        class Counted(int):
-            def __and__(self, other):
-                count.append(1)
-                return int(self) & int(other)
-
-            __rand__ = __and__
+        Counted, count = counting_int()
 
         def counted_row_masks(k, entries):
-            for row, mask in row_masks(k, entries):
-                yield row, Counted(mask)
+            for mask in row_masks(k, entries):
+                yield Counted(mask)
 
         closures = []
 
