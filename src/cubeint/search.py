@@ -21,12 +21,13 @@ Two modes:
                           edge keeps a private vertex) are the minimal large
                           shapes that the paper's star lemma is about.
 
-Children are generated once per vertex class (Shape.vertex_classes), with a
-multiplicity.  Swapping two vertices of a class maps a child to an isomorphic
-one with the same key (new size, overlap vector), so choosing a count from
-each class, in place of a labelled subset, loses nothing, and the
-multiplicity prod C(|class|, count) keeps ``pruned_count`` and the raw
-survivor counts equal to a subset-by-subset enumeration's.
+Children are generated once per count vector: a count of chosen vertices
+from each vertex class (Shape.vertex_classes), with a multiplicity.  Swapping
+two vertices of a class maps a child to an isomorphic one with the same key
+(new size, overlap vector), so choosing a count from each class, in place of
+a labelled subset, loses nothing, and the multiplicity prod C(|class|, count)
+keeps ``pruned_count`` and the raw survivor counts equal to a
+subset-by-subset enumeration's.
 
 A child is ruled out before it is built or labelled when one of its
 sub-shapes, made of the new edge and one or two parent edges, has no size
@@ -34,12 +35,15 @@ above the threshold.  Adding a condition can only shrink the pattern, so for
 every sign choice the child's pattern lies inside that of any of its
 sub-shapes, times a free cube over the vertices outside it, and a dead
 sub-shape kills the child (the downward closure of Agrawal & Srikant's
-Apriori).  A two-edge type (|e|, |new|, |e & new|) or a three-edge type
-(|new|, |a|, |b|, |new & a|, |new & b|, |a & b|, |new & a & b|) fixes the
-Venn-region counts of its edges, and so the sub-shape up to isomorphism.  One
-table per search, keyed by type, holds whether each type is dead: the first
-edges met with a type are built into its sub-shape, and their verdict holds
-for every later child of that type.
+Apriori).  A two-edge type (|e|, |e & new|) or a three-edge type (|a|, |b|,
+|new & a|, |new & b|, |a & b|, |new & a & b|), together with the new size,
+fixes the Venn-region counts of its edges, and so the sub-shape up to
+isomorphism.  Fresh vertices lie in no parent edge, so a count vector fixes
+every type whatever its new size, and each vector is ruled out for all its
+new sizes at once.  One table per search maps each type to two bitmasks of
+new sizes, those asked and those dead: the first edges met with a type and a
+size are built into its sub-shape, and their verdict holds for every later
+vector of that type.
 """
 from __future__ import annotations
 
@@ -146,94 +150,126 @@ class SearchResult:
         }
 
 
+def _new_edge(chosen: int, n: int, fresh: int) -> tuple[int, ...]:
+    """The chosen vertices (bit v for vertex v of 1..n) followed by the next
+    `fresh` new ones, ascending."""
+    return tuple(v for v in range(1, n + 1) if chosen >> v & 1) + tuple(range(n + 1, n + 1 + fresh))
+
+
+def _sizes(mask: int):
+    """The new sizes in a bitmask (bit s for size s), ascending."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
 def _raw_children(shape: Shape, config: SearchConfig):
-    """Every admissible new edge, once per vertex-class choice, as
-    (new edge, key, multiplicity) triples; shape.with_edge(new edge) is the
-    child.
+    """Every count vector that allows a new edge, once, as (chosen, used,
+    overlap, multiplicity): the chosen vertices as a bitmask (bit v for
+    vertex v), their number, the overlap vector (|chosen & e| for every edge
+    e) and prod C(|class|, count), the number of labelled subsets it stands
+    for.  The new sizes it allows are range(max(2, used), min(largest,
+    used + k - n) + 1); _new_edge(chosen, n, new size - used) is the new edge
+    of each, and shape.with_edge of that edge the child.
 
     The new edge takes some current vertices plus a run of fresh ones; its
     size may not exceed the smallest existing edge, which realises the
-    non-increasing addition order.  The key records the new size and the
-    overlap vector (|chosen & e| for every edge e).  The labelled subsets
-    that take the same count from every vertex class (Shape.vertex_classes)
-    give isomorphic children with one key.  The count vectors are built in
-    one pass, class by class, keeping only those that take at most as many
-    vertices as the largest new edge; each one's chosen vertices (the
-    lowest-labelled members of each class), overlap vector and multiplicity
-    prod C(|class|, count), the number of labelled subsets it stands for,
-    are built once and shared by every new size it allows.
+    non-increasing addition order.  The labelled subsets that take the same
+    count from every vertex class (Shape.vertex_classes) give isomorphic
+    children with one key (new size, overlap vector).  The count vectors are
+    built in one pass, class by class, keeping only those that take at most
+    as many vertices as the largest new edge; each one's chosen vertices are
+    the lowest-labelled members of each class.
 
-    The sub-shape types of _bound read only the key and |new & a & b| for
-    pairs of edges (a, b), which every member of a class shares, since a
-    class's vertices lie in the same edges.
+    The sub-shape types of _bound read only the overlap vector and
+    |chosen & a & b| for pairs of edges (a, b), which every member of a class
+    shares, since a class's vertices lie in the same edges.
     """
     n = shape.vertex_count
     largest = min(len(shape.edges[-1]), config.max_edge_size)
-    classes = shape.vertex_classes()
     # every count vector taking at most `largest` vertices in all, built one
-    # class at a time beside its running total
-    vectors = [((), 0)]
-    for members in classes.values():
+    # class at a time as (used, chosen, overlap, multiplicity), the overlap
+    # packed five bits an edge (no count exceeds MAX_DIMENSION)
+    vectors = [(0, 0, 0, 1)]
+    for edges, members in shape.vertex_classes().items():
+        step = sum(1 << 5 * i for i in edges)
+        options = [(0, 0, 0, 1)]
+        for c, v in enumerate(members, 1):
+            options.append((c, options[-1][1] | 1 << v, c * step, comb(len(members), c)))
         vectors = [
-            (counts + (c,), used + c)
-            for counts, used in vectors
-            for c in range(min(len(members), largest - used) + 1)
+            (used + c, chosen | mask, overlap + add, multiplicity * ways)
+            for used, chosen, overlap, multiplicity in vectors
+            for c, mask, add, ways in options[: largest - used + 1]
         ]
-    for counts, used in vectors:
-        chosen = []
-        vec = [0] * len(shape.edges)
-        multiplicity = 1
-        for (edges, members), c in zip(classes.items(), counts):
-            chosen += members[:c]
-            for i in edges:
-                vec[i] += c
-            multiplicity *= comb(len(members), c)
-        chosen, overlap = tuple(sorted(chosen)), tuple(vec)
-        for new_size in range(max(2, used), min(largest, used + config.k - n) + 1):
-            edge = chosen + tuple(range(n + 1, n + 1 + new_size - used))
-            yield edge, (new_size, overlap), multiplicity
+    shifts = range(0, 5 * len(shape.edges), 5)
+    for used, chosen, overlap, multiplicity in vectors:
+        # an edge of two or more vertices must fit in the fresh ones left
+        if used + config.k - n >= 2:
+            yield chosen, used, tuple([overlap >> s & 31 for s in shifts]), multiplicity
 
 
-def _bound(parent: ShapeRecord, config: SearchConfig, dead: dict):
-    """ruled_out(new edge, key) for the children of parent: whether some
-    sub-shape made of the new edge and one or two parent edges is dead.  The
-    pairs of parent edges (a, b), a before b, and |a & b| are found once per
-    parent; dead, one per search, maps each sub-shape type to its verdict.
-    The first time a type is asked for, its sub-shape is built from the edges
-    in hand and its value set above the threshold decides the verdict.
+def _bound(parent: ShapeRecord, config: SearchConfig, table: dict):
+    """new_sizes(chosen, used, overlap) for the count vectors of parent's
+    children (see _raw_children): (sizes, alive), the bitmasks of every new
+    size the vector allows and of those that no dead sub-shape, made of the
+    new edge and one or two parent edges, kills.
+
+    The pairs of parent edges (a, b), a before b, and |a & b| are found once
+    per parent.  table, one per search, maps each sub-shape type less the
+    new size, (|e|, |e & new|) or (|a|, |b|, |new & a|, |new & b|, |a & b|,
+    |new & a & b|), to two new-size bitmasks, asked and dead; a check is one
+    lookup and one AND.  |new & a & b| is |chosen & a & b|, since fresh
+    vertices lie in no parent edge.  The first time a size of a type is
+    asked for, its sub-shape is built from the edges in hand and its value
+    set above the threshold decides the verdict.
     """
     edges = parent.shape.edges
+    n = parent.shape.vertex_count
+    largest = min(len(edges[-1]), config.max_edge_size)
     edge_sizes = [len(e) for e in edges]
+    masks = [sum(1 << v for v in e) for e in edges]
     # (i, j, |a|, |b|, |a & b|, a & b as a vertex bitmask) for a = edges[i],
     # b = edges[j], i < j
     pairs = []
-    for j, b in enumerate(edges):
+    for j in range(len(edges)):
         for i in range(j):
-            common = set(edges[i]) & set(b)
-            pairs.append((i, j, edge_sizes[i], len(b), len(common), sum(1 << v for v in common)))
+            both = masks[i] & masks[j]
+            pairs.append((i, j, edge_sizes[i], edge_sizes[j], both.bit_count(), both))
+    spare = config.k - n
 
-    def ruled_out(edge: tuple, key: tuple) -> bool:
-        new_size, vec = key
-        for e, size, x in zip(edges, edge_sizes, vec):
-            sub_type = (size, new_size, x)
-            verdict = dead.get(sub_type)
-            if verdict is None:
-                sub = Shape.from_edges((e, edge))
-                verdict = dead[sub_type] = not intersection_value_set(sub, floor=config.threshold)
-            if verdict:
-                return True
-        new = sum(1 << v for v in edge)
+    def ask(key: tuple, todo: int, others: tuple, chosen: int, used: int) -> int:
+        """Build and test the sub-shape of others and the new edge for each
+        new size in todo; record them under key and return its dead sizes."""
+        asked, dead = table.get(key, (0, 0))
+        for new_size in _sizes(todo):
+            sub = Shape.from_edges(others + (_new_edge(chosen, n, new_size - used),))
+            if not intersection_value_set(sub, floor=config.threshold):
+                dead |= 1 << new_size
+        table[key] = asked | todo, dead
+        return dead
+
+    def new_sizes(chosen: int, used: int, overlap: tuple) -> tuple[int, int]:
+        sizes = alive = (2 << min(largest, used + spare)) - (1 << max(2, used))
+        for e, size, x in zip(edges, edge_sizes, overlap):
+            key = size, x
+            asked, dead = table.get(key, (0, 0))
+            if alive & ~asked:
+                dead = ask(key, alive & ~asked, (e,), chosen, used)
+            alive &= ~dead
+            if not alive:
+                return sizes, 0
         for i, j, a, b, ab, both in pairs:
-            sub_type = (new_size, a, b, vec[i], vec[j], ab, (new & both).bit_count())
-            verdict = dead.get(sub_type)
-            if verdict is None:
-                sub = Shape.from_edges((edges[i], edges[j], edge))
-                verdict = dead[sub_type] = not intersection_value_set(sub, floor=config.threshold)
-            if verdict:
-                return True
-        return False
+            key = a, b, overlap[i], overlap[j], ab, (chosen & both).bit_count()
+            asked, dead = table.get(key, (0, 0))
+            if alive & ~asked:
+                dead = ask(key, alive & ~asked, (edges[i], edges[j]), chosen, used)
+            alive &= ~dead
+            if not alive:
+                return sizes, 0
+        return sizes, alive
 
-    return ruled_out
+    return new_sizes
 
 
 def bfs_search(config: SearchConfig) -> SearchResult:
@@ -249,44 +285,47 @@ def bfs_search(config: SearchConfig) -> SearchResult:
             keys=((size, ()),),
         )
     result.depths.append(_sorted_records(frontier))
-    dead: dict[tuple, bool] = {}
+    table: dict[tuple, tuple[int, int]] = {}
 
     for _depth in range(2, config.max_edges + 1):
         new_frontier: dict[tuple, ShapeRecord] = {}
         for parent in frontier.values():
-            ruled_out = _bound(parent, config, dead)
-            for edge, key, multiplicity in _raw_children(parent.shape, config):
-                if ruled_out(edge, key):
-                    result.pruned_count += multiplicity
-                    continue
-                canon = canonical_form(parent.shape.with_edge(edge))
-                values = intersection_value_set(canon, floor=config.threshold)
-                if config.mode == NON_REDUNDANT_SMALL:
-                    fresh = canon.vertex_count - parent.shape.vertex_count
-                    bound = parent.max_size << fresh
-                    admissible = [v for v in values if v < bound]
-                else:
-                    admissible = values
-                if not admissible:
-                    result.pruned_count += multiplicity
-                    continue
-                best = max(admissible)
-                record = new_frontier.get(canon.edges)
-                if record is None:
-                    new_frontier[canon.edges] = ShapeRecord(
-                        shape=canon,
-                        max_size=best,
-                        values=values,
-                        keys=(key,),
-                    )
-                else:
-                    record.max_size = max(record.max_size, best)
-                    if key not in record.keys:
-                        record.keys = record.keys + (key,)
-                if len(new_frontier) > MAX_FRONTIER_STATES:
-                    raise SearchBudgetError(
-                        f"frontier exceeded {MAX_FRONTIER_STATES} states"
-                    )
+            new_sizes = _bound(parent, config, table)
+            n = parent.shape.vertex_count
+            for chosen, used, overlap, multiplicity in _raw_children(parent.shape, config):
+                sizes, alive = new_sizes(chosen, used, overlap)
+                result.pruned_count += multiplicity * (sizes & ~alive).bit_count()
+                for new_size in _sizes(alive):
+                    key = (new_size, overlap)
+                    edge = _new_edge(chosen, n, new_size - used)
+                    canon = canonical_form(parent.shape.with_edge(edge))
+                    values = intersection_value_set(canon, floor=config.threshold)
+                    if config.mode == NON_REDUNDANT_SMALL:
+                        fresh = canon.vertex_count - parent.shape.vertex_count
+                        bound = parent.max_size << fresh
+                        admissible = [v for v in values if v < bound]
+                    else:
+                        admissible = values
+                    if not admissible:
+                        result.pruned_count += multiplicity
+                        continue
+                    best = max(admissible)
+                    record = new_frontier.get(canon.edges)
+                    if record is None:
+                        new_frontier[canon.edges] = ShapeRecord(
+                            shape=canon,
+                            max_size=best,
+                            values=values,
+                            keys=(key,),
+                        )
+                    else:
+                        record.max_size = max(record.max_size, best)
+                        if key not in record.keys:
+                            record.keys = record.keys + (key,)
+                    if len(new_frontier) > MAX_FRONTIER_STATES:
+                        raise SearchBudgetError(
+                            f"frontier exceeded {MAX_FRONTIER_STATES} states"
+                        )
         if not new_frontier:
             result.terminated_naturally = True
             break

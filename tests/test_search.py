@@ -10,6 +10,7 @@ from cubeint.search import (
     NON_REDUNDANT_SMALL,
     SearchConfig,
     _bound,
+    _new_edge,
     _raw_children,
     bfs_search,
 )
@@ -29,6 +30,7 @@ from oracles import (
     brute_frontier,
     labelled_children,
     pair_types,
+    reference_value_set,
     shape_fraction,
     triple_types,
     walked_dead_pairs,
@@ -51,16 +53,41 @@ def frontier_parents(config):
     return [rec for records in searched(config).depths for rec in records]
 
 
+def new_edges(shape, config, chosen, used):
+    """(new size, new edge) for every new size a count vector of shape's
+    children allows, ascending."""
+    n = shape.vertex_count
+    largest = min(len(shape.edges[-1]), config.max_edge_size)
+    for new_size in range(max(2, used), min(largest, used + config.k - n) + 1):
+        yield new_size, _new_edge(chosen, n, new_size - used)
+
+
 @lru_cache(maxsize=None)
 def filled_table(config):
-    """The dead table of _bound after it is asked about every child of every
-    record of the search of config: sub-shape type -> verdict."""
-    dead = {}
+    """The table of _bound after it is asked about every count vector of
+    every record of the search of config, with each (type, new size) it has
+    asked turned into the full sub-shape type, (|e|, |new|, |e & new|) or
+    (|new|, |a|, |b|, |new & a|, |new & b|, |a & b|, |new & a & b|): full type
+    -> whether it is dead."""
+    table = {}
     for rec in frontier_parents(config):
-        ruled_out = _bound(rec, config, dead)
-        for edge, key, _multiplicity in _raw_children(rec.shape, config):
-            ruled_out(edge, key)
+        new_sizes = _bound(rec, config, table)
+        for chosen, used, overlap, _multiplicity in _raw_children(rec.shape, config):
+            new_sizes(chosen, used, overlap)
+    dead = {}
+    for key, (asked, killed) in table.items():
+        for new_size in range(asked.bit_length()):
+            if asked >> new_size & 1:
+                full = (key[0], new_size, key[1]) if len(key) == 2 else (new_size, *key)
+                dead[full] = bool(killed >> new_size & 1)
     return dead
+
+
+@lru_cache(maxsize=None)
+def reference_dead(shape, threshold):
+    """Whether the unreduced reference walk finds no size of shape above the
+    threshold; shared by every search that meets shape."""
+    return reference_value_set(shape, floor=threshold) == {}
 
 
 def minimal_depths(result):
@@ -203,9 +230,10 @@ class TestClassGenerator:
                     for child, key, _edge in labelled_children(rec.shape, config)
                 )
                 weighted = Counter()
-                for edge, key, multiplicity in _raw_children(rec.shape, config):
-                    child = rec.shape.with_edge(edge)
-                    weighted[canonical_form(child).edges, key] += multiplicity
+                for chosen, used, overlap, multiplicity in _raw_children(rec.shape, config):
+                    for new_size, edge in new_edges(rec.shape, config, chosen, used):
+                        child = rec.shape.with_edge(edge)
+                        weighted[canonical_form(child).edges, (new_size, overlap)] += multiplicity
                 assert weighted == labelled, (mode, k, rec.shape.edges)
 
     def test_one_child_per_class_choice(self):
@@ -213,9 +241,9 @@ class TestClassGenerator:
         # two vertices from one run or one from each of two runs
         star = Shape.from_edges([(1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11)])
         config = SearchConfig(EXHAUSTIVE_LARGE, 11)
-        children = list(_raw_children(star, config))
-        assert len(children) == 4 + 6
-        assert sum(m for _c, _k, m in children) == len(list(labelled_children(star, config)))
+        vectors = list(_raw_children(star, config))
+        assert len(vectors) == 4 + 6
+        assert sum(m for *_vector, m in vectors) == len(list(labelled_children(star, config)))
 
 
 SOUNDNESS_CONFIGS = [
@@ -228,15 +256,21 @@ class TestBound:
         "config", SOUNDNESS_CONFIGS, ids=lambda c: f"{c.mode}-{c.k}-{c.threshold}"
     )
     def test_ruled_out_children_have_no_value_above_threshold(self, config):
-        dead = {}
+        # every new size a count vector's mask drops has no size above the
+        # threshold, by the unreduced reference walk, once per class of child
+        table = {}
         ruled = 0
         for rec in frontier_parents(config):
-            ruled_out = _bound(rec, config, dead)
-            for child, key, edge in labelled_children(rec.shape, config):
-                if ruled_out(edge, key):
-                    ruled += 1
-                    canon = canonical_form(child)
-                    assert intersection_value_set(canon, floor=config.threshold) == ()
+            new_sizes = _bound(rec, config, table)
+            for chosen, used, overlap, _multiplicity in _raw_children(rec.shape, config):
+                sizes, alive = new_sizes(chosen, used, overlap)
+                expanded = list(new_edges(rec.shape, config, chosen, used))
+                assert sizes == sum(1 << new_size for new_size, _edge in expanded)
+                for new_size, edge in expanded:
+                    if not alive >> new_size & 1:
+                        ruled += 1
+                        child = canonical_form(rec.shape.with_edge(edge))
+                        assert reference_dead(child, config.threshold), child.edges
         # from k = 5 on every one of these searches has children to rule out
         assert ruled or config.k < 5
 
@@ -273,16 +307,18 @@ class TestBound:
         # every child the exhaustive-large search labels has a size above the
         # threshold: its dead sub-shapes rule out all the others first
         config = SearchConfig(EXHAUSTIVE_LARGE, k)
-        dead = {}
+        table = {}
         labelled = 0
         for records in searched(config).depths[: config.max_edges - 1]:
             for rec in records:
-                ruled_out = _bound(rec, config, dead)
-                for edge, key, _multiplicity in _raw_children(rec.shape, config):
-                    if not ruled_out(edge, key):
-                        labelled += 1
-                        canon = canonical_form(rec.shape.with_edge(edge))
-                        assert intersection_value_set(canon, floor=config.threshold)
+                new_sizes = _bound(rec, config, table)
+                for chosen, used, overlap, _multiplicity in _raw_children(rec.shape, config):
+                    _sizes, alive = new_sizes(chosen, used, overlap)
+                    for new_size, edge in new_edges(rec.shape, config, chosen, used):
+                        if alive >> new_size & 1:
+                            labelled += 1
+                            canon = canonical_form(rec.shape.with_edge(edge))
+                            assert intersection_value_set(canon, floor=config.threshold)
         assert labelled
 
     @pytest.mark.parametrize(
@@ -308,6 +344,71 @@ class TestBound:
             bfs_search(SearchConfig(mode, k))
             counts[k] = len(calls)
         assert counts == labelled
+
+    @pytest.mark.parametrize(
+        "mode, vectors",
+        [
+            (NON_REDUNDANT_SMALL, {8: 1147, 9: 1521}),
+            (EXHAUSTIVE_LARGE, {6: 1075, 7: 2009, 8: 3357}),
+        ],
+    )
+    def test_golden_vector_counts(self, mode, vectors, monkeypatch):
+        # bfs_search rules out or expands each count vector that allows a
+        # new size once, for all its new sizes
+        calls = []
+
+        def counted(shape, config):
+            for vector in _raw_children(shape, config):
+                calls.append(vector)
+                yield vector
+
+        monkeypatch.setattr("cubeint.search._raw_children", counted)
+        counts = {}
+        for k in vectors:
+            calls.clear()
+            bfs_search(SearchConfig(mode, k))
+            counts[k] = len(calls)
+        assert counts == vectors
+
+    @pytest.mark.parametrize(
+        "mode, built",
+        [
+            (NON_REDUNDANT_SMALL, {8: 260, 9: 288}),
+            (EXHAUSTIVE_LARGE, {6: 132, 7: 161, 8: 180}),
+        ],
+    )
+    def test_golden_sub_shape_counts(self, mode, built, monkeypatch):
+        # the one table of a fresh search builds and tests a sub-shape once
+        # per (type, new size) it is asked about; every other value set the
+        # search takes is a first edge's or a labelled child's
+        tables, calls = [], Counter()
+
+        def spied(parent, config, table):
+            tables.append(table)
+            return _bound(parent, config, table)
+
+        def counted_form(shape):
+            calls["canonical_form"] += 1
+            return canonical_form(shape)
+
+        def counted_values(shape, floor=0):
+            calls["value_set"] += 1
+            return intersection_value_set(shape, floor=floor)
+
+        monkeypatch.setattr("cubeint.search._bound", spied)
+        monkeypatch.setattr("cubeint.search.canonical_form", counted_form)
+        monkeypatch.setattr("cubeint.search.intersection_value_set", counted_values)
+        counts = {}
+        for k in built:
+            tables.clear()
+            calls.clear()
+            config = SearchConfig(mode, k)
+            bfs_search(config)
+            assert all(table is tables[0] for table in tables)
+            counts[k] = sum(asked.bit_count() for asked, _dead in tables[0].values())
+            first_edges = config.max_edge_size - 1
+            assert calls["value_set"] == first_edges + calls["canonical_form"] + counts[k]
+        assert counts == built
 
     def test_pair_bound_table(self):
         # (|e|, |new|, |e & new|): two disjoint triples keep 36/64 > 1/2 and
