@@ -29,21 +29,19 @@ a labelled subset, loses nothing, and the multiplicity prod C(|class|, count)
 keeps ``pruned_count`` and the raw survivor counts equal to a
 subset-by-subset enumeration's.
 
-A child is ruled out before it is built or labelled when one of its
-sub-shapes, made of the new edge and one or two parent edges, has no size
-above the threshold.  Adding a condition can only shrink the pattern, so for
-every sign choice the child's pattern lies inside that of any of its
-sub-shapes, times a free cube over the vertices outside it, and a dead
-sub-shape kills the child (the downward closure of Agrawal & Srikant's
-Apriori).  A two-edge type (|e|, |e & new|) or a three-edge type (|a|, |b|,
-|new & a|, |new & b|, |a & b|, |new & a & b|), together with the new size,
-fixes the Venn-region counts of its edges, and so the sub-shape up to
-isomorphism.  Fresh vertices lie in no parent edge, so a count vector fixes
-every type whatever its new size, and each vector is ruled out for all its
-new sizes at once.  One table per search maps each type to two bitmasks of
-new sizes, those asked and those dead: the first edges met with a type and a
-size are built into its sub-shape, and their verdict holds for every later
-vector of that type.
+One pass per parent (_children) yields each count vector with the new sizes
+it allows and those that survive: a child is ruled out before it is built or
+labelled when one of its sub-shapes, made of the new edge and one or two
+parent edges, has no size above the threshold.  Adding a condition can only
+shrink the pattern, so for every sign choice the child's pattern lies inside
+that of any of its sub-shapes, times a free cube over the vertices outside
+it, and a dead sub-shape kills the child (the downward closure of Agrawal &
+Srikant's Apriori).  A two-edge type (|e|, |e & new|) or a three-edge type
+(|a|, |b|, |new & a|, |new & b|, |a & b|, |new & a & b|), together with the
+new size, fixes the Venn-region counts of its edges, and so the sub-shape up
+to isomorphism.  Fresh vertices lie in no parent edge, so a count vector
+fixes every type whatever its new size, and is ruled out for all its new
+sizes at once, from one table per search of each type's verdicts.
 """
 from __future__ import annotations
 
@@ -164,69 +162,31 @@ def _sizes(mask: int):
         yield low.bit_length() - 1
 
 
-def _raw_children(shape: Shape, config: SearchConfig):
-    """Every count vector that allows a new edge, once, as (chosen, used,
-    overlap, multiplicity): the chosen vertices as a bitmask (bit v for
-    vertex v), their number, the overlap vector (|chosen & e| for every edge
-    e) and prod C(|class|, count), the number of labelled subsets it stands
-    for.  The new sizes it allows are range(max(2, used), min(largest,
-    used + k - n) + 1); _new_edge(chosen, n, new size - used) is the new edge
-    of each, and shape.with_edge of that edge the child.
+def _children(shape: Shape, config: SearchConfig, table: dict):
+    """Every count vector of shape's children that allows a new size, once,
+    as (chosen, used, overlap, multiplicity, sizes, alive).
 
-    The new edge takes some current vertices plus a run of fresh ones; its
-    size may not exceed the smallest existing edge, which realises the
-    non-increasing addition order.  The labelled subsets that take the same
-    count from every vertex class (Shape.vertex_classes) give isomorphic
-    children with one key (new size, overlap vector).  The count vectors are
-    built in one pass, class by class, keeping only those that take at most
-    as many vertices as the largest new edge; each one's chosen vertices are
-    the lowest-labelled members of each class.
+    A vector takes the lowest-labelled vertices of each vertex class, at
+    most as many in all as the largest new edge: chosen is their bitmask
+    (bit v for vertex v), used their number, overlap |chosen & e| for every
+    edge e and multiplicity prod C(|class|, count).  The new edge of a new
+    size s is _new_edge(chosen, n, s - used), no larger than the smallest
+    edge (the non-increasing addition order); sizes is the bitmask (bit s
+    for size s) of those that fit, and alive the part that no dead sub-shape
+    kills.
 
-    The sub-shape types of _bound read only the overlap vector and
-    |chosen & a & b| for pairs of edges (a, b), which every member of a class
-    shares, since a class's vertices lie in the same edges.
-    """
-    n = shape.vertex_count
-    largest = min(len(shape.edges[-1]), config.max_edge_size)
-    # every count vector taking at most `largest` vertices in all, built one
-    # class at a time as (used, chosen, overlap, multiplicity), the overlap
-    # packed five bits an edge (no count exceeds MAX_DIMENSION)
-    vectors = [(0, 0, 0, 1)]
-    for edges, members in shape.vertex_classes().items():
-        step = sum(1 << 5 * i for i in edges)
-        options = [(0, 0, 0, 1)]
-        for c, v in enumerate(members, 1):
-            options.append((c, options[-1][1] | 1 << v, c * step, comb(len(members), c)))
-        vectors = [
-            (used + c, chosen | mask, overlap + add, multiplicity * ways)
-            for used, chosen, overlap, multiplicity in vectors
-            for c, mask, add, ways in options[: largest - used + 1]
-        ]
-    shifts = range(0, 5 * len(shape.edges), 5)
-    for used, chosen, overlap, multiplicity in vectors:
-        # an edge of two or more vertices must fit in the fresh ones left
-        if used + config.k - n >= 2:
-            yield chosen, used, tuple([overlap >> s & 31 for s in shifts]), multiplicity
-
-
-def _bound(parent: ShapeRecord, config: SearchConfig, table: dict):
-    """new_sizes(chosen, used, overlap) for the count vectors of parent's
-    children (see _raw_children): (sizes, alive), the bitmasks of every new
-    size the vector allows and of those that no dead sub-shape, made of the
-    new edge and one or two parent edges, kills.
-
-    The pairs of parent edges (a, b), a before b, and |a & b| are found once
-    per parent.  table, one per search, maps each sub-shape type less the
-    new size, (|e|, |e & new|) or (|a|, |b|, |new & a|, |new & b|, |a & b|,
+    table, one per search, maps each sub-shape type less the new size,
+    (|e|, |e & new|) or (|a|, |b|, |new & a|, |new & b|, |a & b|,
     |new & a & b|), to two new-size bitmasks, asked and dead; a check is one
     lookup and one AND.  |new & a & b| is |chosen & a & b|, since fresh
     vertices lie in no parent edge.  The first time a size of a type is
-    asked for, its sub-shape is built from the edges in hand and its value
+    asked for, its sub-shape is built from the edges in hand, and its value
     set above the threshold decides the verdict.
     """
-    edges = parent.shape.edges
-    n = parent.shape.vertex_count
+    edges = shape.edges
+    n = shape.vertex_count
     largest = min(len(edges[-1]), config.max_edge_size)
+    spare = config.k - n
     edge_sizes = [len(e) for e in edges]
     masks = [sum(1 << v for v in e) for e in edges]
     # (i, j, |a|, |b|, |a & b|, a & b as a vertex bitmask) for a = edges[i],
@@ -236,7 +196,6 @@ def _bound(parent: ShapeRecord, config: SearchConfig, table: dict):
         for i in range(j):
             both = masks[i] & masks[j]
             pairs.append((i, j, edge_sizes[i], edge_sizes[j], both.bit_count(), both))
-    spare = config.k - n
 
     def ask(key: tuple, todo: int, others: tuple, chosen: int, used: int) -> int:
         """Build and test the sub-shape of others and the new edge for each
@@ -249,8 +208,8 @@ def _bound(parent: ShapeRecord, config: SearchConfig, table: dict):
         table[key] = asked | todo, dead
         return dead
 
-    def new_sizes(chosen: int, used: int, overlap: tuple) -> tuple[int, int]:
-        sizes = alive = (2 << min(largest, used + spare)) - (1 << max(2, used))
+    def survivors(chosen: int, used: int, overlap: tuple, alive: int) -> int:
+        """alive less every new size that a dead sub-shape of the vector kills."""
         for e, size, x in zip(edges, edge_sizes, overlap):
             key = size, x
             asked, dead = table.get(key, (0, 0))
@@ -258,7 +217,7 @@ def _bound(parent: ShapeRecord, config: SearchConfig, table: dict):
                 dead = ask(key, alive & ~asked, (e,), chosen, used)
             alive &= ~dead
             if not alive:
-                return sizes, 0
+                return 0
         for i, j, a, b, ab, both in pairs:
             key = a, b, overlap[i], overlap[j], ab, (chosen & both).bit_count()
             asked, dead = table.get(key, (0, 0))
@@ -266,10 +225,27 @@ def _bound(parent: ShapeRecord, config: SearchConfig, table: dict):
                 dead = ask(key, alive & ~asked, (edges[i], edges[j]), chosen, used)
             alive &= ~dead
             if not alive:
-                return sizes, 0
-        return sizes, alive
+                return 0
+        return alive
 
-    return new_sizes
+    vectors = [(0, 0, 1)]
+    for members in shape.vertex_classes().values():
+        options = [(0, 0, 1)]
+        for c, v in enumerate(members, 1):
+            options.append((c, options[-1][1] | 1 << v, comb(len(members), c)))
+        vectors = [
+            (used + c, chosen | mask, multiplicity * ways)
+            for used, chosen, multiplicity in vectors
+            for c, mask, ways in options[: largest - used + 1]
+        ]
+    for used, chosen, multiplicity in vectors:
+        top = min(largest, used + spare)
+        # an edge of two or more vertices must fit in the fresh ones left
+        if top >= 2:
+            sizes = (2 << top) - (1 << max(2, used))
+            overlap = tuple([(chosen & m).bit_count() for m in masks])
+            alive = survivors(chosen, used, overlap, sizes)
+            yield chosen, used, overlap, multiplicity, sizes, alive
 
 
 def bfs_search(config: SearchConfig) -> SearchResult:
@@ -290,18 +266,17 @@ def bfs_search(config: SearchConfig) -> SearchResult:
     for _depth in range(2, config.max_edges + 1):
         new_frontier: dict[tuple, ShapeRecord] = {}
         for parent in frontier.values():
-            new_sizes = _bound(parent, config, table)
             n = parent.shape.vertex_count
-            for chosen, used, overlap, multiplicity in _raw_children(parent.shape, config):
-                sizes, alive = new_sizes(chosen, used, overlap)
+            for chosen, used, overlap, multiplicity, sizes, alive in _children(
+                parent.shape, config, table
+            ):
                 result.pruned_count += multiplicity * (sizes & ~alive).bit_count()
                 for new_size in _sizes(alive):
                     key = (new_size, overlap)
-                    edge = _new_edge(chosen, n, new_size - used)
-                    canon = canonical_form(parent.shape.with_edge(edge))
+                    fresh = new_size - used
+                    canon = canonical_form(parent.shape.with_edge(_new_edge(chosen, n, fresh)))
                     values = intersection_value_set(canon, floor=config.threshold)
                     if config.mode == NON_REDUNDANT_SMALL:
-                        fresh = canon.vertex_count - parent.shape.vertex_count
                         bound = parent.max_size << fresh
                         admissible = [v for v in values if v < bound]
                     else:
@@ -335,4 +310,4 @@ def bfs_search(config: SearchConfig) -> SearchResult:
 
 
 def _sorted_records(frontier: dict) -> list[ShapeRecord]:
-    return [frontier[key] for key in sorted(frontier, key=lambda e: (len(e), e))]
+    return [frontier[key] for key in sorted(frontier)]

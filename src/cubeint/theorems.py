@@ -35,10 +35,11 @@ from .shapes import (
 )
 
 # Largest k that verify_large_sets and verify_small_window accept: the slower
-# of the two, verify_small_window(12), takes about 3 s in a fresh process on a
-# 2-vCPU host, 2.3 s of it in its saturated star families' value sets
-# (verify_large_sets(12) about 1.8 s); the step from k = 11 to 12 multiplies
-# the small certificate's time by about 3.8 and the large one's by about 1.7.
+# of the two, verify_small_window(12), takes about 1.5 s in a fresh process on
+# a shared 2-vCPU host (median of five), about 1.2 s of it in its saturated
+# star families' value sets (verify_large_sets(12) about 0.85 s); the step
+# from k = 11 to 12 multiplies the small certificate's time by about 3.8 and
+# the large one's by about 1.7.
 MAX_CERTIFIED_K = 12
 
 

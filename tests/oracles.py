@@ -141,7 +141,7 @@ def shape_fraction(shape: Shape) -> Fraction:
 
 def pair_types(config: SearchConfig):
     """Every (|e|, |new|, |e & new|) of two edges over at most k vertices with
-    |e| >= |new|, both at most max_edge_size: the types of search._bound's
+    |e| >= |new|, both at most max_edge_size: the types of search._children's
     two-edge shapes."""
     for a in range(2, config.max_edge_size + 1):
         for b in range(2, a + 1):
@@ -166,7 +166,7 @@ def walked_dead_pairs(config: SearchConfig) -> frozenset:
 def triple_types(config: SearchConfig):
     """Every (|new|, |a|, |b|, |new & a|, |new & b|, |a & b|, |new & a & b|)
     of three edges over at most k vertices with |a| >= |b| >= |new|, all at
-    most max_edge_size: the types of search._bound's three-edge shapes."""
+    most max_edge_size: the types of search._children's three-edge shapes."""
     sizes = range(2, config.max_edge_size + 1)
     for a, b, n in product(sizes, repeat=3):
         if not a >= b >= n:

@@ -9,9 +9,8 @@ from cubeint.search import (
     MODES,
     NON_REDUNDANT_SMALL,
     SearchConfig,
-    _bound,
+    _children,
     _new_edge,
-    _raw_children,
     bfs_search,
 )
 from cubeint.shapes import (
@@ -64,16 +63,15 @@ def new_edges(shape, config, chosen, used):
 
 @lru_cache(maxsize=None)
 def filled_table(config):
-    """The table of _bound after it is asked about every count vector of
+    """The table of _children after it is asked about every count vector of
     every record of the search of config, with each (type, new size) it has
     asked turned into the full sub-shape type, (|e|, |new|, |e & new|) or
     (|new|, |a|, |b|, |new & a|, |new & b|, |a & b|, |new & a & b|): full type
     -> whether it is dead."""
     table = {}
     for rec in frontier_parents(config):
-        new_sizes = _bound(rec, config, table)
-        for chosen, used, overlap, _multiplicity in _raw_children(rec.shape, config):
-            new_sizes(chosen, used, overlap)
+        for _child in _children(rec.shape, config, table):
+            pass
     dead = {}
     for key, (asked, killed) in table.items():
         for new_size in range(asked.bit_length()):
@@ -224,13 +222,16 @@ class TestClassGenerator:
     def test_weighted_children_match_labelled_oracle(self, mode):
         for k in range(2, 9):
             config = SearchConfig(mode, k)
+            table = {}
             for rec in frontier_parents(config):
                 labelled = Counter(
                     (canonical_form(child).edges, key)
                     for child, key, _edge in labelled_children(rec.shape, config)
                 )
                 weighted = Counter()
-                for chosen, used, overlap, multiplicity in _raw_children(rec.shape, config):
+                for chosen, used, overlap, multiplicity, _sizes, _alive in _children(
+                    rec.shape, config, table
+                ):
                     for new_size, edge in new_edges(rec.shape, config, chosen, used):
                         child = rec.shape.with_edge(edge)
                         weighted[canonical_form(child).edges, (new_size, overlap)] += multiplicity
@@ -241,9 +242,10 @@ class TestClassGenerator:
         # two vertices from one run or one from each of two runs
         star = Shape.from_edges([(1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11)])
         config = SearchConfig(EXHAUSTIVE_LARGE, 11)
-        vectors = list(_raw_children(star, config))
+        vectors = list(_children(star, config, {}))
         assert len(vectors) == 4 + 6
-        assert sum(m for *_vector, m in vectors) == len(list(labelled_children(star, config)))
+        weight = sum(multiplicity for _c, _u, _o, multiplicity, _s, _a in vectors)
+        assert weight == len(list(labelled_children(star, config)))
 
 
 SOUNDNESS_CONFIGS = [
@@ -261,9 +263,9 @@ class TestBound:
         table = {}
         ruled = 0
         for rec in frontier_parents(config):
-            new_sizes = _bound(rec, config, table)
-            for chosen, used, overlap, _multiplicity in _raw_children(rec.shape, config):
-                sizes, alive = new_sizes(chosen, used, overlap)
+            for chosen, used, _overlap, _multiplicity, sizes, alive in _children(
+                rec.shape, config, table
+            ):
                 expanded = list(new_edges(rec.shape, config, chosen, used))
                 assert sizes == sum(1 << new_size for new_size, _edge in expanded)
                 for new_size, edge in expanded:
@@ -311,9 +313,9 @@ class TestBound:
         labelled = 0
         for records in searched(config).depths[: config.max_edges - 1]:
             for rec in records:
-                new_sizes = _bound(rec, config, table)
-                for chosen, used, overlap, _multiplicity in _raw_children(rec.shape, config):
-                    _sizes, alive = new_sizes(chosen, used, overlap)
+                for chosen, used, _overlap, _multiplicity, _sizes, alive in _children(
+                    rec.shape, config, table
+                ):
                     for new_size, edge in new_edges(rec.shape, config, chosen, used):
                         if alive >> new_size & 1:
                             labelled += 1
@@ -357,12 +359,12 @@ class TestBound:
         # new size once, for all its new sizes
         calls = []
 
-        def counted(shape, config):
-            for vector in _raw_children(shape, config):
+        def counted(shape, config, table):
+            for vector in _children(shape, config, table):
                 calls.append(vector)
                 yield vector
 
-        monkeypatch.setattr("cubeint.search._raw_children", counted)
+        monkeypatch.setattr("cubeint.search._children", counted)
         counts = {}
         for k in vectors:
             calls.clear()
@@ -383,9 +385,9 @@ class TestBound:
         # search takes is a first edge's or a labelled child's
         tables, calls = [], Counter()
 
-        def spied(parent, config, table):
+        def spied(shape, config, table):
             tables.append(table)
-            return _bound(parent, config, table)
+            return _children(shape, config, table)
 
         def counted_form(shape):
             calls["canonical_form"] += 1
@@ -395,7 +397,7 @@ class TestBound:
             calls["value_set"] += 1
             return intersection_value_set(shape, floor=floor)
 
-        monkeypatch.setattr("cubeint.search._bound", spied)
+        monkeypatch.setattr("cubeint.search._children", spied)
         monkeypatch.setattr("cubeint.search.canonical_form", counted_form)
         monkeypatch.setattr("cubeint.search.intersection_value_set", counted_values)
         counts = {}
