@@ -67,15 +67,12 @@ def support_size_bound(threshold: Fraction) -> int:
     threshold = Fraction(threshold)
     if not 0 < threshold < 1:
         raise ValueError("threshold must lie strictly between 0 and 1")
-    best = None
+    # s = 1 has ratio C(2, 1) / 2 = 1, so it beats every such threshold
     s = 1
     while True:
         ratio = Fraction(binomial(s + 1, (s + 1) // 2), 1 << s)
         if ratio <= threshold:
-            if best is None:
-                raise ValueError("no support size beats the threshold")
-            return best
-        best = s
+            return s - 1
         s += 1
         if s > 4096:
             raise ValueError(f"threshold {threshold} is too small to resolve")

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .cube import MAX_DIMENSION, row_masks
+from .cube import MAX_DIMENSION, full_mask, row_masks
 
 Edge = tuple[int, ...]
 
@@ -247,27 +247,22 @@ STAR32_CENTER_EDGES = "star32_center_edges"
 OTHER = "other"
 
 
+# the stars by their set of edge sizes
+_STARS = {(2,): STAR21, (3,): STAR32, (2, 3): STAR32_CENTER_EDGES}
+
+
 def classify_star(shape: Shape) -> str:
-    sizes = {len(e) for e in shape.edges}
-    edge_sets = [set(e) for e in shape.edges]
-    if sizes == {2}:
-        common = set.intersection(*edge_sets)
-        if common:
-            return STAR21
-        return OTHER
-    if sizes == {3}:
-        common = set.intersection(*edge_sets)
-        if len(common) >= 2:
-            return STAR32
-        return OTHER
-    if sizes == {2, 3}:
-        pairs = [frozenset(e) for e in shape.edges if len(e) == 2]
-        if len(set(pairs)) != 1:
-            return OTHER
-        centre = set(next(iter(pairs)))
-        if all(centre <= s for s in edge_sets if len(s) == 3):
-            return STAR32_CENTER_EDGES
-        return OTHER
+    """One rule on the common core, the vertices that lie in every edge: a
+    shape whose edge sizes are {2}, {3} or {2, 3} is that star when its core
+    holds all but one vertex of a largest edge, and OTHER otherwise.
+
+    With pair edges and triples, a two-vertex core is every pair edge and
+    lies inside every triple, so those are the 3-2 stars with centre edges.
+    """
+    sizes = tuple(sorted({len(e) for e in shape.edges}))
+    common = set.intersection(*(set(e) for e in shape.edges))
+    if sizes in _STARS and len(common) >= sizes[-1] - 1:
+        return _STARS[sizes]
     return OTHER
 
 
@@ -329,7 +324,7 @@ def intersection_value_set(
     points = 1 << shape.vertex_count
     # an integer size is above floor * points iff it is above this
     bar = (floor.numerator * points) // floor.denominator
-    masks = {(1 << points) - 1}
+    masks = {full_mask(shape.vertex_count)}
     for choices in _edge_candidates(shape):
         masks = {
             child
@@ -357,9 +352,8 @@ def max_intersection(shape: Shape) -> tuple[int, tuple[tuple[int, ...], ...]]:
     cands = _edge_candidates(shape)
     best = 0
     witness: tuple[int, ...] = ()
-    full = (1 << (1 << shape.vertex_count)) - 1
     # one (mask, chosen masks, remaining choices of the next edge) per open edge
-    stack = [(full, (), iter(cands[0]))]
+    stack = [(full_mask(shape.vertex_count), (), iter(cands[0]))]
     while stack:
         mask, chosen, choices = stack[-1]
         cand_mask = next(choices, None)

@@ -233,34 +233,34 @@ def small_window_values(k: int) -> tuple[int, int, int]:
     return (15 << (k - 5), 126 << (k - 8), 1 << (k - 1))
 
 
-def _saturated_small_families(k: int) -> list[Shape]:
-    """The surviving four-condition families, extended to full support on k
-    coordinates (stars saturated; duplicate and centre-pair extras kept)."""
-    star21 = [tuple((1, v)) for v in range(2, k + 1)]
-    star32 = [tuple((1, 2, v)) for v in range(3, k + 1)]
-    return [
-        Shape.from_edges(star21),
-        Shape.from_edges(star32),
-        Shape.from_edges(star21 + [star21[0]]),
-        Shape.from_edges(star32 + [star32[0]]),
-        Shape.from_edges(star32 + [(1, 2)]),
-        Shape.from_edges(star32 + [(1, 2), (1, 2)]),
-    ]
+# The six four-condition families of the small window: a star on a centre,
+# (1,) or (1, 2), with a spoke centre + (v,) on each later vertex v, plus
+# extra edges (a repeat of the first spoke, or copies of the centre).
+_SMALL_FAMILIES = (
+    ((1,), ()),
+    ((1, 2), ()),
+    ((1,), ((1, 2),)),
+    ((1, 2), ((1, 2, 3),)),
+    ((1, 2), ((1, 2),)),
+    ((1, 2), ((1, 2), (1, 2))),
+)
+
+
+def _small_families(k: int | None) -> list[Shape]:
+    """_SMALL_FAMILIES in order, with spokes up to vertex k, or with k None
+    each with the 4 - len(extras) spokes that give it four conditions."""
+    families = []
+    for centre, extras in _SMALL_FAMILIES:
+        last = len(centre) + 4 - len(extras) if k is None else k
+        spokes = [centre + (v,) for v in range(len(centre) + 1, last + 1)]
+        families.append(Shape.from_edges(spokes + list(extras)))
+    return families
 
 
 def expected_small_families() -> list[Shape]:
     """The six four-condition families the small search must end with."""
-    star21 = [(1, 2), (1, 3), (1, 4), (1, 5)]
-    star32 = [(1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 2, 6)]
-    families = [
-        Shape.from_edges(star21),
-        Shape.from_edges(star32),
-        Shape.from_edges(star21[:3] + [star21[0]]),
-        Shape.from_edges(star32[:3] + [star32[0]]),
-        Shape.from_edges(star32[:3] + [(1, 2)]),
-        Shape.from_edges(star32[:2] + [(1, 2), (1, 2)]),
-    ]
-    return sorted((canonical_form(s) for s in families), key=lambda s: s.edges)
+    families = (canonical_form(s) for s in _small_families(None))
+    return sorted(families, key=lambda s: s.edges)
 
 
 def verify_small_window(k: int = 8) -> Report:
@@ -320,7 +320,7 @@ def verify_small_window(k: int = 8) -> Report:
 
     cap = (1 << (k - 2)) + 4
     offenders = {}
-    for family in _saturated_small_families(k):
+    for family in _small_families(k):
         values = intersection_value_set(family, floor=Fraction(cap, 1 << k))
         bad = [v for v in values if v < half]
         if bad:

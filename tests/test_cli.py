@@ -208,6 +208,31 @@ class TestDeterminism:
         assert code == 0
         assert json.loads(out)["content_hash"] == digest
 
+    # set and dict iteration over ints and tuples of ints does not depend
+    # on the hash seed; a set of strings would
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "small", "--k", "8"],
+            ["shape", "--edges", "1,2,3;1,2,4;1,2"],
+        ],
+        ids=["verify_small_k8", "shape_centre_edge"],
+    )
+    def test_output_does_not_depend_on_the_hash_seed(self, argv):
+        src = os.path.dirname(os.path.dirname(cubeint.__file__))
+        outputs = []
+        for seed in ("0", "12345"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "cubeint.cli", *argv],
+                capture_output=True,
+                text=True,
+                timeout=120,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+
     def test_envelope_fields(self, capsys):
         _, out = run(capsys, "window", "hn", "--n", "10")
         data = json.loads(out)

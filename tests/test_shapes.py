@@ -135,9 +135,16 @@ class TestCanonicalForm:
 class TestClassification:
     def test_examples(self):
         assert classify_star(shape((1, 2), (1, 3), (1, 4))) == STAR21
+        assert classify_star(shape((1, 2))) == STAR21
         assert classify_star(shape((1, 2, 3), (1, 2, 4), (1, 2, 5))) == STAR32
+        # a three-vertex core holds the 3-2 centre
+        assert classify_star(shape((1, 2, 3), (1, 2, 3))) == STAR32
         assert (
             classify_star(shape((1, 2, 3), (1, 2, 4), (1, 2)))
+            == STAR32_CENTER_EDGES
+        )
+        assert (
+            classify_star(shape((1, 2, 3), (1, 2, 4), (1, 2), (1, 2)))
             == STAR32_CENTER_EDGES
         )
 
@@ -145,6 +152,10 @@ class TestClassification:
         assert classify_star(shape((1, 2), (3, 4))) == OTHER
         assert classify_star(shape((1, 2), (2, 3), (3, 4))) == OTHER
         assert classify_star(shape((1, 2, 3), (1, 4, 5), (1, 6, 7))) == OTHER
+        # two distinct pairs, each inside every triple
+        assert classify_star(shape((1, 2, 3), (1, 2, 3), (1, 2), (1, 3))) == OTHER
+        # a pair inside one triple that misses the other
+        assert classify_star(shape((1, 2, 3), (1, 2, 4), (1, 3))) == OTHER
 
 
 class TestAssignmentIntersection:

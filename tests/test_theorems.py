@@ -180,6 +180,26 @@ class TestSmallWindow:
         assert details["window altogether"].details["window"] == [126, 128]
         assert details["strict interior of the window"].passed
 
+    @pytest.mark.parametrize("k", range(8, 13))
+    def test_saturated_families_extend_the_four_condition_ones(self, k):
+        four = theorems._small_families(None)
+        assert [len(s.edges) for s in four] == [4] * 6
+        for small, saturated in zip(four, theorems._small_families(k), strict=True):
+            assert saturated.vertex_count == k
+            assert not Counter(small.edges) - Counter(saturated.edges)
+
+    def test_saturated_families_at_k8(self):
+        star21 = [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (1, 8)]
+        star32 = [(1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 2, 6), (1, 2, 7), (1, 2, 8)]
+        assert [list(s.edges) for s in theorems._small_families(8)] == [
+            star21,
+            star32,
+            [(1, 2)] + star21,
+            [(1, 2, 3)] + star32,
+            star32 + [(1, 2)],
+            star32 + [(1, 2), (1, 2)],
+        ]
+
 
 # Broken chain partitions for the antichain proof: two_element_step breaks
 # only the one-element steps, a_subset_twice only the cover, split_the_longest
