@@ -58,11 +58,13 @@ def large_codim1_sizes(k: int) -> tuple[int, ...]:
     return tuple(sorted(found))
 
 
-def support_size_bound(threshold: Fraction) -> int:
-    """Largest row support size whose best single-row fraction beats threshold.
+def support_size_bound(threshold: Fraction, limit: int | None = None) -> int:
+    """Largest row support size whose best single-row fraction beats threshold,
+    or limit if that is smaller.
 
     The best fraction for support size s is C(s+1, floor((s+1)/2)) / 2^s, which
-    is non-increasing in s, so a forward scan terminates.
+    is non-increasing in s, so a forward scan terminates; with no limit it
+    gives up past 4096.
     """
     threshold = Fraction(threshold)
     if not 0 < threshold < 1:
@@ -71,7 +73,7 @@ def support_size_bound(threshold: Fraction) -> int:
     s = 1
     while True:
         ratio = Fraction(binomial(s + 1, (s + 1) // 2), 1 << s)
-        if ratio <= threshold:
+        if ratio <= threshold or s - 1 == limit:
             return s - 1
         s += 1
         if s > 4096:

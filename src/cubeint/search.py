@@ -29,14 +29,26 @@ a labelled subset, loses nothing, and the multiplicity prod C(|class|, count)
 keeps ``pruned_count`` and the raw survivor counts equal to a
 subset-by-subset enumeration's.
 
-One pass per parent (_children) yields each count vector with the new sizes
-it allows and those that survive: a child is ruled out before it is built or
-labelled when one of its sub-shapes, made of the new edge and one or two
-parent edges, has no size above the threshold.  Adding a condition can only
-shrink the pattern, so for every sign choice the child's pattern lies inside
-that of any of its sub-shapes, times a free cube over the vertices outside
-it, and a dead sub-shape kills the child (the downward closure of Agrawal &
-Srikant's Apriori).  A two-edge type (|e|, |e & new|) or a three-edge type
+Edges whose private runs have one nonzero size and which lie in the same
+shared classes are interchangeable: swapping two of their private runs is an
+automorphism of the parent, and maps a count vector to one with those two
+private counts swapped and an isomorphic child.  So one count vector stands
+for each orbit of such swaps, the one whose private counts do not increase
+along each group of interchangeable edges (the edge-interchange half of the
+lex-leader rule of Crawford, Ginsberg, Luks & Roy, KR 1996).  It is labelled
+once; every distinct arrangement of its counts is a child of its own, with
+its own key and the same multiplicity, so the keys, raw survivor counts and
+``pruned_count`` stay those of the subset-by-subset enumeration.
+Automorphisms that move a shared class are not used.
+
+One pass per parent (_children) yields each orbit's count vector with the
+new sizes it allows and those that survive: a child is ruled out before it
+is built or labelled when one of its sub-shapes, made of the new edge and
+one or two parent edges, has no size above the threshold.  Adding a
+condition can only shrink the pattern, so for every sign choice the child's
+pattern lies inside that of any of its sub-shapes, times a free cube over
+the vertices outside it, and a dead sub-shape kills the child (the downward
+closure of Agrawal & Srikant's Apriori).  A two-edge type (|e|, |e & new|) or a three-edge type
 (|a|, |b|, |new & a|, |new & b|, |a & b|, |new & a & b|), together with the
 new size, fixes the Venn-region counts of its edges, and so the sub-shape up
 to isomorphism.  Fresh vertices lie in no parent edge, so a count vector
@@ -73,8 +85,8 @@ class SearchConfig:
     threshold defaults to 1/2 in the large mode and 15/32 in the small one;
     max_edges defaults to k in the large mode and k + 1 in the small one, the
     first depth its search must find empty.  The largest useful edge,
-    min(support_size_bound(threshold), k), is derived here once; the vertex
-    budget is k, at most MAX_DIMENSION.
+    support_size_bound(threshold, k), is derived here once with a scan that
+    stops at k; the vertex budget is k, at most MAX_DIMENSION.
     """
 
     mode: str
@@ -96,7 +108,7 @@ class SearchConfig:
             object.__setattr__(self, "max_edges", self.k + small)
         if self.max_edges < 1:
             raise ValueError("max_edges must be at least 1")
-        max_edge_size = min(support_size_bound(self.threshold), self.k)
+        max_edge_size = support_size_bound(self.threshold, self.k)
         if max_edge_size < 2:
             raise ValueError(
                 f"threshold {self.threshold} leaves edges of at most {max_edge_size} "
@@ -162,18 +174,56 @@ def _sizes(mask: int):
         yield low.bit_length() - 1
 
 
+def _orders(values: tuple):
+    """Every distinct ordering of values, once, from the non-increasing one."""
+    if len(values) < 2:
+        yield values
+        return
+    for value in sorted(set(values), reverse=True):
+        i = values.index(value)
+        for rest in _orders(values[:i] + values[i + 1 :]):
+            yield (value,) + rest
+
+
+def _arrangements(overlap: tuple, groups: list) -> list[tuple]:
+    """overlap with the entries at each group's edge positions put in every
+    distinct order; the first is overlap itself when they do not increase
+    along each group."""
+    found = [overlap]
+    for group in groups:
+        arranged = []
+        for base in found:
+            for order in _orders(tuple([base[j] for j in group])):
+                vector = list(base)
+                for j, x in zip(group, order):
+                    vector[j] = x
+                arranged.append(tuple(vector))
+        found = arranged
+    return found
+
+
 def _children(shape: Shape, config: SearchConfig, table: dict):
-    """Every count vector of shape's children that allows a new size, once,
-    as (chosen, used, overlap, multiplicity, sizes, alive).
+    """One count vector of shape's children per orbit of interchangeable
+    edges, for every orbit that allows a new size, as (chosen, used,
+    overlaps, multiplicity, sizes, alive).
 
     A vector takes the lowest-labelled vertices of each vertex class, at
     most as many in all as the largest new edge: chosen is their bitmask
-    (bit v for vertex v), used their number, overlap |chosen & e| for every
-    edge e and multiplicity prod C(|class|, count).  The new edge of a new
-    size s is _new_edge(chosen, n, s - used), no larger than the smallest
-    edge (the non-increasing addition order); sizes is the bitmask (bit s
-    for size s) of those that fit, and alive the part that no dead sub-shape
-    kills.
+    (bit v for vertex v), used their number and multiplicity
+    prod C(|class|, count).  The new edge of a new size s is
+    _new_edge(chosen, n, s - used), no larger than the smallest edge (the
+    non-increasing addition order); sizes is the bitmask (bit s for size s)
+    of those that fit, and alive the part that no dead sub-shape kills.
+
+    Edges whose private runs have one nonzero size and which lie in the same
+    shared classes (keys of two or more edges) form a group of
+    interchangeable edges: the vectors that differ only in how a group's
+    private counts are arranged give isomorphic children, with the same new
+    sizes, sub-shape verdicts and canonical form.  Each grouped edge's
+    private count is capped, class by class, by the group's previous edge's,
+    so one vector stands for its orbit: overlaps holds |new & e| for every
+    edge e under every distinct arrangement of those counts, its own first,
+    and each arrangement weighs multiplicity.
 
     table, one per search, maps each sub-shape type less the new size,
     (|e|, |e & new|) or (|a|, |b|, |new & a|, |new & b|, |a & b|,
@@ -228,16 +278,35 @@ def _children(shape: Shape, config: SearchConfig, table: dict):
                 return 0
         return alive
 
+    classes = shape.vertex_classes()
+    groups: dict[tuple, list[int]] = {}
+    for key, members in classes.items():
+        if len(key) == 1:
+            (j,) = key
+            common = tuple(other for other in classes if len(other) > 1 and j in other)
+            groups.setdefault((len(members), common), []).append(j)
+    # the private run of each grouped edge's previous edge, as a vertex bitmask
+    previous = {}
+    for group in groups.values():
+        for i, j in zip(group, group[1:]):
+            previous[j,] = sum(1 << v for v in classes[i,])
+    swaps = [group for group in groups.values() if len(group) > 1]
+
     vectors = [(0, 0, 1)]
-    for members in shape.vertex_classes().values():
+    for key, members in classes.items():
         options = [(0, 0, 1)]
         for c, v in enumerate(members, 1):
             options.append((c, options[-1][1] | 1 << v, comb(len(members), c)))
-        vectors = [
-            (used + c, chosen | mask, multiplicity * ways)
-            for used, chosen, multiplicity in vectors
-            for c, mask, ways in options[: largest - used + 1]
-        ]
+        run = previous.get(key)
+        grown = []
+        for used, chosen, multiplicity in vectors:
+            cap = largest - used
+            if run is not None:
+                cap = min(cap, (chosen & run).bit_count())
+            grown += [
+                (used + c, chosen | mask, multiplicity * ways) for c, mask, ways in options[: cap + 1]
+            ]
+        vectors = grown
     for used, chosen, multiplicity in vectors:
         top = min(largest, used + spare)
         # an edge of two or more vertices must fit in the fresh ones left
@@ -245,7 +314,7 @@ def _children(shape: Shape, config: SearchConfig, table: dict):
             sizes = (2 << top) - (1 << max(2, used))
             overlap = tuple([(chosen & m).bit_count() for m in masks])
             alive = survivors(chosen, used, overlap, sizes)
-            yield chosen, used, overlap, multiplicity, sizes, alive
+            yield chosen, used, _arrangements(overlap, swaps), multiplicity, sizes, alive
 
 
 def bfs_search(config: SearchConfig) -> SearchResult:
@@ -267,12 +336,13 @@ def bfs_search(config: SearchConfig) -> SearchResult:
         new_frontier: dict[tuple, ShapeRecord] = {}
         for parent in frontier.values():
             n = parent.shape.vertex_count
-            for chosen, used, overlap, multiplicity, sizes, alive in _children(
+            for chosen, used, overlaps, multiplicity, sizes, alive in _children(
                 parent.shape, config, table
             ):
-                result.pruned_count += multiplicity * (sizes & ~alive).bit_count()
+                # each arrangement is a child of its own, isomorphic to chosen's
+                weight = multiplicity * len(overlaps)
+                result.pruned_count += weight * (sizes & ~alive).bit_count()
                 for new_size in _sizes(alive):
-                    key = (new_size, overlap)
                     fresh = new_size - used
                     canon = canonical_form(parent.shape.with_edge(_new_edge(chosen, n, fresh)))
                     values = intersection_value_set(canon, floor=config.threshold)
@@ -282,21 +352,21 @@ def bfs_search(config: SearchConfig) -> SearchResult:
                     else:
                         admissible = values
                     if not admissible:
-                        result.pruned_count += multiplicity
+                        result.pruned_count += weight
                         continue
                     best = max(admissible)
+                    keys = tuple([(new_size, overlap) for overlap in overlaps])
                     record = new_frontier.get(canon.edges)
                     if record is None:
                         new_frontier[canon.edges] = ShapeRecord(
                             shape=canon,
                             max_size=best,
                             values=values,
-                            keys=(key,),
+                            keys=keys,
                         )
                     else:
                         record.max_size = max(record.max_size, best)
-                        if key not in record.keys:
-                            record.keys = record.keys + (key,)
+                        record.keys += tuple([key for key in keys if key not in record.keys])
                     if len(new_frontier) > MAX_FRONTIER_STATES:
                         raise SearchBudgetError(
                             f"frontier exceeded {MAX_FRONTIER_STATES} states"

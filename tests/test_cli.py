@@ -413,7 +413,7 @@ class TestExitContract:
             ["map", "--json", "[1]"],
             ["map", "--json", '{"k":2,"entries":[1]}'],
             ["shape", "--json", "{}"],
-            ["search", "--mode", "exhaustive-large", "--k", "6", "--threshold", "1/100"],
+            ["search", "--mode", "exhaustive-large", "--k", "6", "--threshold", "0"],
             ["window", "hn", "--n", "8", "--out", "{missing_dir}/report.json"],
             ["verify", "antichain", "--ell", "3"],
             ["verify", "antichain", "--ell", "17"],
@@ -484,6 +484,15 @@ class TestExitContract:
             f"error: threshold {threshold} leaves edges of at most 1 vertex, "
             "and edges have at least two vertices\n"
         )
+
+    # the edge bound's scan stops at k: this exited 2 with "too small to
+    # resolve" after scanning 4,096 support sizes for about 2 s
+    def test_search_scans_support_sizes_up_to_k_only(self, capsys):
+        start = time.perf_counter()
+        code = main(["search", "--mode", "exhaustive-large", "--k", "4", "--threshold", "1/100"])
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["result"]["config"]["max_edge_size"] == 4
 
     # limits that live in the library, and flags that exclude each other; the
     # first two ran out of memory or time, as did the 25-vertex shapes and

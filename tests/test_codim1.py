@@ -127,6 +127,16 @@ class TestRatios:
     def test_support_bounds(self, threshold, expected):
         assert support_size_bound(threshold) == expected
 
+    def test_limit_stops_the_scan(self):
+        # 1/100 is passed only past support size 4,096, so the uncapped scan
+        # gives up, and a limit stops it where the bound would not
+        with pytest.raises(ValueError, match="too small to resolve"):
+            support_size_bound(Fraction(1, 100))
+        assert support_size_bound(Fraction(1, 100), 4) == 4
+        assert support_size_bound(Fraction(1, 2), 12) == 7
+        assert support_size_bound(Fraction(1, 2), 7) == 7
+        assert support_size_bound(Fraction(1, 2), 5) == 5
+
     def test_quarter_threshold_exact(self):
         s = support_size_bound(Fraction(1, 4))
         assert Fraction(binomial(s + 1, (s + 1) // 2), 1 << s) > Fraction(1, 4)

@@ -1,6 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 import pytest
 
@@ -220,6 +221,8 @@ class TestExhaustiveSearch:
 class TestClassGenerator:
     @pytest.mark.parametrize("mode", MODES)
     def test_weighted_children_match_labelled_oracle(self, mode):
+        # each arrangement of a vector is counted as a child isomorphic to the
+        # vector's own, under its own key
         for k in range(2, 9):
             config = SearchConfig(mode, k)
             table = {}
@@ -229,23 +232,79 @@ class TestClassGenerator:
                     for child, key, _edge in labelled_children(rec.shape, config)
                 )
                 weighted = Counter()
-                for chosen, used, overlap, multiplicity, _sizes, _alive in _children(
+                for chosen, used, overlaps, multiplicity, _sizes, _alive in _children(
                     rec.shape, config, table
                 ):
                     for new_size, edge in new_edges(rec.shape, config, chosen, used):
-                        child = rec.shape.with_edge(edge)
-                        weighted[canonical_form(child).edges, (new_size, overlap)] += multiplicity
+                        canon = canonical_form(rec.shape.with_edge(edge)).edges
+                        for overlap in overlaps:
+                            weighted[canon, (new_size, overlap)] += multiplicity
                 assert weighted == labelled, (mode, k, rec.shape.edges)
 
     def test_one_child_per_class_choice(self):
-        # four disjoint private runs of sizes 3, 3, 3, 2: a new pair takes
-        # two vertices from one run or one from each of two runs
+        # four disjoint private runs of sizes 3, 3, 3, 2, the first three one
+        # group: a new pair takes two vertices from the first run or the
+        # last, or one from the first and one from the second or the last
         star = Shape.from_edges([(1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11)])
         config = SearchConfig(EXHAUSTIVE_LARGE, 11)
         vectors = list(_children(star, config, {}))
-        assert len(vectors) == 4 + 6
-        weight = sum(multiplicity for _c, _u, _o, multiplicity, _s, _a in vectors)
-        assert weight == len(list(labelled_children(star, config)))
+        assert [overlaps[0] for _c, _u, overlaps, _m, _s, _a in vectors] == [
+            (0, 0, 0, 2),
+            (1, 0, 0, 1),
+            (1, 1, 0, 0),
+            (2, 0, 0, 0),
+        ]
+        weight = sum(m * len(overlaps) for _c, _u, overlaps, m, _s, _a in vectors)
+        assert weight == len(list(labelled_children(star, config))) == comb(11, 2)
+
+    def test_one_vector_per_spoke_pattern_of_a_star(self):
+        # five pairs through vertex 1 form one group: a vector takes the
+        # centre or not and a number of spokes, and its arrangements put the
+        # spokes it takes on every set of edges, each once
+        star = Shape.from_edges([(1, v) for v in range(2, 7)])
+        config = SearchConfig(EXHAUSTIVE_LARGE, 8)
+        vectors = list(_children(star, config, {}))
+        assert [overlaps[0] for _c, _u, overlaps, _m, _s, _a in vectors] == [
+            (0, 0, 0, 0, 0),
+            (1, 0, 0, 0, 0),
+            (1, 1, 0, 0, 0),
+            (1, 1, 1, 1, 1),
+            (2, 1, 1, 1, 1),
+        ]
+        assert [len(overlaps) for _c, _u, overlaps, _m, _s, _a in vectors] == [1, 5, 10, 1, 5]
+        keys = Counter()
+        for chosen, used, overlaps, multiplicity, _sizes, _alive in vectors:
+            for new_size, _edge in new_edges(star, config, chosen, used):
+                for overlap in overlaps:
+                    keys[new_size, overlap] += multiplicity
+        assert keys == Counter(key for _child, key, _edge in labelled_children(star, config))
+
+    @pytest.mark.parametrize(
+        "config",
+        [SearchConfig(EXHAUSTIVE_LARGE, k) for k in range(6, 13)]
+        + [SearchConfig(NON_REDUNDANT_SMALL, k) for k in range(8, 13)],
+        ids=lambda c: f"{c.mode}-{c.k}",
+    )
+    def test_weighted_vectors_count_every_subset_and_size(self, config):
+        # a subset of u of a parent's n vertices and a new size in
+        # max(2, u)..min(largest, u + k - n) make one labelled child; the
+        # vectors, their arrangements and multiplicities count each once
+        table = {}
+        k = config.k
+        for rec in frontier_parents(config):
+            n = rec.shape.vertex_count
+            largest = min(len(rec.shape.edges[-1]), config.max_edge_size)
+            expected = sum(
+                comb(n, u) * max(0, min(largest, u + k - n) - max(2, u) + 1)
+                for u in range(largest + 1)
+            )
+            weighted = sum(
+                multiplicity * len(overlaps) * sizes.bit_count()
+                for _c, _u, overlaps, multiplicity, sizes, _a in _children(
+                    rec.shape, config, table
+                )
+            )
+            assert weighted == expected, rec.shape.edges
 
 
 SOUNDNESS_CONFIGS = [
@@ -326,13 +385,13 @@ class TestBound:
     @pytest.mark.parametrize(
         "mode, labelled",
         [
-            (NON_REDUNDANT_SMALL, {8: 362, 9: 401}),
-            (EXHAUSTIVE_LARGE, {6: 290, 7: 470, 8: 711}),
+            (NON_REDUNDANT_SMALL, {8: 284, 9: 299}),
+            (EXHAUSTIVE_LARGE, {6: 263, 7: 420, 8: 624}),
         ],
     )
     def test_golden_labelled_counts(self, mode, labelled, monkeypatch):
         # bfs_search labels (canonicalises) each child it does not rule out,
-        # one per vertex-class choice; a weaker bound labels more
+        # one per orbit of count vectors; a weaker bound labels more
         calls = []
 
         def counted(shape):
@@ -350,13 +409,13 @@ class TestBound:
     @pytest.mark.parametrize(
         "mode, vectors",
         [
-            (NON_REDUNDANT_SMALL, {8: 1147, 9: 1521}),
-            (EXHAUSTIVE_LARGE, {6: 1075, 7: 2009, 8: 3357}),
+            (NON_REDUNDANT_SMALL, {8: 624, 9: 683}),
+            (EXHAUSTIVE_LARGE, {6: 934, 7: 1667, 8: 2620}),
         ],
     )
     def test_golden_vector_counts(self, mode, vectors, monkeypatch):
         # bfs_search rules out or expands each count vector that allows a
-        # new size once, for all its new sizes
+        # new size once, for all its new sizes and arrangements
         calls = []
 
         def counted(shape, config, table):
@@ -375,7 +434,7 @@ class TestBound:
     @pytest.mark.parametrize(
         "mode, built",
         [
-            (NON_REDUNDANT_SMALL, {8: 260, 9: 288}),
+            (NON_REDUNDANT_SMALL, {8: 249, 9: 277}),
             (EXHAUSTIVE_LARGE, {6: 132, 7: 161, 8: 180}),
         ],
     )
@@ -432,6 +491,20 @@ class TestBound:
         # one per labelled child, as the subset-by-subset generator counted
         assert [searched(SearchConfig(mode, k)).pruned_count for k in (5, 6, 7, 8)] == pruned
 
+    @pytest.mark.parametrize(
+        "mode, raw, pruned",
+        [
+            (NON_REDUNDANT_SMALL, [8, 20, 35, 10, 12, 14, 16, 18, 20, 22, 23, 12], 8930),
+            (EXHAUSTIVE_LARGE, [6, 17, 36, 52, 84, 116, 176, 242, 353, 488, 692, 933], 43828),
+        ],
+    )
+    def test_golden_raw_and_pruned_counts_at_k12(self, mode, raw, pruned):
+        # the raw survivors of each depth and the pruned children, as the
+        # generator that labelled every count vector counted them
+        result = searched(SearchConfig(mode, 12))
+        assert [sum(rec.raw_count() for rec in records) for records in result.depths] == raw
+        assert result.pruned_count == pruned
+
 
 class TestSmallerSearches:
     @pytest.mark.parametrize(
@@ -452,6 +525,29 @@ class TestSmallerSearches:
                 if r.shape.vertex_count <= k
             ]
             assert view(small[depth] if depth < len(small) else []) == view(restricted)
+
+
+class TestSmallAgainstExhaustive:
+    # the small search's redundancy skip drops a state only when a search
+    # with fewer conditions already reached its sizes, so up to every depth
+    # it finds the values that the exhaustive search finds
+
+    @pytest.mark.parametrize("k", range(6, 13))
+    def test_half_threshold_values_match_at_every_depth(self, k):
+        small = searched(SearchConfig(NON_REDUNDANT_SMALL, k, threshold=Fraction(1, 2)))
+        large = searched(SearchConfig(EXHAUSTIVE_LARGE, k))
+        assert small.terminated_naturally
+        for m in range(1, k + 1):
+            assert small.all_values_scaled(m) == large.all_values_scaled(m), m
+
+    @pytest.mark.parametrize("k", [8, 9])
+    def test_small_threshold_values_match_at_every_depth(self, k):
+        small = searched(SearchConfig(NON_REDUNDANT_SMALL, k))
+        large = searched(
+            SearchConfig(EXHAUSTIVE_LARGE, k, threshold=Fraction(15, 32), max_edges=k)
+        )
+        for m in range(1, k + 1):
+            assert small.all_values_scaled(m) == large.all_values_scaled(m), m
 
 
 class TestFrontierCompleteness:
@@ -500,6 +596,11 @@ class TestDeterminism:
         for k in (25, 10**9):
             with pytest.raises(ValueError, match=f"k={k} is outside 2..24"):
                 SearchConfig(EXHAUSTIVE_LARGE, k)
+
+    def test_edge_bound_stops_at_k(self):
+        # 1/100 is beaten by every support size up to 4,096; the scan stops at k
+        assert SearchConfig(EXHAUSTIVE_LARGE, 4, threshold=Fraction(1, 100)).max_edge_size == 4
+        assert SearchConfig(EXHAUSTIVE_LARGE, 12).max_edge_size == 7
 
     def test_default_depths(self):
         assert SearchConfig(EXHAUSTIVE_LARGE, 8).max_edges == 8
