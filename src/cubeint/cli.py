@@ -306,7 +306,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (
         ValueError,
-        IndexError,
         OSError,
         EnumerationBudgetError,
         SearchBudgetError,

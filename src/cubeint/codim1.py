@@ -58,23 +58,18 @@ def large_codim1_sizes(k: int) -> tuple[int, ...]:
     return tuple(sorted(found))
 
 
-def support_size_bound(threshold: Fraction, limit: int | None = None) -> int:
-    """Largest row support size whose best single-row fraction beats threshold,
-    or limit if that is smaller.
+def support_size_bound(threshold: Fraction, k: int) -> int:
+    """Largest row support size s in 1..k whose best single-row fraction beats
+    threshold.
 
     The best fraction for support size s is C(s+1, floor((s+1)/2)) / 2^s, which
-    is non-increasing in s, so a forward scan terminates; with no limit it
-    gives up past 4096.
+    is non-increasing in s, so the scan stops at the first s that fails.
     """
     threshold = Fraction(threshold)
     if not 0 < threshold < 1:
         raise ValueError("threshold must lie strictly between 0 and 1")
     # s = 1 has ratio C(2, 1) / 2 = 1, so it beats every such threshold
     s = 1
-    while True:
-        ratio = Fraction(binomial(s + 1, (s + 1) // 2), 1 << s)
-        if ratio <= threshold or s - 1 == limit:
-            return s - 1
+    while s < k and Fraction(binomial(s + 2, (s + 2) // 2), 1 << (s + 1)) > threshold:
         s += 1
-        if s > 4096:
-            raise ValueError(f"threshold {threshold} is too small to resolve")
+    return s

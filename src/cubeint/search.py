@@ -123,15 +123,15 @@ class ShapeRecord:
 
     ``values`` are its sizes above the threshold, ascending, and ``max_size``
     the best admissible one; shapes.max_intersection gives a witness.
-    ``keys`` distinguishes the inequivalent ways the state was produced (size
-    of the added edge plus its overlap profile with the parent's edges); each
-    counts as one raw survivor, which is how the historical raw counts arise.
+    ``keys`` is the set of distinct ways the state was produced (size of the
+    added edge plus its overlap profile with the parent's edges); each counts
+    as one raw survivor, which is how the historical raw counts arise.
     """
 
     shape: Shape
     max_size: int
     values: tuple[int, ...]
-    keys: tuple
+    keys: set[tuple[int, tuple[int, ...]]]
 
     @property
     def fraction(self) -> Fraction:
@@ -323,12 +323,7 @@ def bfs_search(config: SearchConfig) -> SearchResult:
     for size in range(2, config.max_edge_size + 1):
         shape = Shape((tuple(range(1, size + 1)),))
         values = intersection_value_set(shape, floor=config.threshold)
-        frontier[shape.edges] = ShapeRecord(
-            shape=shape,
-            max_size=max(values),
-            values=values,
-            keys=((size, ()),),
-        )
+        frontier[shape.edges] = ShapeRecord(shape, max(values), values, {(size, ())})
     result.depths.append(_sorted_records(frontier))
     table: dict[tuple, tuple[int, int]] = {}
 
@@ -354,19 +349,9 @@ def bfs_search(config: SearchConfig) -> SearchResult:
                     if not admissible:
                         result.pruned_count += weight
                         continue
-                    best = max(admissible)
-                    keys = tuple([(new_size, overlap) for overlap in overlaps])
-                    record = new_frontier.get(canon.edges)
-                    if record is None:
-                        new_frontier[canon.edges] = ShapeRecord(
-                            shape=canon,
-                            max_size=best,
-                            values=values,
-                            keys=keys,
-                        )
-                    else:
-                        record.max_size = max(record.max_size, best)
-                        record.keys += tuple([key for key in keys if key not in record.keys])
+                    record = new_frontier.setdefault(canon.edges, ShapeRecord(canon, 0, values, set()))
+                    record.max_size = max(record.max_size, max(admissible))
+                    record.keys.update([(new_size, overlap) for overlap in overlaps])
                     if len(new_frontier) > MAX_FRONTIER_STATES:
                         raise SearchBudgetError(
                             f"frontier exceeded {MAX_FRONTIER_STATES} states"

@@ -215,8 +215,11 @@ class TestDeterminism:
         [
             ["verify", "small", "--k", "8"],
             ["shape", "--edges", "1,2,3;1,2,4;1,2"],
+            # a record's keys are a set; its raw multiplicity is their number,
+            # and at 3/8 keys collide
+            ["search", "--mode", "exhaustive-large", "--k", "5", "--threshold", "3/8"],
         ],
-        ids=["verify_small_k8", "shape_centre_edge"],
+        ids=["verify_small_k8", "shape_centre_edge", "search_large_k5_three_eighths"],
     )
     def test_output_does_not_depend_on_the_hash_seed(self, argv):
         src = os.path.dirname(os.path.dirname(cubeint.__file__))

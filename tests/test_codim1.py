@@ -11,7 +11,7 @@ from cubeint.codim1 import (
     large_codim1_sizes,
     support_size_bound,
 )
-from cubeint.cube import LinearMap, intersection_size
+from cubeint.cube import MAX_DIMENSION, LinearMap, intersection_size
 from cubeint.theorems import large_membership_witnesses
 from lemmas import central_ratio, central_ratio_nonincreasing
 from oracles import level_count
@@ -125,20 +125,19 @@ class TestRatios:
         [(Fraction(1, 2), 7), (Fraction(15, 32), 9)],
     )
     def test_support_bounds(self, threshold, expected):
-        assert support_size_bound(threshold) == expected
+        assert support_size_bound(threshold, MAX_DIMENSION) == expected
 
-    def test_limit_stops_the_scan(self):
-        # 1/100 is passed only past support size 4,096, so the uncapped scan
-        # gives up, and a limit stops it where the bound would not
-        with pytest.raises(ValueError, match="too small to resolve"):
-            support_size_bound(Fraction(1, 100))
+    def test_k_stops_the_scan(self):
+        # 1/100 is passed only past support size 4,096, so k stops the scan
+        # where the bound would not
         assert support_size_bound(Fraction(1, 100), 4) == 4
         assert support_size_bound(Fraction(1, 2), 12) == 7
         assert support_size_bound(Fraction(1, 2), 7) == 7
         assert support_size_bound(Fraction(1, 2), 5) == 5
 
     def test_quarter_threshold_exact(self):
-        s = support_size_bound(Fraction(1, 4))
+        # the bound for 1/4 is 39, past MAX_DIMENSION, so k = 64 does not cap it
+        s = support_size_bound(Fraction(1, 4), 64)
         assert Fraction(binomial(s + 1, (s + 1) // 2), 1 << s) > Fraction(1, 4)
         assert Fraction(binomial(s + 2, (s + 2) // 2), 1 << (s + 1)) <= Fraction(1, 4)
 

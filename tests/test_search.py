@@ -505,6 +505,17 @@ class TestBound:
         assert [sum(rec.raw_count() for rec in records) for records in result.depths] == raw
         assert result.pruned_count == pruned
 
+    @pytest.mark.parametrize(
+        "mode, raw",
+        [(EXHAUSTIVE_LARGE, [3, 10, 41, 140]), (NON_REDUNDANT_SMALL, [3, 9, 30, 81, 6])],
+    )
+    def test_colliding_keys_count_once(self, mode, raw):
+        # at 3/8 two children of one record can share a (new size, overlap)
+        # key; each distinct key is one raw survivor, so keeping the repeats
+        # would read 144 and 85 at depth 4
+        result = searched(SearchConfig(mode, 4, threshold=Fraction(3, 8)))
+        assert [sum(rec.raw_count() for rec in records) for records in result.depths] == raw
+
 
 class TestSmallerSearches:
     @pytest.mark.parametrize(
