@@ -38,8 +38,11 @@ along each group of interchangeable edges (the edge-interchange half of the
 lex-leader rule of Crawford, Ginsberg, Luks & Roy, KR 1996).  It is labelled
 once; every distinct arrangement of its counts is a child of its own, with
 its own key and the same multiplicity, so the keys, raw survivor counts and
-``pruned_count`` stay those of the subset-by-subset enumeration.
-Automorphisms that move a shared class are not used.
+``pruned_count`` stay those of the subset-by-subset enumeration.  Only a
+vector that keeps a new size lists its arrangements, for their keys; a
+ruled-out one is weighed by their number, a product of multinomial
+coefficients over the groups (_arrangement_count).  Automorphisms that move
+a shared class are not used.
 
 One pass per parent (_children) yields each orbit's count vector with the
 new sizes it allows and those that survive: a child is ruled out before it
@@ -51,12 +54,14 @@ the vertices outside it, and a dead sub-shape kills the child (the downward
 closure of Agrawal & Srikant's Apriori).  A two-edge type (|e|, |e & new|) or a three-edge type
 (|a|, |b|, |new & a|, |new & b|, |a & b|, |new & a & b|), together with the
 new size, fixes the Venn-region counts of its edges, and so the sub-shape up
-to isomorphism.  Fresh vertices lie in no parent edge, so a count vector
+to isomorphism: it is laid out from the type alone (_sub_shape), without the
+parent's edges.  Fresh vertices lie in no parent edge, so a count vector
 fixes every type whatever its new size, and is ruled out for all its new
 sizes at once, from one table per search of each type's verdicts.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -152,12 +157,12 @@ class SearchResult:
         """Above-threshold values of every survivor, padded with isolated
         coordinates up to dimension config.k."""
         k = self.config.k
-        return {
-            v << (k - rec.shape.vertex_count)
-            for records in self.depths[:max_depth]
-            for rec in records
-            for v in rec.values
-        }
+        values = set()
+        for records in self.depths[:max_depth]:
+            for rec in records:
+                shift = k - rec.shape.vertex_count
+                values.update([v << shift for v in rec.values])
+        return values
 
 
 def _new_edge(chosen: int, n: int, fresh: int) -> tuple[int, ...]:
@@ -185,6 +190,19 @@ def _orders(values: tuple):
             yield (value,) + rest
 
 
+def _arrangement_count(overlap: tuple, groups: list) -> int:
+    """How many arrangements _arrangements lists, without listing them: the
+    product over the groups of the multinomial coefficient of how often each
+    value stands at the group's edge positions."""
+    count = 1
+    for group in groups:
+        placed = 0
+        for run in Counter([overlap[j] for j in group]).values():
+            placed += run
+            count *= comb(placed, run)
+    return count
+
+
 def _arrangements(overlap: tuple, groups: list) -> list[tuple]:
     """overlap with the entries at each group's edge positions put in every
     distinct order; the first is overlap itself when they do not increase
@@ -202,10 +220,43 @@ def _arrangements(overlap: tuple, groups: list) -> list[tuple]:
     return found
 
 
+def _sub_shape(key: tuple, new_size: int) -> Shape:
+    """The sub-shape of one type (see _children) and new size, in normal
+    form.  Its Venn regions are consecutive runs of vertices, those of the
+    first parent edge first: that edge holds 1..|e|, and each later edge
+    holds runs of the vertices before it and then the next fresh ones, so
+    Shape.with_edge sorts it into place."""
+    if len(key) == 2:
+        size, x = key
+        edges = ([], [])
+        regions = [(x, (0, 1)), (size - x, (0,)), (new_size - x, (1,))]
+    else:
+        a, b, na, nb, ab, nab = key
+        edges = ([], [], [])
+        regions = [
+            (nab, (0, 1, 2)),
+            (ab - nab, (0, 1)),
+            (na - nab, (0, 2)),
+            (a - na - ab + nab, (0,)),
+            (nb - nab, (1, 2)),
+            (b - nb - ab + nab, (1,)),
+            (new_size - na - nb + nab, (2,)),
+        ]
+    start = 1
+    for count, members in regions:
+        for j in members:
+            edges[j].extend(range(start, start + count))
+        start += count
+    shape = Shape((tuple(edges[0]),))
+    for edge in edges[1:]:
+        shape = shape.with_edge(tuple(edge))
+    return shape
+
+
 def _children(shape: Shape, config: SearchConfig, table: dict):
     """One count vector of shape's children per orbit of interchangeable
     edges, for every orbit that allows a new size, as (chosen, used,
-    overlaps, multiplicity, sizes, alive).
+    overlap, swaps, multiplicity, sizes, alive).
 
     A vector takes the lowest-labelled vertices of each vertex class, at
     most as many in all as the largest new edge: chosen is their bitmask
@@ -221,17 +272,20 @@ def _children(shape: Shape, config: SearchConfig, table: dict):
     private counts are arranged give isomorphic children, with the same new
     sizes, sub-shape verdicts and canonical form.  Each grouped edge's
     private count is capped, class by class, by the group's previous edge's,
-    so one vector stands for its orbit: overlaps holds |new & e| for every
-    edge e under every distinct arrangement of those counts, its own first,
-    and each arrangement weighs multiplicity.
+    so one vector stands for its orbit: overlap holds |new & e| for every
+    edge e, and swaps, the same list for every vector of shape, holds the
+    groups' edge positions.  Each distinct arrangement of overlap along the
+    groups (_arrangements, its own first) weighs multiplicity; the caller
+    lists them only for a vector with a surviving size, and otherwise counts
+    them (_arrangement_count).
 
     table, one per search, maps each sub-shape type less the new size,
     (|e|, |e & new|) or (|a|, |b|, |new & a|, |new & b|, |a & b|,
     |new & a & b|), to two new-size bitmasks, asked and dead; a check is one
     lookup and one AND.  |new & a & b| is |chosen & a & b|, since fresh
     vertices lie in no parent edge.  The first time a size of a type is
-    asked for, its sub-shape is built from the edges in hand, and its value
-    set above the threshold decides the verdict.
+    asked for, its sub-shape is laid out from the type and that size
+    (_sub_shape), and its value set above the threshold decides the verdict.
     """
     edges = shape.edges
     n = shape.vertex_count
@@ -247,24 +301,23 @@ def _children(shape: Shape, config: SearchConfig, table: dict):
             both = masks[i] & masks[j]
             pairs.append((i, j, edge_sizes[i], edge_sizes[j], both.bit_count(), both))
 
-    def ask(key: tuple, todo: int, others: tuple, chosen: int, used: int) -> int:
-        """Build and test the sub-shape of others and the new edge for each
-        new size in todo; record them under key and return its dead sizes."""
+    def ask(key: tuple, todo: int) -> int:
+        """Test the sub-shape that key and each new size in todo lay out
+        (_sub_shape); record them under key and return its dead sizes."""
         asked, dead = table.get(key, (0, 0))
         for new_size in _sizes(todo):
-            sub = Shape.from_edges(others + (_new_edge(chosen, n, new_size - used),))
-            if not intersection_value_set(sub, floor=config.threshold):
+            if not intersection_value_set(_sub_shape(key, new_size), floor=config.threshold):
                 dead |= 1 << new_size
         table[key] = asked | todo, dead
         return dead
 
-    def survivors(chosen: int, used: int, overlap: tuple, alive: int) -> int:
+    def survivors(chosen: int, overlap: tuple, alive: int) -> int:
         """alive less every new size that a dead sub-shape of the vector kills."""
-        for e, size, x in zip(edges, edge_sizes, overlap):
+        for size, x in zip(edge_sizes, overlap):
             key = size, x
             asked, dead = table.get(key, (0, 0))
             if alive & ~asked:
-                dead = ask(key, alive & ~asked, (e,), chosen, used)
+                dead = ask(key, alive & ~asked)
             alive &= ~dead
             if not alive:
                 return 0
@@ -272,7 +325,7 @@ def _children(shape: Shape, config: SearchConfig, table: dict):
             key = a, b, overlap[i], overlap[j], ab, (chosen & both).bit_count()
             asked, dead = table.get(key, (0, 0))
             if alive & ~asked:
-                dead = ask(key, alive & ~asked, (edges[i], edges[j]), chosen, used)
+                dead = ask(key, alive & ~asked)
             alive &= ~dead
             if not alive:
                 return 0
@@ -313,8 +366,8 @@ def _children(shape: Shape, config: SearchConfig, table: dict):
         if top >= 2:
             sizes = (2 << top) - (1 << max(2, used))
             overlap = tuple([(chosen & m).bit_count() for m in masks])
-            alive = survivors(chosen, used, overlap, sizes)
-            yield chosen, used, _arrangements(overlap, swaps), multiplicity, sizes, alive
+            alive = survivors(chosen, overlap, sizes)
+            yield chosen, used, overlap, swaps, multiplicity, sizes, alive
 
 
 def bfs_search(config: SearchConfig) -> SearchResult:
@@ -331,10 +384,16 @@ def bfs_search(config: SearchConfig) -> SearchResult:
         new_frontier: dict[tuple, ShapeRecord] = {}
         for parent in frontier.values():
             n = parent.shape.vertex_count
-            for chosen, used, overlaps, multiplicity, sizes, alive in _children(
+            for chosen, used, overlap, swaps, multiplicity, sizes, alive in _children(
                 parent.shape, config, table
             ):
-                # each arrangement is a child of its own, isomorphic to chosen's
+                # each arrangement is a child of its own, isomorphic to chosen's;
+                # a ruled-out vector's are counted, not listed
+                if not alive:
+                    count = _arrangement_count(overlap, swaps)
+                    result.pruned_count += multiplicity * count * sizes.bit_count()
+                    continue
+                overlaps = _arrangements(overlap, swaps)
                 weight = multiplicity * len(overlaps)
                 result.pruned_count += weight * (sizes & ~alive).bit_count()
                 for new_size in _sizes(alive):

@@ -62,7 +62,7 @@ class Shape:
 
     @property
     def vertex_count(self) -> int:
-        return max(v for edge in self.edges for v in edge)
+        return max([edge[-1] for edge in self.edges])
 
     def vertex_classes(self) -> dict[tuple[int, ...], list[int]]:
         """Each tuple of incident edge indices, mapped to the ascending

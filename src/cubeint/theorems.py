@@ -80,6 +80,18 @@ class Report:
 # ---------------------------------------------------------------------------
 
 
+# The entries of the program's own witness maps: exact units, shared by every
+# map, so no map the program builds goes through the input parser
+# (LinearMap.from_rows).
+_UNITS = {-1: Fraction(-1), 0: Fraction(0), 1: Fraction(1)}
+
+
+def _unit_map(k: int, rows: Sequence[Sequence[int]]) -> LinearMap:
+    """The map of rows of entries in -1..1, each padded with zeros to k."""
+    zeros = (_UNITS[0],) * k
+    return LinearMap(k, tuple(tuple([_UNITS[v] for v in row]) + zeros[len(row) :] for row in rows))
+
+
 def build_21_star_map(k: int) -> LinearMap:
     """k conditions on k+1 coordinates through a common last coordinate,
     achieving 2^k + 1."""
@@ -91,19 +103,15 @@ def build_21_star_map(k: int) -> LinearMap:
         row[j] = 1
         row[k] = 1
         rows.append(row)
-    return LinearMap.from_rows(k + 1, rows)
+    return _unit_map(k + 1, rows)
 
 
 def _single_row_map(plus: int, minus: int, zero: int) -> LinearMap:
-    row = [1] * plus + [-1] * minus + [0] * zero
-    return LinearMap.from_rows(len(row), [row])
+    return _unit_map(plus + minus + zero, [[1] * plus + [-1] * minus])
 
 
 def _padded(rows: list[list[int]], k: int, m: int) -> LinearMap:
-    out = [row + [0] * (k - len(row)) for row in rows]
-    while len(out) < m:
-        out.append([0] * k)
-    return LinearMap.from_rows(k, out)
+    return _unit_map(k, rows + [[]] * (m - len(rows)))
 
 
 # ---------------------------------------------------------------------------

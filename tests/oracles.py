@@ -5,7 +5,7 @@ from itertools import combinations, permutations, product
 
 from cubeint.codim1 import binomial
 from cubeint.cube import LinearMap, _scaled_row, evaluate_pattern, row_mask
-from cubeint.search import EXHAUSTIVE_LARGE, SearchConfig
+from cubeint.search import EXHAUSTIVE_LARGE, SearchConfig, _new_edge
 from cubeint.shapes import Edge, Shape, _edge_key, max_intersection
 
 
@@ -202,6 +202,14 @@ def walked_dead_triples(config: SearchConfig, types) -> frozenset:
         if best * den <= num << shape.vertex_count:
             dead.add(triple)
     return frozenset(dead)
+
+
+def reference_sub_shape(others: tuple, chosen: int, n: int, fresh: int) -> Shape:
+    """A sub-shape of a child, built from the parent's edges in hand: others
+    (one or two parent edges) and the new edge of the chosen vertices (a
+    bitmask over the parent's n) and `fresh` new ones, relabelled by
+    Shape.from_edges.  search._sub_shape lays it out from its type alone."""
+    return Shape.from_edges(others + (_new_edge(chosen, n, fresh),))
 
 
 def brute_canonical_form(shape: Shape) -> Shape:

@@ -131,6 +131,14 @@ class TestDeterminism:
                 "20cb6be38f78a9a2d83e8ab6317b340f6bb280d5ddf40bd176586baa5024abc4",
             ),
             (
+                ["verify", "large", "--k", "7"],
+                "904a6bfdbd3aa93c174a9faa2f4c60fc0d8ea78d2fbd7774b41f089fc3aa3033",
+            ),
+            (
+                ["verify", "large", "--k", "8"],
+                "21070580fcfe6cf0e73a69e88536a542204533287ec4a909189d6789771d5e0e",
+            ),
+            (
                 ["verify", "small", "--k", "8"],
                 "5c4c0d2a7b64ceee2810098139561256609766c22f9614dee88ca72dce2dfa05",
             ),
@@ -190,6 +198,8 @@ class TestDeterminism:
             "window_n10",
             "window_n24",
             "verify_large_k6",
+            "verify_large_k7",
+            "verify_large_k8",
             "verify_small_k8",
             "search_large_k6",
             "search_small_k8",

@@ -10,8 +10,11 @@ from cubeint.search import (
     MODES,
     NON_REDUNDANT_SMALL,
     SearchConfig,
+    _arrangement_count,
+    _arrangements,
     _children,
     _new_edge,
+    _sub_shape,
     bfs_search,
 )
 from cubeint.shapes import (
@@ -25,11 +28,13 @@ from cubeint.shapes import (
 )
 from cubeint.theorems import expected_small_families
 from oracles import (
+    assert_normal_shape,
     assignment_intersection,
     brute_canonical_form,
     brute_frontier,
     labelled_children,
     pair_types,
+    reference_sub_shape,
     reference_value_set,
     shape_fraction,
     triple_types,
@@ -232,13 +237,14 @@ class TestClassGenerator:
                     for child, key, _edge in labelled_children(rec.shape, config)
                 )
                 weighted = Counter()
-                for chosen, used, overlaps, multiplicity, _sizes, _alive in _children(
+                for chosen, used, overlap, swaps, multiplicity, _sizes, _alive in _children(
                     rec.shape, config, table
                 ):
+                    overlaps = _arrangements(overlap, swaps)
                     for new_size, edge in new_edges(rec.shape, config, chosen, used):
                         canon = canonical_form(rec.shape.with_edge(edge)).edges
-                        for overlap in overlaps:
-                            weighted[canon, (new_size, overlap)] += multiplicity
+                        for arranged in overlaps:
+                            weighted[canon, (new_size, arranged)] += multiplicity
                 assert weighted == labelled, (mode, k, rec.shape.edges)
 
     def test_one_child_per_class_choice(self):
@@ -248,13 +254,15 @@ class TestClassGenerator:
         star = Shape.from_edges([(1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11)])
         config = SearchConfig(EXHAUSTIVE_LARGE, 11)
         vectors = list(_children(star, config, {}))
-        assert [overlaps[0] for _c, _u, overlaps, _m, _s, _a in vectors] == [
+        assert [overlap for _c, _u, overlap, _g, _m, _s, _a in vectors] == [
             (0, 0, 0, 2),
             (1, 0, 0, 1),
             (1, 1, 0, 0),
             (2, 0, 0, 0),
         ]
-        weight = sum(m * len(overlaps) for _c, _u, overlaps, m, _s, _a in vectors)
+        weight = sum(
+            m * len(_arrangements(overlap, swaps)) for _c, _u, overlap, swaps, m, _s, _a in vectors
+        )
         assert weight == len(list(labelled_children(star, config))) == comb(11, 2)
 
     def test_one_vector_per_spoke_pattern_of_a_star(self):
@@ -264,16 +272,19 @@ class TestClassGenerator:
         star = Shape.from_edges([(1, v) for v in range(2, 7)])
         config = SearchConfig(EXHAUSTIVE_LARGE, 8)
         vectors = list(_children(star, config, {}))
-        assert [overlaps[0] for _c, _u, overlaps, _m, _s, _a in vectors] == [
+        assert [overlap for _c, _u, overlap, _g, _m, _s, _a in vectors] == [
             (0, 0, 0, 0, 0),
             (1, 0, 0, 0, 0),
             (1, 1, 0, 0, 0),
             (1, 1, 1, 1, 1),
             (2, 1, 1, 1, 1),
         ]
-        assert [len(overlaps) for _c, _u, overlaps, _m, _s, _a in vectors] == [1, 5, 10, 1, 5]
+        arranged = [
+            _arrangements(overlap, swaps) for _c, _u, overlap, swaps, _m, _s, _a in vectors
+        ]
+        assert [len(overlaps) for overlaps in arranged] == [1, 5, 10, 1, 5]
         keys = Counter()
-        for chosen, used, overlaps, multiplicity, _sizes, _alive in vectors:
+        for (chosen, used, _o, _g, multiplicity, _s, _a), overlaps in zip(vectors, arranged):
             for new_size, _edge in new_edges(star, config, chosen, used):
                 for overlap in overlaps:
                     keys[new_size, overlap] += multiplicity
@@ -288,7 +299,8 @@ class TestClassGenerator:
     def test_weighted_vectors_count_every_subset_and_size(self, config):
         # a subset of u of a parent's n vertices and a new size in
         # max(2, u)..min(largest, u + k - n) make one labelled child; the
-        # vectors, their arrangements and multiplicities count each once
+        # vectors, their arrangements and multiplicities count each once; the
+        # closed form that weighs a ruled-out vector counts its arrangements
         table = {}
         k = config.k
         for rec in frontier_parents(config):
@@ -298,12 +310,13 @@ class TestClassGenerator:
                 comb(n, u) * max(0, min(largest, u + k - n) - max(2, u) + 1)
                 for u in range(largest + 1)
             )
-            weighted = sum(
-                multiplicity * len(overlaps) * sizes.bit_count()
-                for _c, _u, overlaps, multiplicity, sizes, _a in _children(
-                    rec.shape, config, table
-                )
-            )
+            weighted = 0
+            for _c, _u, overlap, swaps, multiplicity, sizes, _a in _children(
+                rec.shape, config, table
+            ):
+                count = len(_arrangements(overlap, swaps))
+                assert _arrangement_count(overlap, swaps) == count, (rec.shape.edges, overlap)
+                weighted += multiplicity * count * sizes.bit_count()
             assert weighted == expected, rec.shape.edges
 
 
@@ -322,7 +335,7 @@ class TestBound:
         table = {}
         ruled = 0
         for rec in frontier_parents(config):
-            for chosen, used, _overlap, _multiplicity, sizes, alive in _children(
+            for chosen, used, _overlap, _swaps, _multiplicity, sizes, alive in _children(
                 rec.shape, config, table
             ):
                 expanded = list(new_edges(rec.shape, config, chosen, used))
@@ -334,6 +347,58 @@ class TestBound:
                         assert reference_dead(child, config.threshold), child.edges
         # from k = 5 on every one of these searches has children to rule out
         assert ruled or config.k < 5
+
+    @pytest.mark.parametrize(
+        "config", SOUNDNESS_CONFIGS, ids=lambda c: f"{c.mode}-{c.k}-{c.threshold}"
+    )
+    def test_type_built_sub_shapes_match_the_edges_in_hand(self, config, monkeypatch):
+        # every (type, new size) a fresh search asks is laid out from its type
+        # alone, in normal form, and is isomorphic to the sub-shape of the
+        # parent's edges and the new edge of the first vector that has it
+        tables = []
+
+        def spied(shape, config, table):
+            tables.append(table)
+            return _children(shape, config, table)
+
+        monkeypatch.setattr("cubeint.search._children", spied)
+        bfs_search(config)
+        asked = {
+            (key, new_size)
+            for key, (sizes, _dead) in (tables[0] if tables else {}).items()
+            for new_size in range(sizes.bit_length())
+            if sizes >> new_size & 1
+        }
+        in_hand = {}
+        for rec in frontier_parents(config):
+            edges = rec.shape.edges
+            n = rec.shape.vertex_count
+            masks = [sum(1 << v for v in e) for e in edges]
+            for chosen, used, overlap, _g, _m, sizes, _a in _children(rec.shape, config, {}):
+                subs = [((len(e), x), (e,)) for e, x in zip(edges, overlap)]
+                for j in range(len(edges)):
+                    for i in range(j):
+                        both = masks[i] & masks[j]
+                        key = (
+                            len(edges[i]),
+                            len(edges[j]),
+                            overlap[i],
+                            overlap[j],
+                            both.bit_count(),
+                            (chosen & both).bit_count(),
+                        )
+                        subs.append((key, (edges[i], edges[j])))
+                for new_size, _edge in new_edges(rec.shape, config, chosen, used):
+                    for key, others in subs:
+                        if (key, new_size) in asked and (key, new_size) not in in_hand:
+                            fresh = new_size - used
+                            in_hand[key, new_size] = reference_sub_shape(others, chosen, n, fresh)
+        assert set(in_hand) == asked
+        assert asked or config.k < 4
+        for (key, new_size), reference in in_hand.items():
+            built = _sub_shape(key, new_size)
+            assert_normal_shape(built)
+            assert canonical_form(built) == canonical_form(reference), (key, new_size)
 
     @pytest.mark.parametrize(
         "config",
@@ -372,7 +437,7 @@ class TestBound:
         labelled = 0
         for records in searched(config).depths[: config.max_edges - 1]:
             for rec in records:
-                for chosen, used, _overlap, _multiplicity, _sizes, alive in _children(
+                for chosen, used, _overlap, _swaps, _multiplicity, _sizes, alive in _children(
                     rec.shape, config, table
                 ):
                     for new_size, edge in new_edges(rec.shape, config, chosen, used):
@@ -430,6 +495,30 @@ class TestBound:
             bfs_search(SearchConfig(mode, k))
             counts[k] = len(calls)
         assert counts == vectors
+
+    @pytest.mark.parametrize(
+        "mode, arranged",
+        [
+            (NON_REDUNDANT_SMALL, {8: 255, 9: 268}),
+            (EXHAUSTIVE_LARGE, {6: 238, 7: 382, 8: 569}),
+        ],
+    )
+    def test_golden_arrangement_counts(self, mode, arranged, monkeypatch):
+        # bfs_search lists the arrangements of each vector that keeps a new
+        # size, once; a ruled-out vector's are counted in closed form
+        calls = []
+
+        def counted(overlap, groups):
+            calls.append(overlap)
+            return _arrangements(overlap, groups)
+
+        monkeypatch.setattr("cubeint.search._arrangements", counted)
+        counts = {}
+        for k in arranged:
+            calls.clear()
+            bfs_search(SearchConfig(mode, k))
+            counts[k] = len(calls)
+        assert counts == arranged
 
     @pytest.mark.parametrize(
         "mode, built",

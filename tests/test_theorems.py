@@ -115,6 +115,23 @@ class TestLargeChain:
                 assert witness.m == extra
                 assert intersection_size(witness) == size
 
+    def test_unit_maps_are_the_parsed_integer_rows(self):
+        # the program builds its witness maps from shared exact units, not
+        # through the input parser; each must be what the parser makes of
+        # its integer rows
+        maps = [
+            witness
+            for k in range(6, 13)
+            for m in range(k + 1)
+            for witness in large_membership_witnesses(k, m).values()
+        ]
+        maps += [build_21_star_map(j) for j in range(2, 13)]
+        maps += [witness for n in range(8, 25) for witness in h_n_window(n).values()]
+        for witness in maps:
+            assert all(type(v) is Fraction for row in witness.entries for v in row)
+            rows = [[int(v) for v in row] for row in witness.entries]
+            assert witness == LinearMap.from_rows(witness.k, rows), rows
+
     def test_verify_k6(self):
         report = verify_large_sets(6)
         assert report.passed, report.to_json_dict()
