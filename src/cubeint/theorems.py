@@ -144,7 +144,7 @@ def large_membership_witnesses(k: int, extra_rows: int) -> dict[int, LinearMap]:
         put((1 << (k - 1)) + (1 << (k - 4)), [[1, -1, 0, 0], [0, 0, 1, -1]])
     for j in range(3, min(m, k - 1) + 1):
         star = build_21_star_map(j)
-        rows = [list(row) for row in star.entries]
+        rows = [[int(v) for v in row] for row in star.entries]
         put(((1 << j) + 1) << (k - j - 1), rows)
     return witnesses
 
