@@ -3,6 +3,7 @@
 __version__ = "0.1.0"
 
 from .cube import (
+    BudgetError,
     LinearMap,
     evaluate_pattern,
     intersection_size,
@@ -15,7 +16,6 @@ from .codim1 import (
     support_size_bound,
 )
 from .shapes import (
-    CanonicalBudgetError,
     Shape,
     canonical_form,
     classify_star,
@@ -28,7 +28,7 @@ from .search import (
 )
 
 __all__ = [
-    "CanonicalBudgetError",
+    "BudgetError",
     "LinearMap",
     "Shape",
     "SearchConfig",

@@ -10,7 +10,6 @@ from fractions import Fraction
 from . import __version__
 from .codim1 import codim1_table, large_codim1_sizes
 from .cube import (
-    EnumerationBudgetError,
     LinearMap,
     as_fraction,
     evaluate_pattern,
@@ -20,7 +19,6 @@ from .cube import (
 from .search import (
     EXHAUSTIVE_LARGE,
     NON_REDUNDANT_SMALL,
-    SearchBudgetError,
     SearchConfig,
     bfs_search,
 )
@@ -70,9 +68,8 @@ def _emit(payload: dict, args) -> None:
 
 
 def _write(text: str, args) -> None:
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -304,12 +301,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
         return args.func(args)
-    except (
-        ValueError,
-        OSError,
-        EnumerationBudgetError,
-        SearchBudgetError,
-    ) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -27,8 +27,9 @@ MAX_DIMENSION = 24
 ORACLE_WORK_BUDGET = 5_000_000
 
 
-class EnumerationBudgetError(RuntimeError):
-    """An exhaustive enumeration would exceed its configured budget."""
+class BudgetError(ValueError):
+    """A walk would pass its work budget: the oracle's rows or closure, a
+    search depth's frontier, or canonical_form's leaves."""
 
 
 # Largest decimal exponent a rational's text may carry, int()'s own limit on
@@ -165,7 +166,7 @@ _row_mask = row_mask
 
 
 def _scaled_row(row: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
-    unit = lcm(*(f.denominator for f in row)) if row else 1
+    unit = lcm(*(f.denominator for f in row))
     return tuple(f.numerator * (unit // f.denominator) for f in row), unit
 
 
@@ -193,20 +194,20 @@ def row_masks(
     permutations within the groups is yielded.  Only masks are yielded; a
     caller that needs a mask's row takes the product's term at its position.
 
-    One depth-first walk on an explicit stack, over entries scaled by their
-    common denominator L (L*v lies in {0, L} iff v lies in {0, 1}): each
-    prefix's state (_step) is built once for every row under it, and a last
-    coordinate c within LEVEL_SET_BITS reads four of its prefix's level sets,
-    since _grow sets level v to levels[v] | levels[v - c] << width.  Zero
-    coordinates above the support repeat the mask (_tile).  A group bounds
-    a position by the rank that an earlier one took on the current path.
-    k must be at least 1.
+    One depth-first walk over entries scaled by their common denominator L
+    (L*v lies in {0, L} iff v lies in {0, 1}), on a plain stack of
+    (position, prefix state, ranks of the entries on its path): an entry is
+    popped and its children, one per entry its position may take, are built
+    (_step) and pushed in reverse product order, so each prefix's state is
+    built once for every row under it.  At the last position a coordinate c
+    within LEVEL_SET_BITS reads four of its prefix's level sets, since _grow
+    sets level v to levels[v] | levels[v - c] << width.  Zero coordinates
+    above the support repeat the mask (_tile).  A group bounds a position by
+    the rank that an earlier one took on the path.  k must be at least 1.
     """
     if k < 1:
         raise ValueError(f"rows need at least one entry, not k={k}")
-    entries = tuple(entries)
-    unit = lcm(*(e.denominator for e in entries))
-    scaled = [e.numerator * (unit // e.denominator) for e in entries]
+    scaled, unit = _scaled_row(tuple(entries))
     support = tuple(range(1, k + 1)) if support is None else tuple(support)
     # the support position whose entry bounds each position's from below
     follows: list[int | None] = [None] * len(support)
@@ -214,23 +215,23 @@ def row_masks(
     for group in groups:
         for a, b in zip(group, group[1:]):
             follows[position[b]] = position[a]
-    # the rank of the entry that each open position took on the current path
-    ranks = [0] * len(support)
     last = len(support) - 1
     top = support[-1]
     state = ({0: 1}, 1, None)
     for v in range(1, support[0]):
         state = _step(state, 0, v)
-    # (position, state, ranks left) of each open prefix above node
-    stack = []
-    node = (0, state)
-    while node:
-        i, state = node
+    stack = [(0, state, ())]
+    while stack:
+        i, state, ranks = stack.pop()
         bound = follows[i]
         first = 0 if bound is None else ranks[bound]
         v = support[i]
         if i < last:
-            stack.append((i, state, iter(range(first, len(scaled)))))
+            for r in reversed(range(first, len(scaled))):
+                child = _step(state, scaled[r], v)
+                for zero in range(v + 1, support[i + 1]):
+                    child = _step(child, 0, zero)
+                stack.append((i + 1, child, ranks + (r,)))
         elif v <= LEVEL_SET_BITS:
             levels, width, _ = state
             low = levels.get(0, 0) | levels.get(unit, 0)
@@ -242,18 +243,6 @@ def row_masks(
             for c in scaled[first:]:
                 mask = _mask(_step(state, c, v), unit)
                 yield mask if top == k else _tile(mask, top, k)
-        node = None
-        while stack and node is None:
-            i, state, left = stack[-1]
-            r = next(left, None)
-            if r is None:
-                stack.pop()
-                continue
-            ranks[i] = r
-            child = _step(state, scaled[r], support[i])
-            for zero in range(support[i] + 1, support[i + 1]):
-                child = _step(child, 0, zero)
-            node = (i + 1, child)
 
 
 def intersection_closure(
@@ -274,11 +263,10 @@ def intersection_closure(
     a subset of it, so the mask itself or at or below the bar.  Expanding a
     depth is charged frontier x generators intersections, such masks
     included, so the budget and every refusal do not depend on the rule.
-    EnumerationBudgetError is raised
-    once the total would pass max_work: before a depth is expanded, and,
-    while one is expanded with another still due, as soon as the next
-    depth's frontier so far no longer fits; that frontier only grows, so
-    such a run would be refused before the next depth anyway.
+    BudgetError is raised once the total would pass max_work: before a depth
+    is expanded, and, while one is expanded with another still due, as soon
+    as the next depth's frontier so far no longer fits; that frontier only
+    grows, so such a run would be refused before the next depth anyway.
     """
     generators = sorted({mask for mask in generators if mask.bit_count() > above})
     reached = {mask for mask in start if mask.bit_count() > above}
@@ -289,7 +277,7 @@ def intersection_closure(
     while frontier and (max_rows is None or depth < max_rows):
         work += len(frontier) * len(generators)
         if max_work is not None and work > max_work:
-            raise EnumerationBudgetError(refusal)
+            raise BudgetError(refusal)
         depth += 1
         guarded = max_work is not None and (max_rows is None or depth < max_rows)
         next_frontier = []
@@ -302,7 +290,7 @@ def intersection_closure(
                     reached.add(child)
                     next_frontier.append(child)
             if guarded and work + len(next_frontier) * len(generators) > max_work:
-                raise EnumerationBudgetError(refusal)
+                raise BudgetError(refusal)
         frontier = next_frontier
     return reached
 
@@ -339,7 +327,7 @@ def oracle_enumerate(
     result is identical to the raw sweep over all |entries|^(k*m) matrices.
     Building the row masks and closing them may each take at most
     ORACLE_WORK_BUDGET steps, an intersection costing max(1, 2^k // 256) of
-    them; either guard raises EnumerationBudgetError.
+    them; either guard raises BudgetError.
     Only sizes strictly above keep_above * 2^k are reported.  k must lie in
     1..MAX_DIMENSION and m be at least 1.
     """
@@ -351,7 +339,7 @@ def oracle_enumerate(
     if not entries:
         raise ValueError("entry set must be nonempty")
     if len(entries) ** k << k > ORACLE_WORK_BUDGET:
-        raise EnumerationBudgetError(
+        raise BudgetError(
             f"{len(entries)}^{k} rows of 2^{k} points exceed the work budget "
             f"{ORACLE_WORK_BUDGET}"
         )

@@ -67,7 +67,7 @@ from fractions import Fraction
 from math import comb
 
 from .codim1 import support_size_bound
-from .cube import MAX_DIMENSION
+from .cube import MAX_DIMENSION, BudgetError
 from .shapes import Shape, canonical_form, intersection_value_set
 
 NON_REDUNDANT_SMALL = "non-redundant-small"
@@ -77,10 +77,6 @@ MODES = (NON_REDUNDANT_SMALL, EXHAUSTIVE_LARGE)
 # Most canonical states one depth may hold; the k <= 12 certificates need at
 # most 421.
 MAX_FRONTIER_STATES = 200_000
-
-
-class SearchBudgetError(RuntimeError):
-    """One depth held more than MAX_FRONTIER_STATES canonical states."""
 
 
 @dataclass(frozen=True)
@@ -412,7 +408,7 @@ def bfs_search(config: SearchConfig) -> SearchResult:
                     record.max_size = max(record.max_size, max(admissible))
                     record.keys.update([(new_size, overlap) for overlap in overlaps])
                     if len(new_frontier) > MAX_FRONTIER_STATES:
-                        raise SearchBudgetError(
+                        raise BudgetError(
                             f"frontier exceeded {MAX_FRONTIER_STATES} states"
                         )
         if not new_frontier:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .cube import MAX_DIMENSION, full_mask, row_masks
+from .cube import MAX_DIMENSION, BudgetError, full_mask, row_masks
 
 Edge = tuple[int, ...]
 
@@ -119,10 +119,6 @@ class Shape:
 CANONICAL_LEAF_BUDGET = 5_000
 
 
-class CanonicalBudgetError(ValueError):
-    """canonical_form passed CANONICAL_LEAF_BUDGET leaves on one shape."""
-
-
 @lru_cache(maxsize=None)
 def canonical_form(shape: Shape) -> Shape:
     """Canonical representative of the isomorphism class of a shape.
@@ -139,7 +135,7 @@ def canonical_form(shape: Shape) -> Shape:
     representative lists the shared vertices first, in that order, then
     each edge's private run.
 
-    Raises CanonicalBudgetError past CANONICAL_LEAF_BUDGET leaves.  Cached,
+    Raises cube.BudgetError past CANONICAL_LEAF_BUDGET leaves.  Cached,
     like _edge_choices: the result depends only on the shape.
     """
     classes = shape.vertex_classes()
@@ -203,7 +199,7 @@ def canonical_form(shape: Shape) -> Shape:
             continue
         leaves += 1
         if leaves > CANONICAL_LEAF_BUDGET:
-            raise CanonicalBudgetError(
+            raise BudgetError(
                 f"shape too symmetric to label: more than "
                 f"{CANONICAL_LEAF_BUDGET} refinement leaves"
             )

@@ -59,10 +59,8 @@ class Report:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def add(self, name: str, passed: bool, **details) -> CheckResult:
-        check = CheckResult(name, bool(passed), details)
-        self.checks.append(check)
-        return check
+    def add(self, name: str, passed: bool, **details) -> None:
+        self.checks.append(CheckResult(name, bool(passed), details))
 
     def to_json_dict(self) -> dict:
         return {

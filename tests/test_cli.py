@@ -450,6 +450,24 @@ class TestExitContract:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["oracle", "--k", "6", "--m", "3"], "closure of 723 masks needs more than 5000000 intersections"),
+            (["oracle", "--k", "9", "--m", "1"], "3^9 rows of 2^9 points exceed the work budget 5000000"),
+            (
+                ["shape", "--edges", ";".join(f"{a},{b}" for a in range(1, 8) for b in range(a + 1, 8))],
+                "shape too symmetric to label: more than 5000 refinement leaves",
+            ),
+        ],
+        ids=["oracle-closure", "oracle-rows", "canonical-leaves"],
+    )
+    def test_budget_refusal_is_one_named_line(self, capsys, argv, message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     # each ran, as k = 2, m = 1 or an entry of 1, and exited 0 before the map
     # reader took k and m as JSON integers only and refused booleans
     @pytest.mark.parametrize(

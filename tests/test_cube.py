@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cubeint import cube
 from cubeint.cube import (
-    EnumerationBudgetError,
+    BudgetError,
     LinearMap,
     ORACLE_WORK_BUDGET,
     evaluate_pattern,
@@ -211,13 +212,13 @@ class TestOracle:
         # 2^9 rows of 2^9 points fit the row budget that refuses 3^9 rows
         above_half = oracle_enumerate(9, 1, (0, 1), keep_above=Fraction(1, 2))
         assert above_half == (384, 512)
-        with pytest.raises(EnumerationBudgetError):
+        with pytest.raises(BudgetError):
             oracle_enumerate(9, 1, (-1, 0, 1))
 
     def test_closure_work_guard(self):
         # 723 distinct masks at k=6: the third row alone would cost ~1.4e8
         # intersections
-        with pytest.raises(EnumerationBudgetError, match=str(ORACLE_WORK_BUDGET)):
+        with pytest.raises(BudgetError, match=str(ORACLE_WORK_BUDGET)):
             oracle_enumerate(6, 3, (-1, 0, 1))
         assert oracle_enumerate(5, 3, (-1, 0, 1))[-1] == 32
 
@@ -230,7 +231,7 @@ class TestOracle:
 
     def test_row_work_guard(self):
         # 4^8 rows of 256 points each: 16.8 million steps before any closure
-        with pytest.raises(EnumerationBudgetError, match=str(ORACLE_WORK_BUDGET)):
+        with pytest.raises(BudgetError, match=str(ORACLE_WORK_BUDGET)):
             oracle_enumerate(8, 1, (-1, 0, 1, 2))
         assert oracle_enumerate(8, 1, (-1, 0, 1), keep_above=Fraction(1, 2))[-1] == 256
 
@@ -259,10 +260,10 @@ class TestIntersectionClosure:
         # expanding the full cube, the faces, their pairs and the corner
         # costs 1 x 3, 3 x 3, 3 x 3 and 1 x 3 intersections
         assert self.sizes(above=0, max_work=24) == [1, 2, 2, 2, 4, 4, 4, 8]
-        with pytest.raises(EnumerationBudgetError):
+        with pytest.raises(BudgetError):
             self.sizes(above=0, max_work=23)
         assert self.sizes(above=0, max_rows=2, max_work=3) == [4, 4, 4, 8]
-        with pytest.raises(EnumerationBudgetError):
+        with pytest.raises(BudgetError):
             self.sizes(above=0, max_rows=3, max_work=11)
 
     def test_refusal_stops_inside_the_last_affordable_depth(self):
@@ -272,7 +273,7 @@ class TestIntersectionClosure:
         # intersections, not after all 21 of the first three depths.
         Counted, count = counting_int()
         faces = [Counted(face) for face in self.FACES]
-        with pytest.raises(EnumerationBudgetError):
+        with pytest.raises(BudgetError):
             intersection_closure([Counted((1 << 8) - 1)], faces, above=0, max_work=23)
         assert len(count) == 3 + 9 + 3
         # no depth is due after the last one allowed, so its frontier costs nothing
@@ -396,6 +397,32 @@ def test_row_masks_on_a_support_match_point_by_point_reference(k, support, group
         scaled, unit = _scaled_row(coeffs)
         want.append(reference_row_mask(scaled, unit))
     assert list(row_masks(k, entries, support, groups)) == want
+
+
+@pytest.mark.parametrize(
+    "k, entries, support, groups, steps, masks",
+    [
+        (5, INTEGRALITY_ENTRIES, None, (), 2_800, 16_807),
+        (5, (-1, 0, 2), (1, 2, 4), ((1, 4),), 21, 18),
+        (8, (-1, 1), (1, 2, 3, 4, 5, 6, 7, 8), ((1, 2, 3), (4, 8)), 129, 96),
+        (14, (-1, 1), (3, 12, 13), ((3, 12, 13),), 27, 4),
+    ],
+    ids=["integrality", "gap", "two-groups", "crossing-below-k"],
+)
+def test_row_masks_build_each_prefix_state_once(monkeypatch, k, entries, support, groups, steps, masks):
+    # 7 + 7^2 + 7^3 + 7^4 prefixes of 7^5 rows: a walk that rebuilt a prefix
+    # for each row under it would yield the same masks in more steps
+    step = cube._step
+    taken = 0
+
+    def counted_step(*args):
+        nonlocal taken
+        taken += 1
+        return step(*args)
+
+    monkeypatch.setattr(cube, "_step", counted_step)
+    assert len(list(row_masks(k, entries, support, groups))) == masks
+    assert taken == steps
 
 
 def test_row_masks_rejects_empty_rows():

@@ -1,7 +1,9 @@
 """Package modules reach each other only through public names, every
 definition is used by the package itself, every public name resolves, no
-certificate draws random numbers, and the benchmark's hooks still resolve."""
+certificate draws random numbers, every refusal is one exception class, and
+the benchmark's hooks still resolve."""
 import ast
+import builtins
 import importlib
 import importlib.util
 from collections import Counter
@@ -75,6 +77,30 @@ def imports_of(source: str, name: str) -> list[str]:
     return found
 
 
+BUILTIN_EXCEPTIONS = {
+    name
+    for name, value in vars(builtins).items()
+    if isinstance(value, type) and issubclass(value, BaseException)
+}
+
+
+def exception_classes(sources: dict[str, str]) -> list[str]:
+    """Classes that derive from a built-in exception, directly or through
+    another class of the sources, as "file: Name(Base, ...)"."""
+    classes = {}
+    for filename, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                bases = [ast.unparse(base).rpartition(".")[2] for base in node.bases]
+                classes[f"{filename}: {node.name}({', '.join(bases)})"] = (node.name, bases)
+    errors = set(BUILTIN_EXCEPTIONS)
+    known = 0
+    while known < len(errors):
+        known = len(errors)
+        errors |= {name for name, bases in classes.values() if errors.intersection(bases)}
+    return sorted(label for label, (_, bases) in classes.items() if errors.intersection(bases))
+
+
 def test_detector_sees_private_names():
     assert private_imports("from .cube import LinearMap, _private\n") == [
         "1: from .cube import _private"
@@ -124,6 +150,27 @@ def test_certificates_draw_no_random_numbers():
         if (found := imports_of(path.read_text(encoding="utf-8"), "random"))
     }
     assert offenders == {}
+
+
+def test_detector_sees_exception_classes():
+    source = (
+        "class Refused(ValueError):\n    pass\n"
+        "class Later(Refused):\n    pass\n"
+        "class Plain:\n    pass\n"
+        "class Record(Plain):\n    pass\n"
+        "class Mixed(errors.Base, RuntimeError):\n    pass\n"
+    )
+    assert exception_classes({"m.py": source}) == [
+        "m.py: Later(Refused)",
+        "m.py: Mixed(Base, RuntimeError)",
+        "m.py: Refused(ValueError)",
+    ]
+
+
+def test_budget_error_is_the_only_exception_class():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert exception_classes(sources) == ["cube.py: BudgetError(ValueError)"]
+    assert issubclass(cube.BudgetError, ValueError)
 
 
 def test_public_names_resolve():

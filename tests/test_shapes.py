@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cubeint.cube import evaluate_pattern, row_masks
+from cubeint.cube import BudgetError, evaluate_pattern, row_masks
 from cubeint.search import (
     EXHAUSTIVE_LARGE,
     MODES,
@@ -22,7 +22,6 @@ from cubeint.shapes import (
     STAR21,
     STAR32,
     STAR32_CENTER_EDGES,
-    CanonicalBudgetError,
     Shape,
     _edge_candidates,
     _edge_choices,
@@ -337,7 +336,7 @@ class TestCanonicalAgainstBruteForce:
 
     def test_budget(self):
         complete = Shape.from_edges(combinations(range(1, 8), 2))
-        with pytest.raises(CanonicalBudgetError, match=str(CANONICAL_LEAF_BUDGET)):
+        with pytest.raises(BudgetError, match=str(CANONICAL_LEAF_BUDGET)):
             canonical_form(complete)
 
 
