@@ -277,15 +277,22 @@ def _edge_choices(k: int, edge: Edge, groups: tuple[tuple[int, ...], ...]) -> tu
     vertex takes both signs.  A choice is its mask: the point with only
     vertex v set lies in the mask iff v's sign is +1, so distinct signs give
     distinct masks and the signs are read back off the mask
-    (max_intersection).  All masks come from one cube.row_masks walk.
-    Cached, as row_mask is: the result depends only on the arguments and is
-    shared between shapes.
+    (max_intersection).  The masks come from one cube.row_masks walk at
+    k = edge[-1]; a vertex above the edge is a zero coordinate, so for a
+    larger k each (k - 1)-vertex mask is repeated over the new coordinate,
+    the step row_masks takes above its support (cube._tile).  Cached, as
+    row_mask is: the result depends only on the arguments and is shared
+    between shapes, so each (edge, groups) is walked once for every k.
     """
-    return tuple(row_masks(k, (-1, 1), edge, groups))
+    if k == edge[-1]:
+        return tuple(row_masks(k, (-1, 1), edge, groups))
+    shift = 1 << (k - 1)
+    return tuple(mask | mask << shift for mask in _edge_choices(k - 1, edge, groups))
 
 
 def _edge_candidates(shape: Shape) -> list[tuple[int, ...]]:
-    """The cached _edge_choices of every edge, in edge order.
+    """The cached _edge_choices of every edge, in edge order; an edge's
+    choices are walked once for all vertex counts (_edge_choices).
 
     A vertex class (Shape.vertex_classes) has a first edge, the first one
     that holds it.  Its permutations fix the signs of every edge before that

@@ -6,6 +6,7 @@ direct cube enumeration rather than trusted from a formula.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -35,11 +36,12 @@ from .shapes import (
 )
 
 # Largest k that verify_large_sets and verify_small_window accept: the slower
-# of the two, verify_small_window(12), takes about 1.5 s in a fresh process on
-# a shared 2-vCPU host (median of five), about 1.2 s of it in its saturated
-# star families' value sets (verify_large_sets(12) about 0.85 s); the step
-# from k = 11 to 12 multiplies the small certificate's time by about 3.8 and
-# the large one's by about 1.7.
+# of the two, verify_small_window(12), takes about 2.9 s in a fresh process on
+# a shared 2-vCPU host (median of five; the host's speed drifts by up to a
+# factor of two between days), about 2.4 s of it in its saturated star
+# families' value sets (verify_large_sets(12) about 1.4 s); the step from
+# k = 11 to 12 multiplies the small certificate's time by about 3.8 and the
+# large one's by about 1.6.
 MAX_CERTIFIED_K = 12
 
 
@@ -484,7 +486,11 @@ def ints_window_check(k: int) -> Report:
     report = Report(f"entry integrality window, k={k}")
     pure_masks, bad_masks = _pure_and_bad_masks(k)
     half = 1 << (k - 1)
-    reached = intersection_closure(bad_masks, pure_masks | bad_masks, (15 * half) // 16)
+    # the generators are chained, not united: a union would build one more
+    # set of every row mask just to be read once
+    reached = intersection_closure(
+        bad_masks, itertools.chain(pure_masks, bad_masks), (15 * half) // 16
+    )
     failures = [
         {"count": mask.bit_count(), "pattern_hex": format(mask, "x")}
         for mask in sorted(reached, key=lambda mask: (-mask.bit_count(), mask))

@@ -30,6 +30,7 @@ from cubeint.shapes import (
     intersection_value_set,
     max_intersection,
 )
+from cubeint.theorems import verify_large_sets, verify_small_window
 from oracles import (
     assert_normal_shape,
     assignment_intersection,
@@ -408,6 +409,37 @@ def assert_value_sets_match_reference(shapes, floors=FLOORS):
                 assert assignment_intersection(s, witness) == value
 
 
+@pytest.fixture(scope="module")
+def certificate_edge_choices():
+    """For each certificate run from cold shape caches, verify_large_sets(6..12)
+    and verify_small_window(8..12): every _edge_choices key it reaches with
+    its choices, and the (edge, groups) of every row_masks walk shapes makes."""
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+
+        def recorded_choices(k, edge, groups):
+            keys[k, edge, groups] = choices = _edge_choices(k, edge, groups)
+            return choices
+
+        def recorded_walk(k, entries, support, groups):
+            walks.append((support, groups))
+            return row_masks(k, entries, support, groups)
+
+        mp.setattr("cubeint.shapes._edge_choices", recorded_choices)
+        mp.setattr("cubeint.shapes.row_masks", recorded_walk)
+        for mode, ks, verify in (
+            ("large", range(6, 13), verify_large_sets),
+            ("small", range(8, 13), verify_small_window),
+        ):
+            for k in ks:
+                _edge_choices.cache_clear()
+                intersection_value_set.cache_clear()
+                keys, walks = {}, []
+                assert verify(k).passed
+                runs[mode, k] = {"keys": keys, "walks": walks}
+    return runs
+
+
 class TestValueSetAgainstReference:
     def test_small_shape_inputs(self):
         assert_value_sets_match_reference(small_shape_inputs(5, 3))
@@ -419,7 +451,7 @@ class TestValueSetAgainstReference:
         assert_vertex_classes_match_reference(distinct.values())
         assert_value_sets_match_reference(distinct.values(), FLOORS[1:])
 
-    def test_edge_choices_equal_a_fresh_build(self):
+    def test_edge_choices_are_keyed_on_the_reference_classes(self):
         assert_vertex_classes_match_reference(small_shapes(5, 3))
         for s in small_shapes(5, 3):
             classes = reference_vertex_classes(s)
@@ -429,7 +461,31 @@ class TestValueSetAgainstReference:
                 )
                 key = (s.vertex_count, edge, groups)
                 assert _edge_choices(*key) is choices
-                assert _edge_choices(*key) == _edge_choices.__wrapped__(*key)
+                assert choices == tuple(row_masks(s.vertex_count, (-1, 1), edge, groups))
+
+    def test_edge_choices_equal_a_fresh_build(self, certificate_edge_choices):
+        # every key the certificates reach, tiled ones included, against a
+        # direct row_masks walk at its own k (up to 12)
+        keys = {}
+        for choices in certificate_edge_choices.values():
+            keys.update(choices["keys"])
+        assert max(k for k, _edge, _groups in keys) == 12
+        for (k, edge, groups), choices in keys.items():
+            assert choices == tuple(row_masks(k, (-1, 1), edge, groups)), (k, edge, groups)
+
+    @pytest.mark.parametrize(
+        "mode, walks",
+        [("large", {6: 70, 7: 98, 8: 122}), ("small", {8: 145, 9: 178})],
+    )
+    def test_golden_walk_counts(self, certificate_edge_choices, mode, walks):
+        # one row_masks walk per (edge, groups), whatever the vertex counts
+        # it is asked at; walking each (k, edge, groups) read 130, 203 and
+        # 277 (large) and 321 and 416 (small)
+        for (run_mode, _k), run in certificate_edge_choices.items():
+            if run_mode == mode:
+                assert len(run["walks"]) == len(set(run["walks"]))
+                assert set(run["walks"]) == {(edge, groups) for _k, edge, groups in run["keys"]}
+        assert {k: len(certificate_edge_choices[mode, k]["walks"]) for k in walks} == walks
 
     def test_extreme_floors(self):
         s = shape((1, 2, 3), (1, 2, 4))
