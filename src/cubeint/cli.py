@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -216,7 +217,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the command line, built on the first call; parsing
+    leaves it unchanged, so every later main call reuses it."""
     parser = _Parser(
         prog="cubeint",
         description="Exact hypercube/subspace intersection-size toolkit",

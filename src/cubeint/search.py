@@ -58,6 +58,15 @@ to isomorphism: it is laid out from the type alone (_sub_shape), without the
 parent's edges.  Fresh vertices lie in no parent edge, so a count vector
 fixes every type whatever its new size, and is ruled out for all its new
 sizes at once, from one table per search of each type's verdicts.
+
+A search over k vertices holds every search over fewer: a child has at least
+as many vertices as its parent, and the largest edge, min(k, the threshold's
+bound), is the same below k, so the records and pruned children of at most
+k' < k vertices are those of the search over k'.  bfs_search(config, base)
+grows such a finished base instead of starting over: up to base's depth each
+depth starts from base's records, and each parent yields only the children
+past k' vertices (_children's known), with base's pruned count and a copy of
+its verdict table.  A search with no base is the one pass described above.
 """
 from __future__ import annotations
 
@@ -124,15 +133,18 @@ class ShapeRecord:
 
     ``values`` are its sizes above the threshold, ascending, and ``max_size``
     the best admissible one; shapes.max_intersection gives a witness.
-    ``keys`` is the set of distinct ways the state was produced (size of the
-    added edge plus its overlap profile with the parent's edges); each counts
-    as one raw survivor, which is how the historical raw counts arise.
+    ``keys`` holds the distinct ways the state was produced (size of the
+    added edge plus its overlap profile with the parent's edges), ascending;
+    each counts as one raw survivor, which is how the historical raw counts
+    arise.  It is a tuple, not a set, because records outlive their search
+    (a certificate keeps the last one to grow) and most hold one key: a
+    one-key set takes 216 bytes, a one-key tuple 48.
     """
 
     shape: Shape
     max_size: int
     values: tuple[int, ...]
-    keys: set[tuple[int, tuple[int, ...]]]
+    keys: tuple[tuple[int, tuple[int, ...]], ...]
 
     @property
     def fraction(self) -> Fraction:
@@ -144,10 +156,16 @@ class ShapeRecord:
 
 @dataclass
 class SearchResult:
+    """A finished search: its records depth by depth, the children it ruled
+    out, and table, the sub-shape verdicts its _children pass filled in
+    (type -> (sizes asked, sizes dead) bitmasks), which a search grown from it
+    starts with."""
+
     config: SearchConfig
     depths: list[list[ShapeRecord]] = field(default_factory=list)
     pruned_count: int = 0
     terminated_naturally: bool = False
+    table: dict[tuple, tuple[int, int]] = field(default_factory=dict, compare=False, repr=False)
 
     def all_values_scaled(self, max_depth: int | None = None) -> set[int]:
         """Above-threshold values of every survivor, padded with isolated
@@ -249,7 +267,7 @@ def _sub_shape(key: tuple, new_size: int) -> Shape:
     return shape
 
 
-def _children(shape: Shape, config: SearchConfig, table: dict):
+def _children(shape: Shape, config: SearchConfig, table: dict, known: int = 0):
     """One count vector of shape's children per orbit of interchangeable
     edges, for every orbit that allows a new size, as (chosen, used,
     overlap, swaps, multiplicity, sizes, alive).
@@ -261,6 +279,13 @@ def _children(shape: Shape, config: SearchConfig, table: dict):
     _new_edge(chosen, n, s - used), no larger than the smallest edge (the
     non-increasing addition order); sizes is the bitmask (bit s for size s)
     of those that fit, and alive the part that no dead sub-shape kills.
+
+    known is the vertex count of a finished smaller search that holds every
+    child of at most known vertices (bfs_search's base), or 0.  A child of
+    size s has n + s - used vertices, so only the new sizes
+    s > used + known - n are yielded, and a vector is grown only while used
+    leaves room for one: used <= largest - (known - n + 1).  With known < n,
+    and so with known = 0, every size that fits is yielded.
 
     Edges whose private runs have one nonzero size and which lie in the same
     shared classes (keys of two or more edges) form a group of
@@ -287,6 +312,10 @@ def _children(shape: Shape, config: SearchConfig, table: dict):
     n = shape.vertex_count
     largest = min(len(edges[-1]), config.max_edge_size)
     spare = config.k - n
+    # the fewest fresh vertices a child must add to be past known
+    least = max(0, known - n + 1)
+    if least > largest:
+        return
     edge_sizes = [len(e) for e in edges]
     masks = [sum(1 << v for v in e) for e in edges]
     # (i, j, |a|, |b|, |a & b|, a & b as a vertex bitmask) for a = edges[i],
@@ -349,7 +378,7 @@ def _children(shape: Shape, config: SearchConfig, table: dict):
         run = previous.get(key)
         grown = []
         for used, chosen, multiplicity in vectors:
-            cap = largest - used
+            cap = largest - least - used
             if run is not None:
                 cap = min(cap, (chosen & run).bit_count())
             grown += [
@@ -358,30 +387,80 @@ def _children(shape: Shape, config: SearchConfig, table: dict):
         vectors = grown
     for used, chosen, multiplicity in vectors:
         top = min(largest, used + spare)
+        low = max(2, used + least)
         # an edge of two or more vertices must fit in the fresh ones left
-        if top >= 2:
-            sizes = (2 << top) - (1 << max(2, used))
+        if top >= low:
+            sizes = (2 << top) - (1 << low)
             overlap = tuple([(chosen & m).bit_count() for m in masks])
             alive = survivors(chosen, overlap, sizes)
             yield chosen, used, overlap, swaps, multiplicity, sizes, alive
 
 
-def bfs_search(config: SearchConfig) -> SearchResult:
+def _check_base(config: SearchConfig, base: SearchResult) -> None:
+    """Refuse a base that does not hold every record and pruned child of at
+    most base.config.k vertices that the search of config has."""
+    theirs = base.config
+    if (theirs.mode, theirs.threshold) != (config.mode, config.threshold):
+        raise ValueError(
+            f"a search in mode {theirs.mode} at threshold {theirs.threshold} cannot grow "
+            f"into one in mode {config.mode} at {config.threshold}"
+        )
+    if theirs.k >= config.k or theirs.max_edges > config.max_edges:
+        raise ValueError(
+            f"a search of k={theirs.k} and {theirs.max_edges} edges cannot grow into "
+            f"one of k={config.k} and {config.max_edges} edges"
+        )
+
+
+def bfs_search(config: SearchConfig, base: SearchResult | None = None) -> SearchResult:
+    """The search of config, depth by depth up to config.max_edges, or until
+    a depth is empty (terminated_naturally).
+
+    base, when given, is a finished search of the same mode and threshold, a
+    smaller k and no more edges (any other is a ValueError), and the search
+    grows it instead of starting over.  The largest edge, min(k, the
+    threshold's bound), agrees with base's below base's k, so up to depth
+    base.config.max_edges every record and pruned child of at most
+    base.config.k vertices is base's.  The single edges of depth 1 are laid
+    out again; each later such depth starts from base's records, shared and
+    never modified, since every child _children(..., known=base.config.k)
+    yields has more vertices than any of them.  pruned_count adds to base's,
+    the sub-shape table starts as a copy of base's, and deeper depths run in
+    full.  The result equals the search of config without a base.
+    """
     result = SearchResult(config)
+    known_k = known_depths = 0
+    if base is not None:
+        _check_base(config, base)
+        known_k, known_depths = base.config.k, base.config.max_edges
+        result.pruned_count = base.pruned_count
+        result.table = dict(base.table)
+    table = result.table
+    # one tuple per distinct key, shared by every record that has it (the
+    # large search's 3,195 keys at k = 12 are 771 distinct ones)
+    shared: dict[tuple, tuple] = {}
     frontier: dict[tuple, ShapeRecord] = {}
     for size in range(2, config.max_edge_size + 1):
         shape = Shape((tuple(range(1, size + 1)),))
         values = intersection_value_set(shape, floor=config.threshold)
-        frontier[shape.edges] = ShapeRecord(shape, max(values), values, {(size, ())})
+        frontier[shape.edges] = ShapeRecord(shape, max(values), values, ((size, ()),))
     result.depths.append(_sorted_records(frontier))
-    table: dict[tuple, tuple[int, int]] = {}
 
-    for _depth in range(2, config.max_edges + 1):
+    for depth in range(2, config.max_edges + 1):
         new_frontier: dict[tuple, ShapeRecord] = {}
+        # the keys of this depth's new records, merged here and stored sorted
+        found: dict[tuple, set] = {}
+        known = 0
+        if depth <= known_depths:
+            # base holds this depth's records of at most known_k vertices,
+            # and none past the depth at which it ended on its own
+            known = known_k
+            if depth <= len(base.depths):
+                new_frontier = {rec.shape.edges: rec for rec in base.depths[depth - 1]}
         for parent in frontier.values():
             n = parent.shape.vertex_count
             for chosen, used, overlap, swaps, multiplicity, sizes, alive in _children(
-                parent.shape, config, table
+                parent.shape, config, table, known
             ):
                 # each arrangement is a child of its own, isomorphic to chosen's;
                 # a ruled-out vector's are counted, not listed
@@ -404,9 +483,11 @@ def bfs_search(config: SearchConfig) -> SearchResult:
                     if not admissible:
                         result.pruned_count += weight
                         continue
-                    record = new_frontier.setdefault(canon.edges, ShapeRecord(canon, 0, values, set()))
+                    record = new_frontier.setdefault(canon.edges, ShapeRecord(canon, 0, values, ()))
                     record.max_size = max(record.max_size, max(admissible))
-                    record.keys.update([(new_size, overlap) for overlap in overlaps])
+                    found.setdefault(canon.edges, set()).update(
+                        [(new_size, overlap) for overlap in overlaps]
+                    )
                     if len(new_frontier) > MAX_FRONTIER_STATES:
                         raise BudgetError(
                             f"frontier exceeded {MAX_FRONTIER_STATES} states"
@@ -414,6 +495,8 @@ def bfs_search(config: SearchConfig) -> SearchResult:
         if not new_frontier:
             result.terminated_naturally = True
             break
+        for edges, keys in found.items():
+            new_frontier[edges].keys = tuple(sorted([shared.setdefault(key, key) for key in keys]))
         result.depths.append(_sorted_records(new_frontier))
         frontier = new_frontier
     return result

@@ -73,6 +73,36 @@ class TestParsing:
         assert err.value.code == 2
         assert stderr.startswith("error: ") and stderr.count("\n") == 1
 
+    def test_one_parser_parses_every_verb_in_turn(self, capsys):
+        # the parser is built once per process; parsing leaves nothing behind
+        parser = build_parser()
+        assert build_parser() is parser
+        large = parser.parse_args(["verify", "large", "--k", "6"])
+        with pytest.raises(SystemExit):
+            parser.parse_args(["verify", "large", "--k", "nine"])
+        assert capsys.readouterr().err.startswith("error: ")
+        search = parser.parse_args(["search", "--mode", "small", "--k", "8"])
+        ints = parser.parse_args(["verify", "ints", "--k", "5"])
+        codim1 = parser.parse_args(["sizes", "codim1", "--out", "table.tsv"])
+        again = parser.parse_args(["verify", "large", "--k", "7"])
+        assert vars(large) == {
+            "verb": "verify", "what": "large", "k": 6, "out": None, "func": cli._cmd_verify
+        }
+        assert vars(search) == {
+            "verb": "search",
+            "mode": "small",
+            "k": 8,
+            "threshold": None,
+            "max_edges": None,
+            "out": None,
+            "func": cli._cmd_search,
+        }
+        assert vars(ints) == {**vars(large), "what": "ints", "k": 5, "seed": 0}
+        assert vars(codim1) == {
+            "verb": "sizes", "table": "codim1", "out": "table.tsv", "func": cli._cmd_sizes
+        }
+        assert vars(again) == {**vars(large), "k": 7}
+
     @pytest.mark.parametrize("option", [["--trials", "5"], ["--seed", "1"]])
     def test_verify_antichain_takes_no_sampling_options(self, option):
         with pytest.raises(SystemExit) as err:
@@ -102,6 +132,19 @@ class TestDeterminism:
         _, first = run(capsys, *argv)
         _, second = run(capsys, *argv)
         assert first == second
+
+    @pytest.mark.parametrize("what, ks", [("large", (6, 7, 8)), ("small", (8, 9, 10))])
+    def test_chained_reports_equal_cold_ones(self, capsys, monkeypatch, what, ks):
+        # in one process each certificate grows the last one's search; its
+        # report must be the one a call with no earlier search writes
+        monkeypatch.setattr(theorems, "_last_search", {})
+        chained = [run(capsys, "verify", what, "--k", str(k)) for k in ks]
+        cold = []
+        for k in ks:
+            theorems._last_search.clear()
+            cold.append(run(capsys, "verify", what, "--k", str(k)))
+        assert chained == cold
+        assert all(code == 0 for code, _out in cold)
 
     # content hashes of the size-list and window payloads; a change to their
     # output format changes these

@@ -298,7 +298,9 @@ class TestClassGenerator:
     )
     def test_weighted_vectors_count_every_subset_and_size(self, config):
         # a subset of u of a parent's n vertices and a new size in
-        # max(2, u)..min(largest, u + k - n) make one labelled child; the
+        # max(2, u)..min(largest, u + k - n) make one labelled child, and
+        # past a search of known vertices only the sizes above
+        # u + known - n, whose children have more than known vertices; the
         # vectors, their arrangements and multiplicities count each once; the
         # closed form that weighs a ruled-out vector counts its arrangements
         table = {}
@@ -306,18 +308,21 @@ class TestClassGenerator:
         for rec in frontier_parents(config):
             n = rec.shape.vertex_count
             largest = min(len(rec.shape.edges[-1]), config.max_edge_size)
-            expected = sum(
-                comb(n, u) * max(0, min(largest, u + k - n) - max(2, u) + 1)
-                for u in range(largest + 1)
-            )
-            weighted = 0
-            for _c, _u, overlap, swaps, multiplicity, sizes, _a in _children(
-                rec.shape, config, table
-            ):
-                count = len(_arrangements(overlap, swaps))
-                assert _arrangement_count(overlap, swaps) == count, (rec.shape.edges, overlap)
-                weighted += multiplicity * count * sizes.bit_count()
-            assert weighted == expected, rec.shape.edges
+            # below n vertices known leaves every size, as known = 0 does
+            for known in (0, *range(n, k)):
+                expected = sum(
+                    comb(n, u)
+                    * max(0, min(largest, u + k - n) - max(2, u, u + known - n + 1) + 1)
+                    for u in range(largest + 1)
+                )
+                weighted = 0
+                for _c, _u, overlap, swaps, multiplicity, sizes, _a in _children(
+                    rec.shape, config, table, known
+                ):
+                    count = len(_arrangements(overlap, swaps))
+                    assert _arrangement_count(overlap, swaps) == count, (rec.shape.edges, overlap)
+                    weighted += multiplicity * count * sizes.bit_count()
+                assert weighted == expected, (rec.shape.edges, known)
 
 
 SOUNDNESS_CONFIGS = [
@@ -357,9 +362,9 @@ class TestBound:
         # parent's edges and the new edge of the first vector that has it
         tables = []
 
-        def spied(shape, config, table):
+        def spied(shape, config, table, known):
             tables.append(table)
-            return _children(shape, config, table)
+            return _children(shape, config, table, known)
 
         monkeypatch.setattr("cubeint.search._children", spied)
         bfs_search(config)
@@ -483,8 +488,8 @@ class TestBound:
         # new size once, for all its new sizes and arrangements
         calls = []
 
-        def counted(shape, config, table):
-            for vector in _children(shape, config, table):
+        def counted(shape, config, table, known):
+            for vector in _children(shape, config, table, known):
                 calls.append(vector)
                 yield vector
 
@@ -533,9 +538,9 @@ class TestBound:
         # search takes is a first edge's or a labelled child's
         tables, calls = [], Counter()
 
-        def spied(shape, config, table):
+        def spied(shape, config, table, known):
             tables.append(table)
-            return _children(shape, config, table)
+            return _children(shape, config, table, known)
 
         def counted_form(shape):
             calls["canonical_form"] += 1
@@ -625,6 +630,60 @@ class TestSmallerSearches:
                 if r.shape.vertex_count <= k
             ]
             assert view(small[depth] if depth < len(small) else []) == view(restricted)
+
+
+def search_view(result):
+    """What a search finds: each depth's records as (edges, max_size, values,
+    keys), then pruned_count and terminated_naturally."""
+    depths = [
+        [(r.shape.edges, r.max_size, r.values, r.keys) for r in records]
+        for records in result.depths
+    ]
+    return depths, result.pruned_count, result.terminated_naturally
+
+
+GROWN_PAIRS = [
+    (mode, known, k) for mode in MODES for k in range(3, 11) for known in range(2, k)
+] + [(mode, 11, 12) for mode in MODES]
+
+
+class TestGrownSearches:
+    # a search grown from a smaller one expands only the children past the
+    # smaller one's vertex count, and must find what a fresh search finds
+
+    @pytest.mark.parametrize(
+        "mode, known, k", GROWN_PAIRS, ids=lambda v: str(v) if isinstance(v, int) else v
+    )
+    def test_grown_search_equals_a_fresh_one(self, mode, known, k):
+        base = searched(SearchConfig(mode, known))
+        before = search_view(base), dict(base.table)
+        grown = bfs_search(SearchConfig(mode, k), base=base)
+        assert search_view(grown) == search_view(searched(SearchConfig(mode, k)))
+        # the base's records are shared, not changed, and its table is copied
+        assert (search_view(base), base.table) == before
+        assert grown.table is not base.table
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_shallower_base_grows_in_full_past_its_depth(self, mode):
+        base = bfs_search(SearchConfig(mode, 6, max_edges=3))
+        grown = bfs_search(SearchConfig(mode, 8), base=base)
+        assert search_view(grown) == search_view(searched(SearchConfig(mode, 8)))
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SearchConfig(NON_REDUNDANT_SMALL, 8),
+            SearchConfig(EXHAUSTIVE_LARGE, 8, threshold=Fraction(7, 16)),
+            SearchConfig(EXHAUSTIVE_LARGE, 7),
+            SearchConfig(EXHAUSTIVE_LARGE, 6),
+            SearchConfig(EXHAUSTIVE_LARGE, 8, max_edges=6),
+        ],
+        ids=["mode", "threshold", "same-k", "smaller-k", "fewer-edges"],
+    )
+    def test_refuses_a_base_it_cannot_grow(self, config):
+        base = searched(SearchConfig(EXHAUSTIVE_LARGE, 7))
+        with pytest.raises(ValueError, match="cannot grow into"):
+            bfs_search(config, base=base)
 
 
 class TestSmallAgainstExhaustive:

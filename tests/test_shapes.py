@@ -30,6 +30,7 @@ from cubeint.shapes import (
     intersection_value_set,
     max_intersection,
 )
+from cubeint import theorems
 from cubeint.theorems import verify_large_sets, verify_small_window
 from oracles import (
     assert_normal_shape,
@@ -411,9 +412,10 @@ def assert_value_sets_match_reference(shapes, floors=FLOORS):
 
 @pytest.fixture(scope="module")
 def certificate_edge_choices():
-    """For each certificate run from cold shape caches, verify_large_sets(6..12)
-    and verify_small_window(8..12): every _edge_choices key it reaches with
-    its choices, and the (edge, groups) of every row_masks walk shapes makes."""
+    """For each certificate run from cold shape caches and with no earlier
+    search to grow, verify_large_sets(6..12) and verify_small_window(8..12):
+    every _edge_choices key it reaches with its choices, and the
+    (edge, groups) of every row_masks walk shapes makes."""
     runs = {}
     with pytest.MonkeyPatch.context() as mp:
 
@@ -434,6 +436,7 @@ def certificate_edge_choices():
             for k in ks:
                 _edge_choices.cache_clear()
                 intersection_value_set.cache_clear()
+                theorems._last_search.clear()
                 keys, walks = {}, []
                 assert verify(k).passed
                 runs[mode, k] = {"keys": keys, "walks": walks}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cubeint import theorems
+from cubeint import search, theorems
 from cubeint.codim1 import codim1_size
 from cubeint.cube import (
     LinearMap,
@@ -216,6 +216,61 @@ class TestSmallWindow:
             star32 + [(1, 2)],
             star32 + [(1, 2), (1, 2)],
         ]
+
+
+class TestGrownCertificates:
+    @pytest.mark.parametrize(
+        "verify, ks", [(verify_large_sets, (6, 7, 8)), (verify_small_window, (8, 9, 10))]
+    )
+    def test_each_search_grows_the_last_smaller_one(self, monkeypatch, verify, ks):
+        bfs_search = theorems.bfs_search
+        calls = []
+
+        def spied(config, base=None):
+            result = bfs_search(config, base=base)
+            calls.append((config.k, base, result))
+            return result
+
+        monkeypatch.setattr(theorems, "bfs_search", spied)
+        monkeypatch.setattr(theorems, "_last_search", {})
+        for k in ks:
+            assert verify(k).passed
+        # the first search starts cold; each later one grows the one before
+        assert [k for k, _base, _result in calls] == list(ks)
+        assert calls[0][1] is None
+        for (_k, _base, before), (_k, base, _result) in zip(calls, calls[1:]):
+            assert base is before
+        # a larger k seen first leaves the smaller one to start cold
+        calls.clear()
+        assert verify(ks[0]).passed
+        assert [(k, base) for k, base, _result in calls] == [(ks[0], None)]
+
+    @pytest.mark.parametrize(
+        "verify, labelled",
+        [
+            (verify_large_sets, {6: 263, 7: 157, 8: 204}),
+            (verify_small_window, {8: 284, 9: 15, 10: 14}),
+        ],
+    )
+    def test_a_chain_labels_each_child_once(self, monkeypatch, verify, labelled):
+        # each certificate labels only the children past the last one's k, so
+        # the chain labels as many as one cold search of its largest k (large
+        # 8: 624, small 10: 313), not one per certificate (1,307 and 896)
+        form = search.canonical_form
+        calls = []
+
+        def counted(shape):
+            calls.append(shape)
+            return form(shape)
+
+        monkeypatch.setattr(search, "canonical_form", counted)
+        monkeypatch.setattr(theorems, "_last_search", {})
+        counts = {}
+        for k in labelled:
+            calls.clear()
+            assert verify(k).passed
+            counts[k] = len(calls)
+        assert counts == labelled
 
 
 # Broken chain partitions for the antichain proof: two_element_step breaks
