@@ -300,9 +300,12 @@ def full_mask(k: int) -> int:
 
 
 def evaluate_pattern(linear_map: LinearMap) -> int:
-    """Mask of the points x with every row value in {0,1}."""
+    """Mask of the points x with every row value in {0,1}.  A zero row holds
+    every point, so it is skipped; witness maps are padded with them."""
     mask = full_mask(linear_map.k)
     for row in linear_map.entries:
+        if not any(row):
+            continue
         coeffs, unit = _scaled_row(row)
         mask &= row_mask(coeffs, unit)
         if mask == 0:

@@ -170,13 +170,15 @@ class SearchResult:
     def all_values_scaled(self, max_depth: int | None = None) -> set[int]:
         """Above-threshold values of every survivor, padded with isolated
         coordinates up to dimension config.k."""
+        return set().union(*self.depth_values_scaled()[:max_depth])
+
+    def depth_values_scaled(self) -> list[set[int]]:
+        """all_values_scaled of each depth alone, in depth order."""
         k = self.config.k
-        values = set()
-        for records in self.depths[:max_depth]:
-            for rec in records:
-                shift = k - rec.shape.vertex_count
-                values.update([v << shift for v in rec.values])
-        return values
+        return [
+            {v << (k - rec.shape.vertex_count) for rec in records for v in rec.values}
+            for records in self.depths
+        ]
 
 
 def _new_edge(chosen: int, n: int, fresh: int) -> tuple[int, ...]:

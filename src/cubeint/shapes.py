@@ -10,9 +10,10 @@ sorted by (size descending, lexicographic), and vertices are the integers
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable
 
 from .cube import MAX_DIMENSION, BudgetError, full_mask, row_masks
@@ -24,16 +25,20 @@ def _edge_key(edge: Edge):
     return (-len(edge), edge)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Shape:
     """Multiset of condition supports over vertices 1..vertex_count.
 
     Shape(edges) trusts its caller to pass the module's normal form, with
     edges of two or more vertices; input goes through from_edges (or
-    from_json_dict), the one place it is validated.
+    from_json_dict), the one place it is validated.  Slotted, with no
+    __dict__: the caches and a kept search hold thousands of shapes, and a
+    slot stores vertex_count in less memory than an instance dict.
     """
 
     edges: tuple[Edge, ...]
+    # vertex_count, once it has been read
+    _vertex_count: int | None = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def from_edges(edges: Iterable[Iterable[int]]) -> "Shape":
@@ -62,7 +67,14 @@ class Shape:
 
     @property
     def vertex_count(self) -> int:
-        return max([edge[-1] for edge in self.edges])
+        """The largest vertex, stored on the shape on first use: a search
+        reads it many times per shape.  (functools.cached_property would
+        need a __dict__, and takes a lock on every first access.)"""
+        count = self._vertex_count
+        if count is None:
+            count = max([edge[-1] for edge in self.edges])
+            object.__setattr__(self, "_vertex_count", count)
+        return count
 
     def vertex_classes(self) -> dict[tuple[int, ...], list[int]]:
         """Each tuple of incident edge indices, mapped to the ascending
@@ -91,8 +103,9 @@ class Shape:
     def is_minimal(self) -> bool:
         """Every edge keeps a private vertex (multiset degree one): its
         vertex class (j,) is not empty."""
-        classes = self.vertex_classes()
-        return all((j,) in classes for j in range(len(self.edges)))
+        degree = Counter(chain.from_iterable(self.edges))
+        private = {v for v, d in degree.items() if d == 1}
+        return all(not private.isdisjoint(edge) for edge in self.edges)
 
     def to_json_dict(self) -> dict:
         return {"k": self.vertex_count, "edges": [list(e) for e in self.edges]}
@@ -113,9 +126,11 @@ class Shape:
 # canonical labelling
 # ---------------------------------------------------------------------------
 
-# Most leaves the individualisation tree of one canonical_form call may reach.
-# The k <= 12 certificates need at most 720; a shape past this one is so
-# symmetric (the complete graph on 7 vertices has 7! leaves) that it is refused.
+# Most leaves the pruned individualisation tree of one canonical_form call may
+# reach.  The k <= 12 certificates need at most 2 (720 unpruned).  Pruning
+# leaves only symmetry that no transposition shows: three disjoint 5-cycles
+# have 6,000 leaves and are refused, while the complete graph on 7 vertices
+# (7! leaves unpruned) labels in one.
 CANONICAL_LEAF_BUDGET = 5_000
 
 
@@ -134,6 +149,15 @@ def canonical_form(shape: Shape) -> Shape:
     vertices; the least encoding over the leaves is canonical.  The
     representative lists the shared vertices first, in that order, then
     each edge's private run.
+
+    The tree is pruned by transpositions.  In a tied cell, a vertex is
+    branched on only when no vertex already kept from that cell is swapped
+    with it by a transposition that maps every reduced edge, with its
+    (private, multiplicity) label, onto a reduced edge.  Such a swap is an
+    automorphism that fixes every cell, since both vertices share one, and
+    refinement reads only colours, so the skipped subtree is the swap's
+    image of the kept one and its leaves repeat encodings already explored.
+    The least encoding, and with it the representative, cannot move.
 
     Raises cube.BudgetError past CANONICAL_LEAF_BUDGET leaves.  Cached,
     like _edge_choices: the result depends only on the shape.
@@ -177,6 +201,18 @@ def canonical_form(shape: Shape) -> Shape:
                 return colours
             cells = len(rank)
 
+    reduced_edges = set(zip(edge_members, edge_labels))
+
+    def swaps(a: int, b: int) -> bool:
+        """Whether the transposition of weighted vertices a and b maps every
+        reduced edge, with its label, onto a reduced edge."""
+        image = {a: b, b: a}
+        return all(
+            (tuple(sorted([image.get(c, c) for c in edge_members[j]])), edge_labels[j])
+            in reduced_edges
+            for j in vertex_edges[a] + vertex_edges[b]
+        )
+
     best = None
     leaves = 0
     # the individualisation tree, depth first on an explicit stack
@@ -187,14 +223,17 @@ def canonical_form(shape: Shape) -> Shape:
         tied = [colour for colour, size in sizes.items() if size > 1]
         if tied:
             target = min(tied)
+            kept: list[int] = []
+            for c, x in enumerate(colours):
+                if x == target and not any(swaps(k, c) for k in kept):
+                    kept.append(c)
             # the chosen vertex goes before the rest of its cell
             stack.extend(
                 [
                     2 * x + (x == target and c != chosen)
                     for c, x in enumerate(colours)
                 ]
-                for chosen in reversed(range(len(colours)))
-                if colours[chosen] == target
+                for chosen in reversed(kept)
             )
             continue
         leaves += 1

@@ -36,12 +36,12 @@ from .shapes import (
 )
 
 # Largest k that verify_large_sets and verify_small_window accept: the slower
-# of the two, verify_small_window(12), takes about 2.9 s in a fresh process on
+# of the two, verify_small_window(12), takes about 1.5 s in a fresh process on
 # a shared 2-vCPU host (median of five; the host's speed drifts by up to a
-# factor of two between days), about 2.4 s of it in its saturated star
-# families' value sets (verify_large_sets(12) about 1.4 s); the step from
-# k = 11 to 12 multiplies the small certificate's time by about 3.8 and the
-# large one's by about 1.6.
+# factor of two between days), about 1.2 s of it in its saturated star
+# families' value sets (verify_large_sets(12) about 0.6 s); the step from
+# k = 11 to 12 multiplies the small certificate's time by about 3.7 and the
+# large one's by about 1.2.
 MAX_CERTIFIED_K = 12
 
 # The last certificate search of each mode.  A search over k vertices holds
@@ -184,10 +184,14 @@ def verify_large_sets(k: int) -> Report:
     result = _certificate_search(EXHAUSTIVE_LARGE, k)
 
     pairs = {}
+    # the values of at most `extra` conditions, folded in one depth at a time
+    values = {1 << k}
+    depth_values = iter(result.depth_values_scaled())
     for extra in range(1, k + 1):
         witnesses = large_membership_witnesses(k, extra)
         claimed = sorted(witnesses)
-        computed = sorted({1 << k} | result.all_values_scaled(max_depth=extra))
+        values |= next(depth_values, set())
+        computed = sorted(values)
         pairs[extra] = (claimed, computed)
         report.add(
             f"H+({k + extra},{k}) matches",

@@ -264,6 +264,86 @@ def brute_canonical_form(shape: Shape) -> Shape:
     return Shape(tuple(sorted(result_edges, key=_edge_key)))
 
 
+def unpruned_canonical_form(shape: Shape) -> Shape:
+    """shapes.canonical_form without its transposition pruning: the same
+    reduction, colour refinement and least leaf encoding, but every vertex of
+    every tied cell is branched on, with no leaf budget and no cache.  Up to
+    7! = 5,040 leaves on a cell of seven interchangeable vertices."""
+    classes = shape.vertex_classes()
+    held: list[list[int]] = [[] for _ in shape.edges]
+    weights = []
+    for edges, members in classes.items():
+        if len(edges) > 1:
+            for j in edges:
+                held[j].append(len(weights))
+            weights.append(len(members))
+    reduced = Counter(
+        (tuple(members), len(classes.get((j,), ()))) for j, members in enumerate(held)
+    )
+    edge_members = [members for members, _private in reduced]
+    edge_labels = [(private, mult) for (_members, private), mult in reduced.items()]
+    vertex_edges: list[list[int]] = [[] for _ in weights]
+    for j, members in enumerate(edge_members):
+        for c in members:
+            vertex_edges[c].append(j)
+
+    def refine(colours: list[int]) -> list[int]:
+        cells = len(set(colours))
+        while True:
+            edge_colours = [
+                (label, tuple(sorted(colours[c] for c in members)))
+                for label, members in zip(edge_labels, edge_members)
+            ]
+            signatures = [
+                (colour, tuple(sorted(edge_colours[j] for j in edges)))
+                for colour, edges in zip(colours, vertex_edges)
+            ]
+            rank = {sig: r for r, sig in enumerate(sorted(set(signatures)))}
+            colours = [rank[sig] for sig in signatures]
+            if len(rank) == cells:
+                return colours
+            cells = len(rank)
+
+    def leaves(colours: list[int]):
+        colours = refine(colours)
+        tied = [colour for colour, size in Counter(colours).items() if size > 1]
+        if not tied:
+            yield colours
+            return
+        target = min(tied)
+        for chosen, x in enumerate(colours):
+            if x == target:
+                yield from leaves(
+                    [2 * y + (y == target and c != chosen) for c, y in enumerate(colours)]
+                )
+
+    def encoding(colours: list[int]):
+        order = sorted(range(len(colours)), key=colours.__getitem__)
+        return (
+            tuple(weights[c] for c in order),
+            sorted(
+                (tuple(sorted(colours[c] for c in members)), label)
+                for label, members in zip(edge_labels, edge_members)
+            ),
+        )
+
+    ordered_weights, ordered_edges = min(encoding(leaf) for leaf in leaves(weights))
+    starts = [1]
+    for weight in ordered_weights:
+        starts.append(starts[-1] + weight)
+    fresh = starts[-1]
+    result_edges: list[Edge] = []
+    for members, (private, mult) in ordered_edges:
+        shared = tuple(v for p in members for v in range(starts[p], starts[p + 1]))
+        if not private:
+            result_edges.extend([shared] * mult)
+            continue
+        for _ in range(mult):
+            result_edges.append(shared + tuple(range(fresh, fresh + private)))
+            fresh += private
+    return Shape(tuple(sorted(result_edges, key=_edge_key)))
+
+
 def pairwise_ints_masks(k: int, entries) -> set[int]:
     """Patterns of one bad row, or a bad row and any other row, above the
     integrality bar 15/16 * 2^(k-1), by a plain sweep over every pair.

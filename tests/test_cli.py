@@ -460,6 +460,11 @@ class TestPaperCommands:
         ]
 
 
+# three disjoint 5-cycles: no transposition maps the shape onto itself, so
+# canonical_form prunes nothing and passes its leaf budget
+FIVE_CYCLES = ";".join(f"{5 * c + i + 1},{5 * c + (i + 1) % 5 + 1}" for c in range(3) for i in range(5))
+
+
 class TestExitContract:
     @pytest.mark.parametrize(
         "argv",
@@ -473,7 +478,7 @@ class TestExitContract:
             ["window", "hn", "--n", "8", "--out", "{missing_dir}/report.json"],
             ["verify", "antichain", "--ell", "3"],
             ["verify", "antichain", "--ell", "17"],
-            ["shape", "--edges", ";".join(f"{a},{b}" for a in range(1, 8) for b in range(a + 1, 8))],
+            ["shape", "--edges", FIVE_CYCLES],
             ["map", "--json", '{"k":2,"entries":[["1/0","1"]]}'],
             ["oracle", "--k", "2", "--m", "1", "--entries", "1/0"],
             ["oracle", "--k", "2", "--m", "0"],
@@ -499,7 +504,7 @@ class TestExitContract:
             (["oracle", "--k", "6", "--m", "3"], "closure of 723 masks needs more than 5000000 intersections"),
             (["oracle", "--k", "9", "--m", "1"], "3^9 rows of 2^9 points exceed the work budget 5000000"),
             (
-                ["shape", "--edges", ";".join(f"{a},{b}" for a in range(1, 8) for b in range(a + 1, 8))],
+                ["shape", "--edges", FIVE_CYCLES],
                 "shape too symmetric to label: more than 5000 refinement leaves",
             ),
         ],

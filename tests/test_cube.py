@@ -470,6 +470,24 @@ def test_zero_column_doubles(k, data):
     assert intersection_size(extended) == 2 * intersection_size(m)
 
 
+@given(st.integers(1, 4), st.data())
+def test_zero_rows_leave_the_pattern(k, data):
+    # evaluate_pattern skips a zero row, whose mask is the whole cube
+    rows = data.draw(
+        st.lists(
+            st.lists(st.sampled_from([-1, 0, 1, Fraction(1, 2)]), min_size=k, max_size=k),
+            max_size=3,
+        )
+    )
+    padded = list(rows)
+    for _ in range(data.draw(st.integers(1, 3))):
+        padded.insert(data.draw(st.integers(0, len(padded))), [0] * k)
+    reference = full_mask(k)
+    for row in lm(k, padded).entries:
+        reference &= reference_row_mask(*_scaled_row(row))
+    assert evaluate_pattern(lm(k, padded)) == evaluate_pattern(lm(k, rows)) == reference
+
+
 @given(st.data())
 def test_monotone_under_row_subsets(data):
     rows = data.draw(

@@ -1,4 +1,5 @@
 import gc
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -43,6 +44,7 @@ from oracles import (
     reference_value_set,
     shape_fraction,
     shared_vertices,
+    unpruned_canonical_form,
 )
 
 
@@ -285,6 +287,28 @@ def search_inputs(max_k=6):
                         yield child
 
 
+def cycle_unions():
+    """Unions of cycles of seven or fewer vertices in all, each under several
+    relabellings: every vertex has degree two."""
+
+    def cycles(*lengths):
+        edges, start = [], 1
+        for n in lengths:
+            edges += [(start + i, start + (i + 1) % n) for i in range(n)]
+            start += n
+        return edges
+
+    shapes = []
+    for lengths in [(7,), (3, 4), (4, 3), (3, 3), (6,)]:
+        edges = cycles(*lengths)
+        n = max(v for e in edges for v in e)
+        for step in (1, 2, 3, 5):
+            if gcd(step, n) == 1:
+                perm = [(step * v) % n + 1 for v in range(n)]
+                shapes.append(Shape.from_edges([(perm[a - 1], perm[b - 1]) for a, b in edges]))
+    return shapes
+
+
 def assert_matches_brute_force(shapes):
     """canonical_form splits shapes into the oracle's classes and keeps each
     shape in its own class."""
@@ -307,21 +331,7 @@ class TestCanonicalAgainstBruteForce:
     def test_ties_refinement_cannot_split(self):
         # every vertex of a union of cycles has degree two, so refinement
         # leaves one cell and only the least leaf tells C3+C4 from C7
-        def cycles(*lengths):
-            edges, start = [], 1
-            for n in lengths:
-                edges += [(start + i, start + (i + 1) % n) for i in range(n)]
-                start += n
-            return edges
-
-        shapes = []
-        for lengths in [(7,), (3, 4), (4, 3), (3, 3), (6,)]:
-            edges = cycles(*lengths)
-            n = max(v for e in edges for v in e)
-            for step in (1, 2, 3, 5):
-                if gcd(step, n) == 1:
-                    perm = [(step * v) % n + 1 for v in range(n)]
-                    shapes.append(Shape.from_edges([(perm[a - 1], perm[b - 1]) for a, b in edges]))
+        shapes = cycle_unions()
         assert_matches_brute_force(shapes)
         assert len({canonical_form(s) for s in shapes}) == 4
 
@@ -337,9 +347,44 @@ class TestCanonicalAgainstBruteForce:
         assert canonical_form(star) == star
 
     def test_budget(self):
-        complete = Shape.from_edges(combinations(range(1, 8), 2))
+        # no transposition maps three disjoint 5-cycles onto themselves, so
+        # nothing is pruned: 15 * 2 * 10 * 2 * 5 * 2 = 6,000 leaves
+        five_cycles = Shape.from_edges(
+            (5 * c + i, 5 * c + (i + 1) % 5) for c in range(3) for i in range(5)
+        )
         with pytest.raises(BudgetError, match=str(CANONICAL_LEAF_BUDGET)):
-            canonical_form(complete)
+            canonical_form(five_cycles)
+
+
+class TestPruningAgainstUnpruned:
+    """canonical_form skips the subtree of a vertex that a transposition
+    automorphism swaps with one already explored; the unpruned tree must give
+    the same representative."""
+
+    def test_every_child_the_certificates_label(self, cold_certificates):
+        shapes = {s.edges: s for run in cold_certificates.values() for s in run["labelled"]}
+        assert len(shapes) > 2_000
+        for s in shapes.values():
+            assert canonical_form(s) == unpruned_canonical_form(s), s
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            # 7! = 5,040 leaves unpruned, one leaf pruned
+            combinations(range(1, 8), 2),
+            # seven doubled spokes around one vertex, labelled by the large
+            # search at k = 14
+            [(0, v) for v in range(1, 8) for _ in range(2)],
+        ],
+        ids=["complete-graph-7", "seven-doubled-spokes"],
+    )
+    def test_symmetric_shapes_past_the_budget_unpruned(self, edges):
+        s = Shape.from_edges(edges)
+        assert canonical_form(s) == unpruned_canonical_form(s)
+
+    def test_cycle_unions(self):
+        for s in cycle_unions():
+            assert canonical_form(s) == unpruned_canonical_form(s), s
 
 
 FLOORS = (Fraction(0), Fraction(15, 32), Fraction(1, 2))
@@ -410,12 +455,22 @@ def assert_value_sets_match_reference(shapes, floors=FLOORS):
                 assert assignment_intersection(s, witness) == value
 
 
+# the code of canonical_form's nested refine, whose calls cold_certificates counts
+REFINE_CODE = next(
+    const
+    for const in canonical_form.__wrapped__.__code__.co_consts
+    if getattr(const, "co_name", None) == "refine"
+)
+
+
 @pytest.fixture(scope="module")
-def certificate_edge_choices():
+def cold_certificates():
     """For each certificate run from cold shape caches and with no earlier
     search to grow, verify_large_sets(6..12) and verify_small_window(8..12):
-    every _edge_choices key it reaches with its choices, and the
-    (edge, groups) of every row_masks walk shapes makes."""
+    every _edge_choices key it reaches with its choices, the (edge, groups)
+    of every row_masks walk shapes makes, every shape it labels, the number
+    of refine calls its labelling makes (counted by a trace function that
+    is set only inside canonical_form), its search and its report."""
     runs = {}
     with pytest.MonkeyPatch.context() as mp:
 
@@ -427,20 +482,94 @@ def certificate_edge_choices():
             walks.append((support, groups))
             return row_masks(k, entries, support, groups)
 
+        def count_refine(frame, _event, _arg):
+            if frame.f_code is REFINE_CODE:
+                refines.append(None)
+
+        def recorded_form(shape):
+            labelled.append(shape)
+            previous = sys.gettrace()
+            sys.settrace(count_refine)
+            try:
+                return canonical_form(shape)
+            finally:
+                sys.settrace(previous)
+
         mp.setattr("cubeint.shapes._edge_choices", recorded_choices)
         mp.setattr("cubeint.shapes.row_masks", recorded_walk)
-        for mode, ks, verify in (
-            ("large", range(6, 13), verify_large_sets),
-            ("small", range(8, 13), verify_small_window),
+        mp.setattr("cubeint.search.canonical_form", recorded_form)
+        mp.setattr("cubeint.theorems.canonical_form", recorded_form)
+        for mode, search_mode, ks, verify in (
+            ("large", EXHAUSTIVE_LARGE, range(6, 13), verify_large_sets),
+            ("small", NON_REDUNDANT_SMALL, range(8, 13), verify_small_window),
         ):
             for k in ks:
+                canonical_form.cache_clear()
                 _edge_choices.cache_clear()
                 intersection_value_set.cache_clear()
                 theorems._last_search.clear()
-                keys, walks = {}, []
-                assert verify(k).passed
-                runs[mode, k] = {"keys": keys, "walks": walks}
+                keys, walks, labelled, refines = {}, [], [], []
+                report = verify(k)
+                assert report.passed
+                runs[mode, k] = {
+                    "keys": keys,
+                    "walks": walks,
+                    "labelled": labelled,
+                    "refines": len(refines),
+                    "search": theorems._last_search[search_mode],
+                    "report": report,
+                }
     return runs
+
+
+class TestColdCertificates:
+    """Facts the certificates read many times, against their definitions."""
+
+    def test_stored_vertex_count_is_the_largest_vertex(self, cold_certificates):
+        for run in cold_certificates.values():
+            for records in run["search"].depths:
+                for rec in records:
+                    assert rec.shape.vertex_count == max(edge[-1] for edge in rec.shape.edges)
+
+    def test_minimal_is_every_edge_keeping_a_private_class(self, cold_certificates):
+        for run in cold_certificates.values():
+            for records in run["search"].depths:
+                for rec in records:
+                    classes = rec.shape.vertex_classes()
+                    private = all((j,) in classes for j in range(len(rec.shape.edges)))
+                    assert rec.shape.is_minimal() == private, rec.shape
+
+    def test_folded_values_are_the_values_to_each_depth(self, cold_certificates):
+        for k in range(6, 13):
+            run = cold_certificates["large", k]
+            computed = {
+                check.details["n"] - k: check.details["computed"]
+                for check in run["report"].checks
+                if check.name.startswith("H+(")
+            }
+            for extra in range(1, k + 1):
+                padded = {
+                    v << (k - rec.shape.vertex_count)
+                    for records in run["search"].depths[:extra]
+                    for rec in records
+                    for v in rec.values
+                }
+                assert padded == run["search"].all_values_scaled(max_depth=extra)
+                assert computed[extra] == sorted({1 << k} | padded), (k, extra)
+            assert len(computed) == k
+
+    @pytest.mark.parametrize(
+        "mode, refines",
+        [
+            ("large", {6: 264, 7: 433, 8: 667, 9: 1017, 10: 1524, 11: 2275, 12: 3338}),
+            ("small", {8: 406, 9: 423, 10: 439, 11: 455, 12: 471}),
+        ],
+    )
+    def test_golden_refine_counts(self, cold_certificates, mode, refines):
+        # colour refinements per cold certificate; without the transposition
+        # pruning they read 299, 522, 910, 1625, 3058, 5958 and 12508
+        # (large) and 615, 634, 652, 670 and 688 (small)
+        assert {k: cold_certificates[mode, k]["refines"] for k in refines} == refines
 
 
 class TestValueSetAgainstReference:
@@ -466,11 +595,11 @@ class TestValueSetAgainstReference:
                 assert _edge_choices(*key) is choices
                 assert choices == tuple(row_masks(s.vertex_count, (-1, 1), edge, groups))
 
-    def test_edge_choices_equal_a_fresh_build(self, certificate_edge_choices):
+    def test_edge_choices_equal_a_fresh_build(self, cold_certificates):
         # every key the certificates reach, tiled ones included, against a
         # direct row_masks walk at its own k (up to 12)
         keys = {}
-        for choices in certificate_edge_choices.values():
+        for choices in cold_certificates.values():
             keys.update(choices["keys"])
         assert max(k for k, _edge, _groups in keys) == 12
         for (k, edge, groups), choices in keys.items():
@@ -480,15 +609,15 @@ class TestValueSetAgainstReference:
         "mode, walks",
         [("large", {6: 70, 7: 98, 8: 122}), ("small", {8: 145, 9: 178})],
     )
-    def test_golden_walk_counts(self, certificate_edge_choices, mode, walks):
+    def test_golden_walk_counts(self, cold_certificates, mode, walks):
         # one row_masks walk per (edge, groups), whatever the vertex counts
         # it is asked at; walking each (k, edge, groups) read 130, 203 and
         # 277 (large) and 321 and 416 (small)
-        for (run_mode, _k), run in certificate_edge_choices.items():
+        for (run_mode, _k), run in cold_certificates.items():
             if run_mode == mode:
                 assert len(run["walks"]) == len(set(run["walks"]))
                 assert set(run["walks"]) == {(edge, groups) for _k, edge, groups in run["keys"]}
-        assert {k: len(certificate_edge_choices[mode, k]["walks"]) for k in walks} == walks
+        assert {k: len(cold_certificates[mode, k]["walks"]) for k in walks} == walks
 
     def test_extreme_floors(self):
         s = shape((1, 2, 3), (1, 2, 4))
