@@ -59,6 +59,12 @@ parent's edges.  Fresh vertices lie in no parent edge, so a count vector
 fixes every type whatever its new size, and is ruled out for all its new
 sizes at once, from one table per search of each type's verdicts.
 
+A child that survives is built and scored.  Its value set does not change
+when its vertices are relabelled, so the small mode scores the child as
+built and labels (canonical_form) only one with an admissible value, most
+children having none.  The large mode keeps every child it builds, so it
+labels first, and isomorphic children share one cached value set.
+
 A search over k vertices holds every search over fewer: a child has at least
 as many vertices as its parent, and the largest edge, min(k, the threshold's
 bound), is the same below k, so the records and pruned children of at most
@@ -429,6 +435,11 @@ def bfs_search(config: SearchConfig, base: SearchResult | None = None) -> Search
     yields has more vertices than any of them.  pruned_count adds to base's,
     the sub-shape table starts as a copy of base's, and deeper depths run in
     full.  The result equals the search of config without a base.
+
+    Each child _children keeps is built, scored and, once kept, labelled.
+    In the small mode the child is scored as built and canonical_form runs
+    only when a value lies below the parent's scaled best; in the large
+    mode, which keeps every such child, it is labelled before it is scored.
     """
     result = SearchResult(config)
     known_k = known_depths = 0
@@ -438,6 +449,7 @@ def bfs_search(config: SearchConfig, base: SearchResult | None = None) -> Search
         result.pruned_count = base.pruned_count
         result.table = dict(base.table)
     table = result.table
+    small = config.mode == NON_REDUNDANT_SMALL
     # one tuple per distinct key, shared by every record that has it (the
     # large search's 3,195 keys at k = 12 are 771 distinct ones)
     shared: dict[tuple, tuple] = {}
@@ -475,9 +487,12 @@ def bfs_search(config: SearchConfig, base: SearchResult | None = None) -> Search
                 result.pruned_count += weight * (sizes & ~alive).bit_count()
                 for new_size in _sizes(alive):
                     fresh = new_size - used
-                    canon = canonical_form(parent.shape.with_edge(_new_edge(chosen, n, fresh)))
-                    values = intersection_value_set(canon, floor=config.threshold)
-                    if config.mode == NON_REDUNDANT_SMALL:
+                    child = parent.shape.with_edge(_new_edge(chosen, n, fresh))
+                    if not small:
+                        # labelled first, so isomorphic children share one value set
+                        child = canonical_form(child)
+                    values = intersection_value_set(child, floor=config.threshold)
+                    if small:
                         bound = parent.max_size << fresh
                         admissible = [v for v in values if v < bound]
                     else:
@@ -485,6 +500,9 @@ def bfs_search(config: SearchConfig, base: SearchResult | None = None) -> Search
                     if not admissible:
                         result.pruned_count += weight
                         continue
+                    # relabelling leaves the values as they are, so a small
+                    # child is labelled only once it is kept
+                    canon = canonical_form(child) if small else child
                     record = new_frontier.setdefault(canon.edges, ShapeRecord(canon, 0, values, ()))
                     record.max_size = max(record.max_size, max(admissible))
                     found.setdefault(canon.edges, set()).update(

@@ -145,7 +145,9 @@ def canonical_form(shape: Shape) -> Shape:
     with a multiplicity.  Colour refinement on the vertex-edge incidence
     graph then splits the weighted vertices by weight and by the edges
     around them, and individualisation (McKay & Piperno's scheme) branches
-    only on the cells that stay tied.  Every leaf orders the weighted
+    only on the cells that stay tied.  Refinement stops once the colouring
+    is equitable, and so as soon as it is discrete: another pass would keep
+    a discrete colouring as it is.  Every leaf orders the weighted
     vertices; the least encoding over the leaves is canonical.  The
     representative lists the shared vertices first, in that order, then
     each edge's private run.
@@ -164,18 +166,22 @@ def canonical_form(shape: Shape) -> Shape:
     """
     classes = shape.vertex_classes()
     held: list[list[int]] = [[] for _ in shape.edges]
+    private = [0] * len(shape.edges)
     weights = []
     for edges, members in classes.items():
         if len(edges) > 1:
             for j in edges:
                 held[j].append(len(weights))
             weights.append(len(members))
-    reduced = Counter(
-        (tuple(members), len(classes.get((j,), ())))
-        for j, members in enumerate(held)
-    )
-    edge_members = [members for members, _private in reduced]
-    edge_labels = [(private, mult) for (_members, private), mult in reduced.items()]
+        else:
+            private[edges[0]] = len(members)
+    # (weighted vertices, private size) of each reduced edge -> multiplicity
+    reduced: dict[tuple[tuple[int, ...], int], int] = {}
+    for members, size in zip(held, private):
+        key = tuple(members), size
+        reduced[key] = reduced.get(key, 0) + 1
+    edge_members = [members for members, _size in reduced]
+    edge_labels = [(size, mult) for (_members, size), mult in reduced.items()]
     vertex_edges: list[list[int]] = [[] for _ in weights]
     for j, members in enumerate(edge_members):
         for c in members:
@@ -184,7 +190,8 @@ def canonical_form(shape: Shape) -> Shape:
     def refine(colours: list[int]) -> list[int]:
         """Split colour classes until they are equitable.  New colours are
         ranks of (old colour, incident edge colours), so the old order is
-        kept and nothing depends on the labels."""
+        kept and nothing depends on the labels.  A discrete colouring is
+        equitable, so refinement ends as soon as one is reached."""
         cells = len(set(colours))
         while True:
             edge_colours = [
@@ -197,7 +204,7 @@ def canonical_form(shape: Shape) -> Shape:
             ]
             rank = {sig: r for r, sig in enumerate(sorted(set(signatures)))}
             colours = [rank[sig] for sig in signatures]
-            if len(rank) == cells:
+            if len(rank) == cells or len(rank) == len(colours):
                 return colours
             cells = len(rank)
 
@@ -219,10 +226,12 @@ def canonical_form(shape: Shape) -> Shape:
     stack = [weights]
     while stack:
         colours = refine(stack.pop())
-        sizes = Counter(colours)
-        tied = [colour for colour, size in sizes.items() if size > 1]
-        if tied:
-            target = min(tied)
+        if len(set(colours)) < len(colours):
+            # the least tied colour; colours are ranks 0, 1, ...
+            sizes = [0] * len(colours)
+            for x in colours:
+                sizes[x] += 1
+            target = next(x for x, size in enumerate(sizes) if size > 1)
             kept: list[int] = []
             for c, x in enumerate(colours):
                 if x == target and not any(swaps(k, c) for k in kept):
@@ -242,12 +251,17 @@ def canonical_form(shape: Shape) -> Shape:
                 f"shape too symmetric to label: more than "
                 f"{CANONICAL_LEAF_BUDGET} refinement leaves"
             )
-        order = sorted(range(len(colours)), key=colours.__getitem__)
+        # a discrete colouring: the weighted vertices in colour order
+        order = [0] * len(colours)
+        for c, x in enumerate(colours):
+            order[x] = c
         encoding = (
-            tuple(weights[c] for c in order),
+            tuple([weights[c] for c in order]),
             sorted(
-                (tuple(sorted(colours[c] for c in members)), label)
-                for label, members in zip(edge_labels, edge_members)
+                [
+                    (tuple(sorted([colours[c] for c in members])), label)
+                    for label, members in zip(edge_labels, edge_members)
+                ]
             ),
         )
         if best is None or encoding < best:
@@ -260,9 +274,7 @@ def canonical_form(shape: Shape) -> Shape:
     fresh = starts[-1]
     result_edges: list[Edge] = []
     for members, (private, mult) in ordered_edges:
-        shared = tuple(
-            v for p in members for v in range(starts[p], starts[p + 1])
-        )
+        shared = tuple([v for p in members for v in range(starts[p], starts[p + 1])])
         if not private:
             result_edges.extend([shared] * mult)
             continue

@@ -186,12 +186,24 @@ class TestDeterminism:
                 "5c4c0d2a7b64ceee2810098139561256609766c22f9614dee88ca72dce2dfa05",
             ),
             (
+                ["verify", "small", "--k", "9"],
+                "293308c6d99c95cfed7a7369746ccca6170e06fd26d1369a21b77c2449b4cd5f",
+            ),
+            (
+                ["verify", "small", "--k", "10"],
+                "ae76bcccee0dd9d83ab1aa4e8bc3c96d86812a91f3f2a28cd97a34a9480371f6",
+            ),
+            (
                 ["search", "--mode", "exhaustive-large", "--k", "6"],
                 "85f8bb9fddbff1171f0fcf3d9184be1e4b4758026fb6fab997b18fbf9a59c9f4",
             ),
             (
                 ["search", "--mode", "small", "--k", "8"],
                 "14f0e6f79b4bd65d0ad8e91b8f6573f0bc99805ae2c9bbdad651cd63f30e2415",
+            ),
+            (
+                ["search", "--mode", "small", "--k", "10"],
+                "72e40da313897db82fc25b95909581b456ad684e0540c72beaf14b6d538982b7",
             ),
             (
                 ["shape", "--edges", "1,5;2,5,6;3,4,5,7"],
@@ -244,8 +256,11 @@ class TestDeterminism:
             "verify_large_k7",
             "verify_large_k8",
             "verify_small_k8",
+            "verify_small_k9",
+            "verify_small_k10",
             "search_large_k6",
             "search_small_k8",
+            "search_small_k10",
             "shape_mixed",
             "shape_15_vertices",
             "shape_shared_pair",

@@ -206,6 +206,43 @@ class TestSmallSearch:
         assert [s.edges for s in got] == [s.edges for s in expected_small_families()]
 
 
+class TestScoreBeforeLabelling:
+    @pytest.mark.parametrize("k", range(8, 13))
+    def test_small_search_labels_what_the_label_first_rule_keeps(self, k, monkeypatch):
+        # the small search scores each child as built and labels only those
+        # with a value below the parent's scaled best; the oracle is the rule
+        # it replaces, which labels first and scores the canonical form
+        config = SearchConfig(NON_REDUNDANT_SMALL, k)
+        built, labelled = [], []
+
+        def spied(shape, config, table, known):
+            for vector in _children(shape, config, table, known):
+                built.append((shape, vector))
+                yield vector
+
+        def counted(shape):
+            labelled.append(shape)
+            return canonical_form(shape)
+
+        monkeypatch.setattr("cubeint.search._children", spied)
+        monkeypatch.setattr("cubeint.search.canonical_form", counted)
+        result = bfs_search(config)
+        best = {rec.shape.edges: rec.max_size for records in result.depths for rec in records}
+        kept = []
+        for parent, (chosen, used, *_rest, alive) in built:
+            for new_size in range(alive.bit_length()):
+                if not alive >> new_size & 1:
+                    continue
+                fresh = new_size - used
+                child = parent.with_edge(_new_edge(chosen, parent.vertex_count, fresh))
+                values = intersection_value_set(canonical_form(child), config.threshold)
+                assert intersection_value_set(child, config.threshold) == values, child
+                if any(v < best[parent.edges] << fresh for v in values):
+                    kept.append(child)
+        assert labelled == kept
+        assert len(kept) < sum(alive.bit_count() for _parent, (*_rest, alive) in built)
+
+
 class TestExhaustiveSearch:
     def test_nonminimal_values_captured(self):
         result = bfs_search(SearchConfig(EXHAUSTIVE_LARGE, 4, max_edges=2))
@@ -455,13 +492,15 @@ class TestBound:
     @pytest.mark.parametrize(
         "mode, labelled",
         [
-            (NON_REDUNDANT_SMALL, {8: 284, 9: 299}),
+            (NON_REDUNDANT_SMALL, {8: 74, 9: 80}),
             (EXHAUSTIVE_LARGE, {6: 263, 7: 420, 8: 624}),
         ],
     )
     def test_golden_labelled_counts(self, mode, labelled, monkeypatch):
         # bfs_search labels (canonicalises) each child it does not rule out,
-        # one per orbit of count vectors; a weaker bound labels more
+        # one per orbit of count vectors, and in the small mode only those
+        # with an admissible value (labelling every one read 284 and 299); a
+        # weaker bound labels more
         calls = []
 
         def counted(shape):
@@ -535,12 +574,16 @@ class TestBound:
     def test_golden_sub_shape_counts(self, mode, built, monkeypatch):
         # the one table of a fresh search builds and tests a sub-shape once
         # per (type, new size) it is asked about; every other value set the
-        # search takes is a first edge's or a labelled child's
+        # search takes is a first edge's or a built child's, one per new size
+        # a count vector keeps alive; the large mode labels each child it
+        # builds, the small mode only the ones it keeps
         tables, calls = [], Counter()
 
         def spied(shape, config, table, known):
             tables.append(table)
-            return _children(shape, config, table, known)
+            for vector in _children(shape, config, table, known):
+                calls["children"] += vector[-1].bit_count()
+                yield vector
 
         def counted_form(shape):
             calls["canonical_form"] += 1
@@ -562,7 +605,11 @@ class TestBound:
             assert all(table is tables[0] for table in tables)
             counts[k] = sum(asked.bit_count() for asked, _dead in tables[0].values())
             first_edges = config.max_edge_size - 1
-            assert calls["value_set"] == first_edges + calls["canonical_form"] + counts[k]
+            assert calls["value_set"] == first_edges + calls["children"] + counts[k]
+            if mode == EXHAUSTIVE_LARGE:
+                assert calls["canonical_form"] == calls["children"]
+            else:
+                assert calls["canonical_form"] < calls["children"]
         assert counts == built
 
     def test_pair_bound_table(self):

@@ -249,13 +249,13 @@ class TestGrownCertificates:
         "verify, labelled",
         [
             (verify_large_sets, {6: 263, 7: 157, 8: 204}),
-            (verify_small_window, {8: 284, 9: 15, 10: 14}),
+            (verify_small_window, {8: 74, 9: 6, 10: 6}),
         ],
     )
     def test_a_chain_labels_each_child_once(self, monkeypatch, verify, labelled):
         # each certificate labels only the children past the last one's k, so
         # the chain labels as many as one cold search of its largest k (large
-        # 8: 624, small 10: 313), not one per certificate (1,307 and 896)
+        # 8: 624, small 10: 86), not one per certificate (1,307 and 240)
         form = search.canonical_form
         calls = []
 
