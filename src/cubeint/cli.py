@@ -117,7 +117,7 @@ def _cmd_search(args) -> int:
                 "shape": rec.shape.to_json_dict(),
                 "max": rec.max_size,
                 "fraction": str(rec.fraction),
-                "raw_multiplicity": rec.raw_count(),
+                "raw_multiplicity": rec.raw,
             }
             shapes.append(entry)
         depths.append({"edges": depth_index, "shapes": shapes})

@@ -37,8 +37,9 @@ for each orbit of such swaps, the one whose private counts do not increase
 along each group of interchangeable edges (the edge-interchange half of the
 lex-leader rule of Crawford, Ginsberg, Luks & Roy, KR 1996).  It is labelled
 once; every distinct arrangement of its counts is a child of its own, with
-its own key and the same multiplicity, so the keys, raw survivor counts and
-``pruned_count`` stay those of the subset-by-subset enumeration.  Only a
+its own key and the same multiplicity, so each record's raw count (the
+number of its distinct keys) and ``pruned_count`` stay those of the
+subset-by-subset enumeration.  Only a
 vector that keeps a new size lists its arrangements, for their keys; a
 ruled-out one is weighed by their number, a product of multinomial
 coefficients over the groups (_arrangement_count).  Automorphisms that move
@@ -139,25 +140,20 @@ class ShapeRecord:
 
     ``values`` are its sizes above the threshold, ascending, and ``max_size``
     the best admissible one; shapes.max_intersection gives a witness.
-    ``keys`` holds the distinct ways the state was produced (size of the
-    added edge plus its overlap profile with the parent's edges), ascending;
-    each counts as one raw survivor, which is how the historical raw counts
-    arise.  It is a tuple, not a set, because records outlive their search
-    (a certificate keeps the last one to grow) and most hold one key: a
-    one-key set takes 216 bytes, a one-key tuple 48.
+    ``raw`` is the number of distinct ways the state was produced (size of
+    the added edge plus its overlap profile with the parent's edges), each
+    one raw survivor, which is how the historical raw counts arise; a single
+    edge is produced one way.
     """
 
     shape: Shape
     max_size: int
     values: tuple[int, ...]
-    keys: tuple[tuple[int, tuple[int, ...]], ...]
+    raw: int
 
     @property
     def fraction(self) -> Fraction:
         return Fraction(self.max_size, 1 << self.shape.vertex_count)
-
-    def raw_count(self) -> int:
-        return len(self.keys)
 
 
 @dataclass
@@ -440,6 +436,9 @@ def bfs_search(config: SearchConfig, base: SearchResult | None = None) -> Search
     In the small mode the child is scored as built and canonical_form runs
     only when a value lies below the parent's scaled best; in the large
     mode, which keeps every such child, it is labelled before it is scored.
+    A kept child merges into the record of its canonical form, built the
+    first time the form is seen; each record's raw is set once its depth is
+    done, from the distinct keys (new size, overlap) merged into it.
     """
     result = SearchResult(config)
     known_k = known_depths = 0
@@ -450,19 +449,16 @@ def bfs_search(config: SearchConfig, base: SearchResult | None = None) -> Search
         result.table = dict(base.table)
     table = result.table
     small = config.mode == NON_REDUNDANT_SMALL
-    # one tuple per distinct key, shared by every record that has it (the
-    # large search's 3,195 keys at k = 12 are 771 distinct ones)
-    shared: dict[tuple, tuple] = {}
     frontier: dict[tuple, ShapeRecord] = {}
     for size in range(2, config.max_edge_size + 1):
         shape = Shape((tuple(range(1, size + 1)),))
         values = intersection_value_set(shape, floor=config.threshold)
-        frontier[shape.edges] = ShapeRecord(shape, max(values), values, ((size, ()),))
+        frontier[shape.edges] = ShapeRecord(shape, max(values), values, 1)
     result.depths.append(_sorted_records(frontier))
 
     for depth in range(2, config.max_edges + 1):
         new_frontier: dict[tuple, ShapeRecord] = {}
-        # the keys of this depth's new records, merged here and stored sorted
+        # the keys of this depth's new records, merged here and counted once
         found: dict[tuple, set] = {}
         known = 0
         if depth <= known_depths:
@@ -503,7 +499,9 @@ def bfs_search(config: SearchConfig, base: SearchResult | None = None) -> Search
                     # relabelling leaves the values as they are, so a small
                     # child is labelled only once it is kept
                     canon = canonical_form(child) if small else child
-                    record = new_frontier.setdefault(canon.edges, ShapeRecord(canon, 0, values, ()))
+                    record = new_frontier.get(canon.edges)
+                    if record is None:
+                        record = new_frontier[canon.edges] = ShapeRecord(canon, 0, values, 0)
                     record.max_size = max(record.max_size, max(admissible))
                     found.setdefault(canon.edges, set()).update(
                         [(new_size, overlap) for overlap in overlaps]
@@ -516,7 +514,7 @@ def bfs_search(config: SearchConfig, base: SearchResult | None = None) -> Search
             result.terminated_naturally = True
             break
         for edges, keys in found.items():
-            new_frontier[edges].keys = tuple(sorted([shared.setdefault(key, key) for key in keys]))
+            new_frontier[edges].raw = len(keys)
         result.depths.append(_sorted_records(new_frontier))
         frontier = new_frontier
     return result

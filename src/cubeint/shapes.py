@@ -9,11 +9,9 @@ sorted by (size descending, lexicographic), and vertices are the integers
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from typing import Iterable
 
 from .cube import MAX_DIMENSION, BudgetError, full_mask, row_masks
@@ -103,9 +101,8 @@ class Shape:
     def is_minimal(self) -> bool:
         """Every edge keeps a private vertex (multiset degree one): its
         vertex class (j,) is not empty."""
-        degree = Counter(chain.from_iterable(self.edges))
-        private = {v for v, d in degree.items() if d == 1}
-        return all(not private.isdisjoint(edge) for edge in self.edges)
+        classes = self.vertex_classes()
+        return all((j,) in classes for j in range(len(self.edges)))
 
     def to_json_dict(self) -> dict:
         return {"k": self.vertex_count, "edges": [list(e) for e in self.edges]}

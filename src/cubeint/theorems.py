@@ -36,12 +36,12 @@ from .shapes import (
 )
 
 # Largest k that verify_large_sets and verify_small_window accept: the slower
-# of the two, verify_small_window(12), takes about 1.5 s in a fresh process on
-# a shared 2-vCPU host (median of five; the host's speed drifts by up to a
-# factor of two between days), about 1.2 s of it in its saturated star
-# families' value sets (verify_large_sets(12) about 0.6 s); the step from
-# k = 11 to 12 multiplies the small certificate's time by about 3.7 and the
-# large one's by about 1.2.
+# of the two, verify_small_window(12), takes 1.0-2.2 s in a fresh process on
+# a shared 2-vCPU host (five runs at each of two times; the host's speed
+# drifts by a factor of two within a day), about three quarters of it in its
+# saturated star families' value sets (verify_large_sets(12) 0.35-0.9 s); the
+# step from k = 11 to 12 multiplies the small certificate's time by about 3.7
+# and the large one's by about 1.2.
 MAX_CERTIFIED_K = 12
 
 # The last certificate search of each mode.  A search over k vertices holds
@@ -342,7 +342,7 @@ def verify_small_window(k: int = 8) -> Report:
 
     # a search that stopped before depth 4 has no records there, and fails
     records = result.depths[3] if len(result.depths) >= 4 else []
-    raw = sum(rec.raw_count() for rec in records)
+    raw = sum(rec.raw for rec in records)
     shapes = sorted((rec.shape for rec in records), key=lambda s: s.edges)
     report.add(
         "four-condition survivors",

@@ -133,7 +133,7 @@ def test_criterion_05_small_search_and_window():
     search = bfs_search(SearchConfig(NON_REDUNDANT_SMALL, 8, max_edges=4))
     families = sorted((r.shape for r in search.depths[3]), key=lambda s: s.edges)
     ok = (
-        sum(r.raw_count() for r in search.depths[3]) == 10
+        sum(r.raw for r in search.depths[3]) == 10
         and len(search.depths[3]) == 6
         and [s.edges for s in families]
         == [s.edges for s in expected_small_families()]

@@ -205,6 +205,16 @@ class TestDeterminism:
                 ["search", "--mode", "small", "--k", "10"],
                 "72e40da313897db82fc25b95909581b456ad684e0540c72beaf14b6d538982b7",
             ),
+            # every record's raw multiplicity at k = 12: the large search has
+            # the most records (1,629) and keys (3,195) of any search
+            (
+                ["search", "--mode", "exhaustive-large", "--k", "12"],
+                "6d0c329e9df008a9ef53ee74063861341879edb8a761569224689d4fef5c9077",
+            ),
+            (
+                ["search", "--mode", "small", "--k", "12"],
+                "fe1af9b7fc2b5cc1769118adf0a007f4d29ce256d35be7351aabc05525e59756",
+            ),
             (
                 ["shape", "--edges", "1,5;2,5,6;3,4,5,7"],
                 "b187ad7ecdceab80d954ee56d97fc331c525aded4ecf1895b992e26bd62df218",
@@ -261,6 +271,8 @@ class TestDeterminism:
             "search_large_k6",
             "search_small_k8",
             "search_small_k10",
+            "search_large_k12",
+            "search_small_k12",
             "shape_mixed",
             "shape_15_vertices",
             "shape_shared_pair",
@@ -283,7 +295,7 @@ class TestDeterminism:
         [
             ["verify", "small", "--k", "8"],
             ["shape", "--edges", "1,2,3;1,2,4;1,2"],
-            # a record's keys are a set; its raw multiplicity is their number,
+            # a record's keys are gathered in a set; its raw multiplicity is their number,
             # and at 3/8 keys collide
             ["search", "--mode", "exhaustive-large", "--k", "5", "--threshold", "3/8"],
         ],

@@ -1,7 +1,8 @@
 """Package modules reach each other only through public names, every
 definition is used by the package itself, every public name resolves, no
-certificate draws random numbers, every refusal is one exception class, and
-the benchmark's hooks still resolve."""
+certificate draws random numbers, every refusal is one exception class, the
+benchmark's hooks still resolve, and the state the package keeps for the life
+of the process is a named list."""
 import ast
 import builtins
 import importlib
@@ -101,6 +102,26 @@ def exception_classes(sources: dict[str, str]) -> list[str]:
     return sorted(label for label, (_, bases) in classes.items() if errors.intersection(bases))
 
 
+def process_memos(source: str) -> list[str]:
+    """Functions decorated with lru_cache or functools.cache, and module-level
+    names bound to an empty {}, [] or set(): what lives as long as the
+    process and grows as it runs."""
+    tree = ast.parse(source)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                if ast.unparse(target).rpartition(".")[2] in ("lru_cache", "cache"):
+                    found.append(node.name)
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if ast.unparse(node.value) in ("{}", "[]", "set()"):
+                found += [target.id for target in targets if isinstance(target, ast.Name)]
+    return sorted(found)
+
+
 def test_detector_sees_private_names():
     assert private_imports("from .cube import LinearMap, _private\n") == [
         "1: from .cube import _private"
@@ -189,3 +210,35 @@ def test_benchmark_hooks_resolve():
         hook = getattr(importlib.import_module(module_name), attr, None)
         assert callable(hook), f"{module_name}.{attr} is gone"
     assert callable(cube._row_mask.cache_info)
+
+
+def test_detector_sees_process_memos():
+    source = (
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=None)\ndef a(x):\n    return x\n"
+        "@functools.cache\ndef b(x):\n    return x\n"
+        "@cache\ndef c(x):\n    return x\n"
+        "@functools.lru_cache\ndef d(x):\n    return x\n"
+        "@staticmethod\ndef plain(x):\n    local = {}\n    return local\n"
+        "TABLE = {}\nSEEN: list[int] = []\nHELD = set()\n"
+        "FIXED = {1: 2}\nNAMES = ['x']\nBOUND: int\n"
+    )
+    assert process_memos(source) == ["HELD", "SEEN", "TABLE", "a", "b", "c", "d"]
+
+
+def test_process_lifetime_state_is_named():
+    # a new memo must be named here, so every piece of state that one call
+    # leaves for the next is listed in one place
+    found = sorted(
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in process_memos(path.read_text(encoding="utf-8"))
+    )
+    assert found == [
+        "cli.build_parser",
+        "cube.row_mask",
+        "shapes._edge_choices",
+        "shapes.canonical_form",
+        "shapes.intersection_value_set",
+        "theorems._last_search",
+    ]

@@ -144,7 +144,7 @@ class TestLargeSearch:
         # so none fits in k vertices
         minimal = minimal_depths(searched(SearchConfig(EXHAUSTIVE_LARGE, k)))
         assert [len(records) for records in minimal] == counts + [0]
-        assert [sum(rec.raw_count() for rec in records) for records in minimal] == counts + [0]
+        assert [sum(rec.raw for rec in records) for records in minimal] == counts + [0]
 
     def test_depth_two_unions_bounded(self, large8):
         for rec in large8[1]:
@@ -198,7 +198,7 @@ class TestSmallSearch:
         assert all(rec.shape.vertex_count <= 6 for rec in pairs)
 
     def test_depth_four_counts(self, small8):
-        assert sum(rec.raw_count() for rec in small8.depths[3]) == 10
+        assert sum(rec.raw for rec in small8.depths[3]) == 10
         assert len(small8.depths[3]) == 6
 
     def test_depth_four_families(self, small8):
@@ -643,7 +643,7 @@ class TestBound:
         # the raw survivors of each depth and the pruned children, as the
         # generator that labelled every count vector counted them
         result = searched(SearchConfig(mode, 12))
-        assert [sum(rec.raw_count() for rec in records) for records in result.depths] == raw
+        assert [sum(rec.raw for rec in records) for records in result.depths] == raw
         assert result.pruned_count == pruned
 
     @pytest.mark.parametrize(
@@ -655,7 +655,7 @@ class TestBound:
         # key; each distinct key is one raw survivor, so keeping the repeats
         # would read 144 and 85 at depth 4
         result = searched(SearchConfig(mode, 4, threshold=Fraction(3, 8)))
-        assert [sum(rec.raw_count() for rec in records) for records in result.depths] == raw
+        assert [sum(rec.raw for rec in records) for records in result.depths] == raw
 
 
 class TestSmallerSearches:
@@ -667,7 +667,7 @@ class TestSmallerSearches:
         # a shape's parents have no more vertices than it, so the search of k
         # is the search of big cut down to shapes of at most k vertices
         def view(records):
-            return [(r.shape.edges, r.values, r.max_size, r.keys) for r in records]
+            return [(r.shape.edges, r.values, r.max_size, r.raw) for r in records]
 
         small = searched(SearchConfig(mode, k)).depths
         large = searched(SearchConfig(mode, big)).depths
@@ -681,9 +681,9 @@ class TestSmallerSearches:
 
 def search_view(result):
     """What a search finds: each depth's records as (edges, max_size, values,
-    keys), then pruned_count and terminated_naturally."""
+    raw), then pruned_count and terminated_naturally."""
     depths = [
-        [(r.shape.edges, r.max_size, r.values, r.keys) for r in records]
+        [(r.shape.edges, r.max_size, r.values, r.raw) for r in records]
         for records in result.depths
     ]
     return depths, result.pruned_count, result.terminated_naturally
